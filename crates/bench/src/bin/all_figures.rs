@@ -290,27 +290,33 @@ fn run(cli: CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let results = pool::run_indexed_traced(jobs.len(), threads, tracer.as_ref(), |i| {
-        // Each figure gets its own lane: a job runs entirely on one
-        // worker, so the per-job lane has exactly one writer.
-        let mut lane = lane_of(tracer.as_ref(), FIGURE_LANE_BASE + i as u32);
-        let start = lane.begin();
-        let out = match &figure_journal {
-            Some(ctx) => match &ctx.cached[i] {
-                // Completed by an earlier invocation: replay, don't rerun.
-                Some(notes) => Ok(notes.clone()),
-                None => run_journaled(ctx, i, jobs[i].0, &jobs[i].1),
-            },
-            None => (jobs[i].1)(),
-        };
-        lane.end(
-            start,
-            category::FIGURE,
-            jobs[i].0,
-            &[("ok", ArgValue::Bool(out.is_ok()))],
-        );
-        out
-    });
+    let results = pool::run_indexed_scoped_traced(
+        jobs.len(),
+        threads,
+        tracer.as_ref(),
+        || (),
+        |(), i| {
+            // Each figure gets its own lane: a job runs entirely on one
+            // worker, so the per-job lane has exactly one writer.
+            let mut lane = lane_of(tracer.as_ref(), FIGURE_LANE_BASE + i as u32);
+            let start = lane.begin();
+            let out = match &figure_journal {
+                Some(ctx) => match &ctx.cached[i] {
+                    // Completed by an earlier invocation: replay, don't rerun.
+                    Some(notes) => Ok(notes.clone()),
+                    None => run_journaled(ctx, i, jobs[i].0, &jobs[i].1),
+                },
+                None => (jobs[i].1)(),
+            };
+            lane.end(
+                start,
+                category::FIGURE,
+                jobs[i].0,
+                &[("ok", ArgValue::Bool(out.is_ok()))],
+            );
+            out
+        },
+    );
 
     // Resolve in figure order: progress lines stay stable across thread
     // counts and the first failing figure (by index) wins.

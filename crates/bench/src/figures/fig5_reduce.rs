@@ -57,9 +57,10 @@ pub fn compute(runs: usize, seed: u64) -> StatsResult<Fig5> {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .min(8);
-    let computed = pool::run_indexed_scoped(
+    let computed = pool::run_indexed_scoped_traced(
         ps.len(),
         threads,
+        None,
         ReplayCtx::new,
         |ctx, i| -> StatsResult<ReducePoint> {
             let p = ps[i];

@@ -17,6 +17,14 @@
 //! Error semantics: all points run to completion (no early abort); if any
 //! point fails, the error of the *lowest design index* is returned, and a
 //! panicking measurement is re-raised after every other point finished.
+//!
+//! The vector, streaming ([`super::stream`]) and resilient
+//! ([`super::resilience`]) runners are per-point bodies over one
+//! crate-private executor defined here, which owns the order shuffle,
+//! the per-point streams, pool dispatch, the journal's write-ahead hooks
+//! and the design-order resolution of results.
+
+use std::sync::Mutex;
 
 use scibench_sim::rng::SimRng;
 use scibench_stats::error::{StatsError, StatsResult};
@@ -26,7 +34,11 @@ use crate::obs;
 use crate::parallel::pool;
 
 use super::design::{Design, RunPoint};
+use super::journal::{
+    point_key, Journal, JournalError, JournalKey, JournalMeta, JournalSpec, PointRecord,
+};
 use super::measurement::{MeasurementOutcome, MeasurementPlan, MeasurementSummary};
+use super::resilience::{CampaignError, ResumeStats};
 
 /// Configuration of a campaign run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,33 +147,16 @@ where
     )
 }
 
-/// [`run_campaign`] with a per-worker scratch state.
+/// [`run_campaign_traced`] with a per-worker scratch state.
 ///
 /// `init` builds one private scratch value per pool lane (see
-/// [`pool::run_indexed_scoped`]); `measure` receives `&mut S` alongside
-/// the point and its stream. This lets hot measurement loops reuse
-/// per-lane arenas — e.g. a compiled-schedule replay context — with no
-/// cross-thread sharing and no per-sample allocation. Results stay
-/// bit-identical to [`run_campaign`] at any thread count as long as the
-/// measured values do not depend on scratch contents carried across
-/// points.
-pub fn run_campaign_scoped<S, I, F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    init: I,
-    measure: F,
-) -> StatsResult<CampaignResult>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &RunPoint, &mut SimRng) -> f64 + Sync,
-{
-    run_campaign_scoped_traced(design, plan, config, None, init, measure)
-}
-
-/// [`run_campaign_scoped`] with optional tracing (same event contract as
-/// [`run_campaign_traced`]).
+/// [`pool::run_indexed_scoped_traced`]); `measure` receives `&mut S`
+/// alongside the point and its stream. This lets hot measurement loops
+/// reuse per-lane arenas — e.g. a compiled-schedule replay context —
+/// with no cross-thread sharing and no per-sample allocation. Results
+/// stay bit-identical to [`run_campaign`] at any thread count as long as
+/// the measured values do not depend on scratch contents carried across
+/// points. Callers without a tracer pass `None`.
 pub fn run_campaign_scoped_traced<S, I, F>(
     design: &Design,
     plan: &MeasurementPlan,
@@ -179,80 +174,196 @@ where
     if points.is_empty() {
         return Err(StatsError::EmptySample);
     }
-    let threads = config.threads.clamp(1, points.len());
-
-    // Execution order is randomized (§4.1.1) but the point index that
-    // seeds each stream is the *design* index, so results do not depend
-    // on the shuffled order.
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    let mut order_rng = SimRng::new(config.seed).fork("campaign-order");
-    order_rng.shuffle(&mut order);
-
-    let root = SimRng::new(config.seed);
-    let run_one = |scratch: &mut S, design_idx: usize| -> StatsResult<CampaignRun> {
-        let point = &points[design_idx];
-        let mut lane = lane_of(tracer, obs::campaign_lane(design_idx));
+    let all: Vec<usize> = (0..points.len()).collect();
+    let runs = execute_points(&all, config, tracer, None, init, |scratch, idx, mut rng| {
+        let point = &points[idx];
+        let mut lane = lane_of(tracer, obs::campaign_lane(idx));
         let span = lane.begin();
-        let mut rng = root.fork_indexed("campaign-point", design_idx as u64);
         let outcome = plan.run(|| measure(scratch, point, &mut rng));
         if lane.is_on() {
-            match &outcome {
+            let args = match &outcome {
                 Ok(out) => {
                     lane.counter(category::CAMPAIGN, "samples", out.samples.len() as f64);
-                    lane.end(
-                        span,
-                        category::CAMPAIGN,
-                        "point",
-                        &[
-                            ("index", ArgValue::U64(design_idx as u64)),
-                            ("samples", ArgValue::U64(out.samples.len() as u64)),
-                            ("converged", ArgValue::Bool(out.converged)),
-                            ("label", ArgValue::Str(point.levels.join("/"))),
-                        ],
-                    );
+                    vec![
+                        ("index", ArgValue::U64(idx as u64)),
+                        ("samples", ArgValue::U64(out.samples.len() as u64)),
+                        ("converged", ArgValue::Bool(out.converged)),
+                        ("label", ArgValue::Str(point.levels.join("/"))),
+                    ]
                 }
-                Err(e) => {
-                    lane.end(
-                        span,
-                        category::CAMPAIGN,
-                        "point",
-                        &[
-                            ("index", ArgValue::U64(design_idx as u64)),
-                            ("failed", ArgValue::Bool(true)),
-                            ("error", ArgValue::Str(e.to_string())),
-                        ],
-                    );
-                }
-            }
+                Err(e) => vec![
+                    ("index", ArgValue::U64(idx as u64)),
+                    ("failed", ArgValue::Bool(true)),
+                    ("error", ArgValue::Str(e.to_string())),
+                ],
+            };
+            lane.end(span, category::CAMPAIGN, "point", &args);
         }
         Ok(CampaignRun {
             point: point.clone(),
             outcome: outcome?,
         })
-    };
+    })?;
+    Ok(CampaignResult {
+        runs: runs.into_iter().map(|(_, run)| run).collect(),
+    })
+}
 
-    // The pool executes positions of the shuffled order; un-shuffle the
-    // outputs back into design order before resolving outcomes, so error
+/// Runs `body` once for every design index in `indices` on the pool —
+/// the one point executor behind the vector, streaming and resilient
+/// runners.
+///
+/// * Execution order is a `"campaign-order"` shuffle (§4.1.1), but each
+///   point's stream is `fork_indexed("campaign-point", design index)`,
+///   so no result depends on the order, the subset or the thread count.
+/// * `init` builds one scratch value per pool lane; `tracer` records the
+///   pool's task spans ([`pool::run_indexed_scoped_traced`]).
+/// * With a `journal`, a `begin` frame precedes each point and the
+///   point's record follows it, so a worker that dies leaves every
+///   finished point on disk plus a dangling `begin` naming the point it
+///   died on. The journal is synced once after the pool drains; the
+///   first append or sync error waits in [`PointJournal::finish`].
+/// * Results come back sorted by design index, and the lowest design
+///   index decides which error is returned or which panic is re-raised —
+///   after every point has run.
+pub(crate) fn execute_points<S, T, E, I, F>(
+    indices: &[usize],
+    config: &CampaignConfig,
+    tracer: Option<&Tracer>,
+    journal: Option<&PointJournal<T>>,
+    init: I,
+    body: F,
+) -> Result<Vec<(usize, T)>, E>
+where
+    S: Send,
+    T: Send + Sync,
+    E: Send + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, SimRng) -> Result<T, E> + Sync,
+{
+    let mut order = indices.to_vec();
+    SimRng::new(config.seed)
+        .fork("campaign-order")
+        .shuffle(&mut order);
+    let root = SimRng::new(config.seed);
+    let positioned = pool::run_indexed_scoped_traced(
+        order.len(),
+        config.threads,
+        tracer,
+        init,
+        |scratch, pos| {
+            let idx = order[pos];
+            if let Some(journal) = journal {
+                journal.begin(idx);
+            }
+            let rng = root.fork_indexed("campaign-point", idx as u64);
+            let out = body(scratch, idx, rng);
+            if let (Some(journal), Ok(value)) = (journal, &out) {
+                journal.point(idx, value);
+            }
+            out
+        },
+    );
+    if let Some(journal) = journal {
+        journal.sync();
+    }
+    // Un-shuffle into design order before resolving outcomes, so error
     // and panic precedence is by design index, not by execution order.
-    let positioned =
-        pool::run_indexed_scoped_traced(order.len(), threads, tracer, init, |scratch, pos| {
-            run_one(scratch, order[pos])
-        });
-    let mut by_design: Vec<Option<std::thread::Result<StatsResult<CampaignRun>>>> =
-        (0..points.len()).map(|_| None).collect();
-    for (pos, result) in positioned.into_iter().enumerate() {
-        by_design[order[pos]] = Some(result);
+    let mut done: Vec<_> = order.into_iter().zip(positioned).collect();
+    done.sort_by_key(|(idx, _)| *idx);
+    done.into_iter()
+        .map(|(idx, result)| match result {
+            Ok(out) => out.map(|value| (idx, value)),
+            Err(payload) => std::panic::resume_unwind(payload),
+        })
+        .collect()
+}
+
+/// A campaign journal opened for [`execute_points`]' write-ahead hooks.
+pub(crate) struct PointJournal<T> {
+    /// The journal and the first error any append or sync hit; once an
+    /// append fails nothing more is written, so no frame lands after a
+    /// torn one.
+    state: Mutex<(Journal, Option<JournalError>)>,
+    /// Content-addressed key of every design point.
+    keys: Vec<JournalKey>,
+    /// The durable record of one finished point.
+    record: fn(usize, JournalKey, &T) -> PointRecord,
+}
+
+impl<T> PointJournal<T> {
+    /// Checks `indices` against the design, opens (or resumes) the
+    /// journal at `spec.path` and hands every journaled record among
+    /// `indices` to `replay`, which answers whether it stands in for the
+    /// point. Returns the journal, the points still to execute and the
+    /// resume bookkeeping.
+    pub(crate) fn open(
+        design: &Design,
+        points: &[RunPoint],
+        indices: &[usize],
+        seed: u64,
+        spec: &JournalSpec<'_>,
+        record: fn(usize, JournalKey, &T) -> PointRecord,
+        mut replay: impl FnMut(usize, &PointRecord) -> Result<bool, CampaignError>,
+    ) -> Result<(Self, Vec<usize>, ResumeStats), CampaignError> {
+        if let Some(&index) = indices.iter().find(|&&idx| idx >= points.len()) {
+            return Err(CampaignError::BadPointIndex {
+                index,
+                points: points.len(),
+            });
+        }
+        let meta = JournalMeta::new(design, seed, spec.code_version, spec.config_fingerprint);
+        let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
+        let keys: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
+        let mut missing = Vec::new();
+        for &idx in indices {
+            match snapshot.record_for(keys[idx]) {
+                Some(record) if replay(idx, record)? => {}
+                _ => missing.push(idx),
+            }
+        }
+        let resume = ResumeStats {
+            points_total: indices.len(),
+            points_resumed: indices.len() - missing.len(),
+            points_executed: missing.len(),
+            torn_tail_dropped: snapshot.torn,
+        };
+        let journal = Self {
+            state: Mutex::new((journal, None)),
+            keys,
+            record,
+        };
+        Ok((journal, missing, resume))
     }
 
-    let mut runs = Vec::with_capacity(points.len());
-    for slot in by_design {
-        match slot.expect("every design point executed") {
-            Ok(Ok(run)) => runs.push(run),
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => std::panic::resume_unwind(payload),
+    fn append(&self, frame: impl FnOnce(&mut Journal) -> Result<(), JournalError>) {
+        let mut state = self.state.lock().expect("journal mutex");
+        let (journal, failed) = &mut *state;
+        if failed.is_none() {
+            *failed = frame(journal).err();
         }
     }
-    Ok(CampaignResult { runs })
+
+    fn begin(&self, idx: usize) {
+        self.append(|journal| journal.append_begin(idx, self.keys[idx]));
+    }
+
+    fn point(&self, idx: usize, value: &T) {
+        let record = (self.record)(idx, self.keys[idx], value);
+        self.append(|journal| journal.append_point(&record));
+    }
+
+    fn sync(&self) {
+        self.append(Journal::sync);
+    }
+
+    /// The first append or sync error of the run, if any.
+    pub(crate) fn finish(self) -> Result<(), JournalError> {
+        match self.state.into_inner().expect("journal mutex").1 {
+            Some(err) => Err(err),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -492,10 +603,11 @@ mod tests {
         )
         .unwrap();
         for threads in [1, 2, 8] {
-            let scoped = run_campaign_scoped(
+            let scoped = run_campaign_scoped_traced(
                 &demo_design(),
                 &plan,
                 &CampaignConfig { seed: 13, threads },
+                None,
                 || Vec::<f64>::with_capacity(16),
                 |arena, point, rng| {
                     // The arena is reused across samples and points but

@@ -61,6 +61,138 @@ pub enum StoppingRule {
     },
 }
 
+/// Where the stopping-rule loop records samples: a `Vec<f64>` keeps
+/// every one ([`MeasurementPlan::run`]), a
+/// [`scibench_stats::sketch::StreamingSummary`] folds them into bounded
+/// memory (`run_stream`).
+pub(crate) trait SampleSink {
+    /// What the median rule carries from one check to the next.
+    type MedianCache: Default;
+
+    /// Makes room for `n` more samples.
+    fn reserve(&mut self, _n: usize) {}
+
+    /// Records one sample.
+    fn push(&mut self, x: f64);
+
+    /// Whether the nonparametric CI of the median of every recorded
+    /// sample is within `rel_error` (`false` while too few samples).
+    fn median_ci_tight(
+        &self,
+        cache: &mut Self::MedianCache,
+        confidence: f64,
+        rel_error: f64,
+    ) -> StatsResult<bool>;
+}
+
+impl SampleSink for Vec<f64> {
+    /// Each batch is merged into a sorted cache (O(n + b) per batch)
+    /// instead of re-sorting all samples at every check.
+    type MedianCache = Option<SortedSamples>;
+
+    #[inline]
+    fn reserve(&mut self, n: usize) {
+        Vec::reserve(self, n);
+    }
+
+    #[inline]
+    fn push(&mut self, x: f64) {
+        Vec::push(self, x);
+    }
+
+    fn median_ci_tight(
+        &self,
+        cache: &mut Option<SortedSamples>,
+        confidence: f64,
+        rel_error: f64,
+    ) -> StatsResult<bool> {
+        let sorted = match cache {
+            Some(sorted) => {
+                sorted.merge_extend(&self[sorted.len()..])?;
+                sorted
+            }
+            None => cache.insert(SortedSamples::new(self)?),
+        };
+        let check = ci::nonparametric_stop_check_sorted(sorted, confidence, rel_error)?;
+        Ok(check.is_some_and(|(_ci, tight)| tight))
+    }
+}
+
+impl StoppingRule {
+    /// Records `operation()` into `sink` until the rule stops and returns
+    /// whether it converged (always `true` for a fixed count). The vector
+    /// and streaming paths both run this loop, so for the same sample
+    /// stream they stop after the same number of calls.
+    pub(crate) fn sample<S: SampleSink>(
+        self,
+        sink: &mut S,
+        mut operation: impl FnMut() -> f64,
+    ) -> StatsResult<bool> {
+        match self {
+            StoppingRule::FixedCount(n) => {
+                sink.reserve(n);
+                for _ in 0..n {
+                    sink.push(operation());
+                }
+                Ok(true)
+            }
+            StoppingRule::AdaptiveMeanCi {
+                confidence,
+                rel_error,
+                batch,
+                max_samples,
+            } => {
+                // Running Welford moments make each replanning round O(1)
+                // instead of re-scanning the samples, so the loop is O(n)
+                // total rather than O(n²/batch).
+                let mut moments = OnlineMoments::new();
+                let mut recorded = 0usize;
+                // Pilot batch (at least 5 to make the t-quantile sane).
+                let mut target = batch.max(5).min(max_samples);
+                loop {
+                    while recorded < target {
+                        let x = operation();
+                        moments.push(x);
+                        sink.push(x);
+                        recorded += 1;
+                    }
+                    if recorded >= max_samples {
+                        break;
+                    }
+                    let required =
+                        ci::required_samples_from_moments(&moments, confidence, rel_error)?;
+                    if required <= recorded {
+                        return Ok(true);
+                    }
+                    target = required.min(max_samples).min(recorded + batch.max(1));
+                }
+                // Filled up to the ceiling: one last check.
+                Ok(ci::required_samples_from_moments(&moments, confidence, rel_error)? <= recorded)
+            }
+            StoppingRule::AdaptiveMedianCi {
+                confidence,
+                rel_error,
+                batch,
+                max_samples,
+            } => {
+                let mut cache = S::MedianCache::default();
+                let mut recorded = 0usize;
+                while recorded < max_samples {
+                    let fresh = batch.max(1).min(max_samples - recorded);
+                    for _ in 0..fresh {
+                        sink.push(operation());
+                    }
+                    recorded += fresh;
+                    if sink.median_ci_tight(&mut cache, confidence, rel_error)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+        }
+    }
+}
+
 /// A plan for measuring one operation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MeasurementPlan {
@@ -101,97 +233,12 @@ impl MeasurementPlan {
     pub fn run(&self, mut operation: impl FnMut() -> f64) -> StatsResult<MeasurementOutcome> {
         self.validate()?;
         // Warmup: execute and discard.
-        let mut warmup = Vec::with_capacity(self.warmup_iterations);
-        for _ in 0..self.warmup_iterations {
-            warmup.push(operation());
-        }
-
+        let warmup_samples = (0..self.warmup_iterations).map(|_| operation()).collect();
         let mut samples = Vec::new();
-        let converged = match self.stopping {
-            StoppingRule::FixedCount(n) => {
-                samples.reserve(n);
-                for _ in 0..n {
-                    samples.push(operation());
-                }
-                true
-            }
-            StoppingRule::AdaptiveMeanCi {
-                confidence,
-                rel_error,
-                batch,
-                max_samples,
-            } => {
-                let mut converged = false;
-                // Running Welford moments make each replanning round O(1)
-                // instead of re-scanning the whole sample vector, so the
-                // loop is O(n) total rather than O(n²/batch).
-                let mut moments = OnlineMoments::new();
-                // Pilot batch (at least 5 to make the t-quantile sane).
-                let pilot = batch.max(5);
-                for _ in 0..pilot.min(max_samples) {
-                    let x = operation();
-                    moments.push(x);
-                    samples.push(x);
-                }
-                while samples.len() < max_samples {
-                    let required =
-                        ci::required_samples_from_moments(&moments, confidence, rel_error)?;
-                    if required <= samples.len() {
-                        converged = true;
-                        break;
-                    }
-                    let next = required.min(max_samples).min(samples.len() + batch.max(1));
-                    while samples.len() < next {
-                        let x = operation();
-                        moments.push(x);
-                        samples.push(x);
-                    }
-                }
-                // Final check if we filled up to a boundary.
-                if !converged {
-                    converged = ci::required_samples_from_moments(&moments, confidence, rel_error)?
-                        <= samples.len();
-                }
-                converged
-            }
-            StoppingRule::AdaptiveMedianCi {
-                confidence,
-                rel_error,
-                batch,
-                max_samples,
-            } => {
-                let mut converged = false;
-                let batch = batch.max(1);
-                // Each batch is merged into a sorted cache (O(n + b) per
-                // batch) instead of re-sorting all samples at every check.
-                let mut sorted: Option<SortedSamples> = None;
-                while samples.len() < max_samples {
-                    let start = samples.len();
-                    for _ in 0..batch.min(max_samples - samples.len()) {
-                        samples.push(operation());
-                    }
-                    let fresh = &samples[start..];
-                    match sorted.as_mut() {
-                        Some(cache) => cache.merge_extend(fresh)?,
-                        None => sorted = Some(SortedSamples::new(fresh)?),
-                    }
-                    let cache = sorted.as_ref().expect("batch just merged");
-                    if let Some((_ci, tight)) =
-                        ci::nonparametric_stop_check_sorted(cache, confidence, rel_error)?
-                    {
-                        if tight {
-                            converged = true;
-                            break;
-                        }
-                    }
-                }
-                converged
-            }
-        };
-
+        let converged = self.stopping.sample(&mut samples, operation)?;
         Ok(MeasurementOutcome {
             name: self.name.clone(),
-            warmup_samples: warmup,
+            warmup_samples,
             samples,
             converged,
         })

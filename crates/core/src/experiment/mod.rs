@@ -48,6 +48,6 @@ pub use resilience::{
     MeasureFailure, PointFate, ResilientCampaignResult, ResilientRun, ResumeStats, RetryPolicy,
 };
 pub use stream::{
-    merge_stream_shards, run_campaign_stream, run_campaign_stream_journaled_subset,
-    run_campaign_stream_subset, run_stream, StreamCampaign, StreamOutcome, StreamResume, StreamRun,
+    run_campaign_stream, run_campaign_stream_journaled_subset, run_stream, StreamCampaign,
+    StreamOutcome, StreamResume, StreamRun,
 };

@@ -28,9 +28,9 @@
 //! scheduling.
 
 use std::cell::{Cell, RefCell};
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -40,12 +40,10 @@ use scibench_stats::error::StatsResult;
 use scibench_trace::{category, lane_of, ArgValue, Tracer};
 
 use crate::obs;
-use crate::parallel::pool;
 
-use super::campaign::CampaignConfig;
+use super::campaign::{execute_points, CampaignConfig, PointJournal};
 use super::design::{Design, RunPoint};
-use super::journal::PointRecord;
-use super::journal::{point_key, Journal, JournalError, JournalKey, JournalMeta, JournalSpec};
+use super::journal::{JournalError, JournalSpec, PointRecord};
 use super::measurement::{MeasurementOutcome, MeasurementPlan, MeasurementSummary};
 
 /// Why one invocation of the measurement closure failed.
@@ -435,72 +433,19 @@ pub fn run_campaign_resilient_traced<F>(
 where
     F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
 {
-    run_campaign_resilient_scoped_traced(
-        design,
-        plan,
-        config,
-        policy,
-        tracer,
-        || (),
-        |(), point, rng| measure(point, rng),
-    )
-}
-
-/// [`run_campaign_resilient`] with a per-worker scratch state (see
-/// [`crate::experiment::campaign::run_campaign_scoped`] for the scratch
-/// ownership contract).
-pub fn run_campaign_resilient_scoped<S, I, F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    policy: &RetryPolicy,
-    init: I,
-    measure: F,
-) -> Result<ResilientCampaignResult, CampaignError>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
-{
-    run_campaign_resilient_scoped_traced(design, plan, config, policy, None, init, measure)
-}
-
-/// [`run_campaign_resilient_scoped`] with optional tracing (same event
-/// contract as [`run_campaign_resilient_traced`]).
-#[allow(clippy::too_many_arguments)] // mirrors the traced + scoped variants
-pub fn run_campaign_resilient_scoped_traced<S, I, F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    policy: &RetryPolicy,
-    tracer: Option<&Tracer>,
-    init: I,
-    measure: F,
-) -> Result<ResilientCampaignResult, CampaignError>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
-{
     let points = design.full_factorial();
     if points.is_empty() {
         return Err(CampaignError::EmptyDesign);
     }
-    let indices: Vec<usize> = (0..points.len()).collect();
-    let executed = run_resilient_subset(
-        &points,
-        &indices,
+    let all: Vec<usize> = (0..points.len()).collect();
+    let attempts = Attempts {
         plan,
-        config,
         policy,
         tracer,
-        init,
-        measure,
-        |_| (),
-        |_, _| (),
-    );
-    let runs: Vec<ResilientRun> = executed.into_iter().map(|(_, run)| run).collect();
-    finish_campaign(runs)
+        measure: &measure,
+    };
+    let runs = attempts.execute(&points, &all, config, None);
+    finish_campaign(runs.into_iter().map(|(_, run)| run).collect())
 }
 
 /// Folds executed runs into the Rule-4 health disclosure.
@@ -548,57 +493,50 @@ pub(crate) fn finish_campaign(
     Ok(ResilientCampaignResult { runs, health })
 }
 
-/// The resilient execution engine over an arbitrary subset of design
-/// points: the shared core of the full-campaign, journaled and sharded
-/// runners.
-///
-/// Every point's RNG forks from `(campaign seed, design index)`, so
-/// executing any subset — in any order, on any thread count — produces
-/// exactly the runs the full campaign would produce for those indices.
-/// That property is what makes journaled resume and process sharding
-/// bit-identical to an uninterrupted single-process run.
-///
-/// `before(idx)` / `after(idx, &run)` fire on the worker thread around
-/// each point (the journal's begin/point appends); they must not panic.
-/// Returns `(design index, run)` pairs sorted by design index.
-#[allow(clippy::too_many_arguments)] // the runner family's full surface
-pub(crate) fn run_resilient_subset<S, I, F, B, A>(
-    points: &[RunPoint],
-    indices: &[usize],
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    policy: &RetryPolicy,
-    tracer: Option<&Tracer>,
-    init: I,
-    measure: F,
-    before: B,
-    after: A,
-) -> Vec<(usize, ResilientRun)>
+/// The resilient runner's per-point body: `plan` under `policy`, with
+/// failed samples, panics and budget overruns handled per attempt.
+/// Attempt `k` draws from the point's stream forked by `k`, so a point's
+/// run never depends on which subset, order or thread ran it.
+struct Attempts<'a, F> {
+    plan: &'a MeasurementPlan,
+    policy: &'a RetryPolicy,
+    tracer: Option<&'a Tracer>,
+    measure: &'a F,
+}
+
+impl<F> Attempts<'_, F>
 where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
-    B: Fn(usize) + Sync,
-    A: Fn(usize, &ResilientRun) + Sync,
+    F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
 {
-    if indices.is_empty() {
-        return Vec::new();
+    /// Runs `indices` on the shared executor, appending each finished
+    /// point to `journal` when given. Returns `(design index, run)` pairs
+    /// sorted by design index. A point never fails — panics in `measure`
+    /// are contained per attempt — so a panic that still reaches the pool
+    /// is runner infrastructure and is re-raised.
+    fn execute(
+        &self,
+        points: &[RunPoint],
+        indices: &[usize],
+        config: &CampaignConfig,
+        journal: Option<&PointJournal<ResilientRun>>,
+    ) -> Vec<(usize, ResilientRun)> {
+        let Ok(runs) = execute_points(
+            indices,
+            config,
+            self.tracer,
+            journal,
+            || (),
+            |(), idx, rng| Ok::<_, Infallible>(self.run(&points[idx], idx, rng)),
+        );
+        runs
     }
-    let threads = config.threads.clamp(1, indices.len());
-    let max_attempts = policy.max_attempts.max(1);
-    let budget = policy.point_budget_ns.unwrap_or(f64::INFINITY);
 
-    // Same randomized execution order as the strict runner (§4.1.1).
-    // Order affects scheduling only, never bits: per-point streams are
-    // pure functions of the design index.
-    let mut order: Vec<usize> = indices.to_vec();
-    let mut order_rng = SimRng::new(config.seed).fork("campaign-order");
-    order_rng.shuffle(&mut order);
-
-    let root = SimRng::new(config.seed);
-    let run_one = |scratch: &mut S, design_idx: usize| -> ResilientRun {
-        let point = &points[design_idx];
-        let point_root = root.fork_indexed("campaign-point", design_idx as u64);
+    /// Attempts one design point until it completes, runs out of
+    /// attempts or exceeds its budget.
+    fn run(&self, point: &RunPoint, design_idx: usize, point_root: SimRng) -> ResilientRun {
+        let (plan, policy) = (self.plan, self.policy);
+        let max_attempts = policy.max_attempts.max(1);
+        let budget = policy.point_budget_ns.unwrap_or(f64::INFINITY);
         let elapsed = Cell::new(0.0f64);
         let mut attempts = 0usize;
         let mut panics_contained = 0usize;
@@ -607,7 +545,7 @@ where
         // The lane is borrowed both inside the measurement closure (fault
         // instants) and between attempts, so it lives in a RefCell like
         // the rest of the per-attempt bookkeeping.
-        let lane = RefCell::new(lane_of(tracer, obs::campaign_lane(design_idx)));
+        let lane = RefCell::new(lane_of(self.tracer, obs::campaign_lane(design_idx)));
         let point_span = lane.borrow().begin();
 
         while attempts < max_attempts {
@@ -630,7 +568,7 @@ where
                         overran.set(true);
                         return f64::NAN;
                     }
-                    match measure(&mut *scratch, point, &mut rng) {
+                    match (self.measure)(point, &mut rng) {
                         Ok(cost) => {
                             elapsed.set(saturating_add_ns(elapsed.get(), cost));
                             cost
@@ -796,29 +734,7 @@ where
             fate,
             panics_contained,
         }
-    };
-
-    // Execute the shuffled order on the work-stealing pool, then sort
-    // back into design order. `run_one` is infallible — panics in the
-    // measurement closure are already contained per attempt — so a
-    // pool-level panic can only be runner infrastructure and is re-raised.
-    let positioned =
-        pool::run_indexed_scoped_traced(order.len(), threads, tracer, init, |scratch, pos| {
-            let design_idx = order[pos];
-            before(design_idx);
-            let run = run_one(scratch, design_idx);
-            after(design_idx, &run);
-            (design_idx, run)
-        });
-    let mut executed: Vec<(usize, ResilientRun)> = Vec::with_capacity(order.len());
-    for result in positioned {
-        match result {
-            Ok(pair) => executed.push(pair),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
     }
-    executed.sort_by_key(|(idx, _)| *idx);
-    executed
 }
 
 /// Resume bookkeeping of a journaled campaign — deliberately *separate*
@@ -877,36 +793,30 @@ where
     if points.is_empty() {
         return Err(CampaignError::EmptyDesign);
     }
-    let meta = JournalMeta::new(
-        design,
-        config.seed,
-        spec.code_version,
-        spec.config_fingerprint,
-    );
-    let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
-    let keys: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
-
-    let mut slots: Vec<Option<ResilientRun>> = vec![None; points.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (idx, key) in keys.iter().enumerate() {
-        match snapshot.record_for(*key) {
-            Some(record) => slots[idx] = Some(record.clone().into_run()),
-            None => missing.push(idx),
-        }
-    }
-    let resume = ResumeStats {
-        points_total: points.len(),
-        points_resumed: points.len() - missing.len(),
-        points_executed: missing.len(),
-        torn_tail_dropped: snapshot.torn,
+    let all: Vec<usize> = (0..points.len()).collect();
+    let attempts = Attempts {
+        plan,
+        policy,
+        tracer: None,
+        measure: &measure,
     };
-
-    let executed = execute_journaled_subset(
-        &points, &keys, &missing, plan, config, policy, journal, &measure,
+    let mut slots: Vec<Option<ResilientRun>> = vec![None; points.len()];
+    let (journal, missing, resume) = PointJournal::open(
+        design,
+        &points,
+        &all,
+        config.seed,
+        spec,
+        PointRecord::from_run,
+        |idx, record| {
+            slots[idx] = Some(record.clone().into_run());
+            Ok(true)
+        },
     )?;
-    for (idx, run) in executed {
+    for (idx, run) in attempts.execute(&points, &missing, config, Some(&journal)) {
         slots[idx] = Some(run);
     }
+    journal.finish()?;
     let runs: Vec<ResilientRun> = slots
         .into_iter()
         .map(|s| s.expect("every design point journaled or executed"))
@@ -940,91 +850,24 @@ where
     if points.is_empty() {
         return Err(CampaignError::EmptyDesign);
     }
-    for &idx in indices {
-        if idx >= points.len() {
-            return Err(CampaignError::BadPointIndex {
-                index: idx,
-                points: points.len(),
-            });
-        }
-    }
-    let meta = JournalMeta::new(
-        design,
-        config.seed,
-        spec.code_version,
-        spec.config_fingerprint,
-    );
-    let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
-    let keys: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
-    let missing: Vec<usize> = indices
-        .iter()
-        .copied()
-        .filter(|&idx| snapshot.record_for(keys[idx]).is_none())
-        .collect();
-    let resume = ResumeStats {
-        points_total: indices.len(),
-        points_resumed: indices.len() - missing.len(),
-        points_executed: missing.len(),
-        torn_tail_dropped: snapshot.torn,
-    };
-    execute_journaled_subset(
-        &points, &keys, &missing, plan, config, policy, journal, &measure,
-    )?;
-    Ok(resume)
-}
-
-/// Runs `missing` through the engine with journal begin/point hooks; the
-/// first journal append error aborts the campaign after the engine
-/// drains (hooks themselves must not panic or early-exit workers).
-#[allow(clippy::too_many_arguments)] // internal plumbing of the journaled runners
-fn execute_journaled_subset<F>(
-    points: &[RunPoint],
-    keys: &[JournalKey],
-    missing: &[usize],
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    policy: &RetryPolicy,
-    journal: Journal,
-    measure: &F,
-) -> Result<Vec<(usize, ResilientRun)>, CampaignError>
-where
-    F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
-{
-    let journal = Mutex::new(journal);
-    let hook_error: Mutex<Option<JournalError>> = Mutex::new(None);
-    let record_error = |err: JournalError| {
-        let mut slot = hook_error.lock().expect("journal hook mutex");
-        slot.get_or_insert(err);
-    };
-    let executed = run_resilient_subset(
-        points,
-        missing,
+    let attempts = Attempts {
         plan,
-        config,
         policy,
-        None,
-        || (),
-        |(), point, rng| measure(point, rng),
-        |idx| {
-            let mut j = journal.lock().expect("journal mutex");
-            if let Err(e) = j.append_begin(idx, keys[idx]) {
-                record_error(e);
-            }
-        },
-        |idx, run| {
-            let record = PointRecord::from_run(idx, keys[idx], run);
-            let mut j = journal.lock().expect("journal mutex");
-            if let Err(e) = j.append_point(&record) {
-                record_error(e);
-            }
-        },
-    );
-    if let Some(err) = hook_error.lock().expect("journal hook mutex").take() {
-        return Err(CampaignError::Journal(err));
-    }
-    let mut journal = journal.into_inner().expect("journal mutex");
-    journal.sync()?;
-    Ok(executed)
+        tracer: None,
+        measure: &measure,
+    };
+    let (journal, missing, resume) = PointJournal::open(
+        design,
+        &points,
+        indices,
+        config.seed,
+        spec,
+        PointRecord::from_run,
+        |_, _| Ok(true),
+    )?;
+    attempts.execute(&points, &missing, config, Some(&journal));
+    journal.finish()?;
+    Ok(resume)
 }
 
 #[cfg(test)]
@@ -1420,49 +1263,6 @@ mod tests {
         assert!(CampaignError::EmptyDesign
             .to_string()
             .contains("zero points"));
-    }
-
-    #[test]
-    fn scoped_resilient_campaign_is_bit_identical_to_plain() {
-        // A per-worker scratch buffer must not change any result bit:
-        // point-level RNG forks are independent of scheduling and scratch.
-        let plain = run_campaign_resilient(
-            &demo_design(),
-            &fixed_plan(20),
-            &CampaignConfig {
-                seed: 7,
-                threads: 1,
-            },
-            &RetryPolicy::default(),
-            clean_measure,
-        )
-        .unwrap();
-        for threads in [1usize, 2, 8] {
-            let scoped = run_campaign_resilient_scoped(
-                &demo_design(),
-                &fixed_plan(20),
-                &CampaignConfig { seed: 7, threads },
-                &RetryPolicy::default(),
-                || Vec::<f64>::with_capacity(32),
-                |scratch, point, rng| {
-                    scratch.clear();
-                    scratch.push(0.0); // exercise the arena without touching rng
-                    let base = if point.level(0) == "a" { 1.0 } else { 2.0 };
-                    Ok(base + scratch[0] + rng.uniform() * 0.01)
-                },
-            )
-            .unwrap();
-            assert_eq!(plain.runs.len(), scoped.runs.len());
-            for (a, b) in plain.runs.iter().zip(&scoped.runs) {
-                let xs = &a.outcome.as_ref().unwrap().samples;
-                let ys = &b.outcome.as_ref().unwrap().samples;
-                assert_eq!(
-                    xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! The classic campaign runner ([`super::campaign`]) keeps every sample
 //! of every point in memory, which is the right default for the paper's
 //! n ≈ 30–10⁴ regime but breaks down for million-sample-per-point
-//! campaigns. This module replays the same §4 execution discipline —
-//! randomized run order, per-point deterministic RNG streams, warmup
-//! exclusion, fixed or CI-driven stopping — while each point folds its
-//! samples into a [`StreamingSummary`] (exact below an adaptive
+//! campaigns. This module runs the same §4 execution discipline —
+//! the same executor and the same stopping-rule loop — while each point
+//! folds its samples into a [`StreamingSummary`] (exact below an adaptive
 //! threshold, t-digest + moments above it; see
 //! `scibench_stats::sketch`).
 //!
@@ -20,24 +19,18 @@
 //! bit-identical at any thread count and any shard count.
 //!
 //! The journaled variant writes each point's sketch record (not its
-//! samples) into the crash-consistent journal of [`super::journal`],
-//! keeping resume state O(sketch) per point.
-
-use std::sync::Mutex;
+//! samples) into the crash-consistent journal of [`super::journal`] as
+//! soon as the point finishes, keeping resume state O(sketch) per point.
 
 use scibench_sim::rng::SimRng;
-use scibench_stats::ci::ConfidenceInterval;
 use scibench_stats::error::{StatsError, StatsResult};
 use scibench_stats::sketch::{KeyedPartials, MergeableSummary, StreamConfig, StreamingSummary};
-use scibench_stats::{ci, summary::OnlineMoments};
 
-use crate::parallel::pool;
-
-use super::campaign::CampaignConfig;
+use super::campaign::{execute_points, CampaignConfig, PointJournal};
 use super::design::{Design, RunPoint};
-use super::journal::{point_key, Journal, JournalError, JournalMeta, JournalSpec, PointRecord};
-use super::measurement::{MeasurementPlan, StoppingRule};
-use super::resilience::{CampaignError, PointFate};
+use super::journal::{JournalKey, JournalSpec, PointRecord};
+use super::measurement::{MeasurementPlan, SampleSink};
+use super::resilience::{CampaignError, PointFate, ResumeStats};
 
 /// The bounded-memory result of measuring one operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,15 +54,33 @@ impl StreamOutcome {
     }
 }
 
+impl SampleSink for StreamingSummary {
+    /// The summary answers the median CI itself.
+    type MedianCache = ();
+
+    #[inline]
+    fn push(&mut self, x: f64) {
+        MergeableSummary::push(self, x);
+    }
+
+    fn median_ci_tight(&self, _: &mut (), confidence: f64, rel_error: f64) -> StatsResult<bool> {
+        match self.median_ci(confidence) {
+            Ok(ci) => Ok(ci.relative_half_width().is_some_and(|r| r <= rel_error)),
+            Err(StatsError::TooFewSamples { .. }) | Err(StatsError::EmptySample) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+}
+
 /// Runs a measurement plan in streaming mode: same warmup and stopping
 /// semantics as [`MeasurementPlan::run`], but samples fold into a
 /// [`StreamingSummary`] instead of accumulating in a vector.
 ///
-/// Semantics deliberately mirror the vector path so the two modes stop
-/// after the *same number of calls* to `operation` for the same sample
-/// stream: the mean rule replans from identical Welford moments, and the
-/// median rule's CI check is bit-identical while the summary is exact
-/// (below `stream.threshold`) and rank-error-bounded after promotion.
+/// Both modes run the same stopping-rule loop, so they stop after the
+/// *same number of calls* to `operation` for the same sample stream: the
+/// mean rule replans from identical Welford moments, and the median
+/// rule's CI check is bit-identical while the summary is exact (below
+/// `stream.threshold`) and rank-error-bounded after promotion.
 pub fn run_stream(
     plan: &MeasurementPlan,
     stream: &StreamConfig,
@@ -81,109 +92,13 @@ pub fn run_stream(
         // Warmup executes and discards (§4.1.2); nothing is recorded.
         let _ = operation();
     }
-
-    let mut seen = 0u64;
-    let mut push = |summary: &mut StreamingSummary, seen: &mut u64| {
-        summary.push(operation());
-        *seen += 1;
-    };
-
-    let converged = match plan.stopping {
-        StoppingRule::FixedCount(n) => {
-            for _ in 0..n {
-                push(&mut summary, &mut seen);
-            }
-            true
-        }
-        StoppingRule::AdaptiveMeanCi {
-            confidence,
-            rel_error,
-            batch,
-            max_samples,
-        } => {
-            let mut converged = false;
-            let pilot = batch.max(5);
-            for _ in 0..pilot.min(max_samples) {
-                push(&mut summary, &mut seen);
-            }
-            while (seen as usize) < max_samples {
-                let required = required_samples(summary.moments(), confidence, rel_error)?;
-                if required <= seen as usize {
-                    converged = true;
-                    break;
-                }
-                let next = required.min(max_samples).min(seen as usize + batch.max(1));
-                while (seen as usize) < next {
-                    push(&mut summary, &mut seen);
-                }
-            }
-            if !converged {
-                converged =
-                    required_samples(summary.moments(), confidence, rel_error)? <= seen as usize;
-            }
-            converged
-        }
-        StoppingRule::AdaptiveMedianCi {
-            confidence,
-            rel_error,
-            batch,
-            max_samples,
-        } => {
-            let mut converged = false;
-            let batch = batch.max(1);
-            while (seen as usize) < max_samples {
-                for _ in 0..batch.min(max_samples - seen as usize) {
-                    push(&mut summary, &mut seen);
-                }
-                if let Some((_ci, tight)) = median_stop_check(&summary, confidence, rel_error)? {
-                    if tight {
-                        converged = true;
-                        break;
-                    }
-                }
-            }
-            converged
-        }
-    };
-
+    let converged = plan.stopping.sample(&mut summary, operation)?;
     Ok(StreamOutcome {
         name: plan.name.clone(),
         converged,
         warmup_seen: plan.warmup_iterations as u64,
         summary,
     })
-}
-
-/// The §4.2.2 replanning formula on streamed moments — identical to the
-/// vector path's check.
-fn required_samples(
-    moments: &OnlineMoments,
-    confidence: f64,
-    rel_error: f64,
-) -> StatsResult<usize> {
-    ci::required_samples_from_moments(moments, confidence, rel_error)
-}
-
-/// The median-CI tightness check of
-/// `ci::nonparametric_stop_check_sorted`, evaluated on the streamed
-/// summary: `None` while too few samples, otherwise the CI and whether
-/// its relative half-width is within `rel_error`.
-fn median_stop_check(
-    summary: &StreamingSummary,
-    confidence: f64,
-    rel_error: f64,
-) -> StatsResult<Option<(ConfidenceInterval, bool)>> {
-    match summary.median_ci(confidence) {
-        Ok(ci) => {
-            let tight = ci
-                .relative_half_width()
-                .map(|r| r <= rel_error)
-                .unwrap_or(false);
-            Ok(Some((ci, tight)))
-        }
-        Err(StatsError::TooFewSamples { .. }) | Err(StatsError::EmptySample) => Ok(None),
-        Err(e) => Err(e),
-    }
 }
 
 /// One streamed design point.
@@ -239,83 +154,40 @@ where
         return Err(StatsError::EmptySample);
     }
     let all: Vec<usize> = (0..points.len()).collect();
-    let runs = stream_points(&points, &all, plan, stream, config, true, &measure)?;
     let mut partials = KeyedPartials::new();
-    for (idx, run) in all.iter().zip(&runs) {
+    let mut runs = Vec::with_capacity(points.len());
+    for (idx, run) in stream_points(&points, &all, plan, stream, config, None, &measure)? {
         partials
-            .insert(*idx as u64, run.outcome.summary.clone())
+            .insert(idx as u64, run.outcome.summary.clone())
             .expect("design indices are unique keys");
+        runs.push(run);
     }
     Ok(StreamCampaign { runs, partials })
-}
-
-/// Executes only the design points in `indices` and returns their
-/// summaries keyed by design index — the building block a shard worker
-/// runs on its assigned partition. The union of all shards' partials is
-/// bit-identical to [`run_campaign_stream`]'s `partials` on the full
-/// design, regardless of how the points were partitioned.
-pub fn run_campaign_stream_subset<F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    stream: &StreamConfig,
-    config: &CampaignConfig,
-    indices: &[usize],
-    measure: F,
-) -> Result<KeyedPartials<StreamingSummary>, CampaignError>
-where
-    F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
-{
-    let points = design.full_factorial();
-    if points.is_empty() {
-        return Err(CampaignError::EmptyDesign);
-    }
-    for &idx in indices {
-        if idx >= points.len() {
-            return Err(CampaignError::BadPointIndex {
-                index: idx,
-                points: points.len(),
-            });
-        }
-    }
-    let runs = stream_points(&points, indices, plan, stream, config, false, &measure)?;
-    let mut partials = KeyedPartials::new();
-    for (idx, run) in indices.iter().zip(&runs) {
-        partials.insert(*idx as u64, run.outcome.summary.clone())?;
-    }
-    Ok(partials)
-}
-
-/// Unions shard partials into one keyed set. The union is
-/// order-independent (disjoint design keys move bit-for-bit), so the
-/// supervisor may merge shards in any order — including as they finish.
-pub fn merge_stream_shards(
-    shards: &[KeyedPartials<StreamingSummary>],
-) -> StatsResult<KeyedPartials<StreamingSummary>> {
-    let mut total = KeyedPartials::new();
-    for shard in shards {
-        total.merge_from(shard)?;
-    }
-    Ok(total)
 }
 
 /// Resume statistics of a journaled streaming run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamResume {
-    /// Points the subset was asked to cover.
-    pub points_total: usize,
-    /// Points whose sketch was replayed from the journal (not re-run).
-    pub points_resumed: usize,
-    /// Points actually executed this run.
-    pub points_executed: usize,
+    /// How many of the covered points were replayed from the journal
+    /// and how many executed this run.
+    pub resume: ResumeStats,
     /// The covered points' summaries, keyed by design index.
     pub partials: KeyedPartials<StreamingSummary>,
 }
 
-/// [`run_campaign_stream_subset`] with crash-consistent journaling:
-/// each completed point appends a [`PointRecord`] whose `sketch` field
-/// carries the summary's canonical record (no sample vector — resume
-/// state stays O(sketch) per point). On restart, journaled sketches are
-/// decoded and replayed bit-exactly instead of re-measuring.
+/// Executes the design points in `indices` in streaming mode with
+/// crash-consistent journaling — the building block a shard worker runs
+/// on its assigned partition. The union of all shards' partials is
+/// bit-identical to [`run_campaign_stream`]'s `partials` on the full
+/// design, regardless of how the points were partitioned.
+///
+/// Each point appends a `begin` frame before it runs and, once it
+/// finishes, a [`PointRecord`] whose `sketch` field carries the
+/// summary's canonical record (no sample vector — resume state stays
+/// O(sketch) per point). A run that dies mid-campaign therefore keeps
+/// every finished point, and leaves a dangling `begin` for the point it
+/// died on. On restart, journaled sketches are decoded and replayed
+/// bit-exactly instead of re-measuring.
 pub fn run_campaign_stream_journaled_subset<F>(
     design: &Design,
     plan: &MeasurementPlan,
@@ -332,185 +204,96 @@ where
     if points.is_empty() {
         return Err(CampaignError::EmptyDesign);
     }
-    for &idx in indices {
-        if idx >= points.len() {
-            return Err(CampaignError::BadPointIndex {
-                index: idx,
-                points: points.len(),
-            });
-        }
-    }
-    let meta = JournalMeta::new(
-        design,
-        config.seed,
-        spec.code_version,
-        spec.config_fingerprint,
-    );
-    let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
-    let keys: Vec<_> = points.iter().map(|p| point_key(&meta, p)).collect();
-
     let mut partials = KeyedPartials::new();
-    let mut missing = Vec::new();
-    for &idx in indices {
-        // Only a record carrying a sketch counts as streaming-complete;
-        // a sample-mode record for the same key is re-measured.
-        match snapshot
-            .record_for(keys[idx])
-            .and_then(|r| r.sketch.as_deref())
-        {
-            Some(record) => partials.insert(idx as u64, StreamingSummary::from_record(record)?)?,
-            None => missing.push(idx),
-        }
-    }
-    let resume_count = indices.len() - missing.len();
-
-    let journal = Mutex::new(journal);
-    let hook_error: Mutex<Option<JournalError>> = Mutex::new(None);
+    // Only a record carrying a sketch counts as streaming-complete; a
+    // sample-mode record for the same key is re-measured.
+    let (journal, missing, resume) = PointJournal::open(
+        design,
+        &points,
+        indices,
+        config.seed,
+        spec,
+        sketch_record,
+        |idx, r| {
+            let Some(sketch) = r.sketch.as_deref() else {
+                return Ok(false);
+            };
+            partials.insert(idx as u64, StreamingSummary::from_record(sketch)?)?;
+            Ok(true)
+        },
+    )?;
     let runs = stream_points(
         &points,
         &missing,
         plan,
         stream,
         config,
-        false,
-        &|point, rng| measure(point, rng),
+        Some(&journal),
+        &measure,
     )?;
-    for (&idx, run) in missing.iter().zip(&runs) {
-        let record = PointRecord {
-            index: idx,
-            key: keys[idx],
-            levels: run.point.levels.clone(),
-            fate: PointFate::Completed {
-                attempts: 1,
-                samples_dropped: 0,
-            },
-            panics_contained: 0,
-            outcome: None,
-            notes: Vec::new(),
-            sketch: Some(run.outcome.summary.to_record()),
-        };
-        let mut j = journal.lock().expect("journal mutex");
-        if let Err(e) = j.append_begin(idx, keys[idx]) {
-            hook_error.lock().expect("hook mutex").get_or_insert(e);
-            break;
-        }
-        if let Err(e) = j.append_point(&record) {
-            hook_error.lock().expect("hook mutex").get_or_insert(e);
-            break;
-        }
+    journal.finish()?;
+    for (idx, run) in runs {
+        partials.insert(idx as u64, run.outcome.summary)?;
     }
-    if let Some(err) = hook_error.lock().expect("hook mutex").take() {
-        return Err(CampaignError::Journal(err));
-    }
-    let mut journal = journal.into_inner().expect("journal mutex");
-    journal.sync()?;
-    for (&idx, run) in missing.iter().zip(&runs) {
-        partials.insert(idx as u64, run.outcome.summary.clone())?;
-    }
-    Ok(StreamResume {
-        points_total: indices.len(),
-        points_resumed: resume_count,
-        points_executed: missing.len(),
-        partials,
-    })
+    Ok(StreamResume { resume, partials })
 }
 
-/// Shared engine: measures `indices` (design indices) in streaming mode
-/// on the pool and returns their runs in `indices` order.
-///
-/// When `shuffle` is set the *execution* order is randomized (§4.1.1);
-/// results are un-shuffled before returning, and per-point RNG streams
-/// are keyed by design index either way, so the output never depends on
-/// the schedule. Worker lanes accumulate their finished summaries into
-/// per-lane [`KeyedPartials`] via the pool's fold primitive
-/// ([`pool::run_indexed_collect_scoped`]); the lane union is asserted
-/// against the returned runs in debug builds — the two must agree bit
-/// for bit because every key is written by exactly one lane.
+/// The streaming per-point body over the shared executor: measures
+/// `indices` into summaries, sorted by design index.
 fn stream_points<F>(
     points: &[RunPoint],
     indices: &[usize],
     plan: &MeasurementPlan,
     stream: &StreamConfig,
     config: &CampaignConfig,
-    shuffle: bool,
+    journal: Option<&PointJournal<StreamRun>>,
     measure: &F,
-) -> StatsResult<Vec<StreamRun>>
+) -> StatsResult<Vec<(usize, StreamRun)>>
 where
     F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
 {
-    if indices.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = config.threads.clamp(1, indices.len());
-    let mut order: Vec<usize> = indices.to_vec();
-    if shuffle {
-        let mut order_rng = SimRng::new(config.seed).fork("campaign-order");
-        order_rng.shuffle(&mut order);
-    }
-
-    let root = SimRng::new(config.seed);
-    let (positioned, lanes) = pool::run_indexed_collect_scoped(
-        order.len(),
-        threads,
+    execute_points(
+        indices,
+        config,
         None,
-        KeyedPartials::<StreamingSummary>::new,
-        |lane_partials, pos| -> StatsResult<StreamRun> {
-            let design_idx = order[pos];
-            let point = &points[design_idx];
-            let mut rng = root.fork_indexed("campaign-point", design_idx as u64);
+        journal,
+        || (),
+        |(), idx, mut rng| {
+            let point = &points[idx];
             let outcome = run_stream(plan, stream, || measure(point, &mut rng))?;
-            lane_partials
-                .insert(design_idx as u64, outcome.summary.clone())
-                .expect("each design index is measured once");
             Ok(StreamRun {
                 point: point.clone(),
                 outcome,
             })
         },
-    );
+    )
+}
 
-    // Un-shuffle back into `indices` order; resolve errors by lowest
-    // design index and re-raise panics after every point finished.
-    let mut by_design: Vec<Option<std::thread::Result<StatsResult<StreamRun>>>> =
-        (0..points.len()).map(|_| None).collect();
-    for (pos, result) in positioned.into_iter().enumerate() {
-        by_design[order[pos]] = Some(result);
+/// The journal record of one streamed point: its sketch, no samples.
+fn sketch_record(index: usize, key: JournalKey, run: &StreamRun) -> PointRecord {
+    PointRecord {
+        index,
+        key,
+        levels: run.point.levels.clone(),
+        fate: PointFate::Completed {
+            attempts: 1,
+            samples_dropped: 0,
+        },
+        panics_contained: 0,
+        outcome: None,
+        notes: Vec::new(),
+        sketch: Some(run.outcome.summary.to_record()),
     }
-    let mut runs = Vec::with_capacity(indices.len());
-    for &idx in indices {
-        match by_design[idx]
-            .take()
-            .expect("every requested point executed")
-        {
-            Ok(Ok(run)) => runs.push(run),
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
-    // The lane fold must reproduce the per-point results exactly: keys
-    // are disjoint across lanes, so the union is schedule-independent.
-    if cfg!(debug_assertions) {
-        let mut union = KeyedPartials::new();
-        for lane in &lanes {
-            union.merge_from(lane).expect("disjoint lane keys");
-        }
-        for (&idx, run) in indices.iter().zip(&runs) {
-            debug_assert_eq!(
-                union.get(idx as u64).map(|s| s.to_record()),
-                Some(run.outcome.summary.to_record()),
-                "lane fold diverged from per-point result at design index {idx}"
-            );
-        }
-    }
-    Ok(runs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::design::Factor;
+    use crate::experiment::journal::Journal;
+    use crate::experiment::measurement::StoppingRule;
     use scibench_stats::sketch::DEFAULT_STREAM_THRESHOLD;
+    use scibench_stats::summary::OnlineMoments;
 
     fn demo_design() -> Design {
         Design::new(vec![
@@ -655,6 +438,16 @@ mod tests {
         }
     }
 
+    fn journal_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "scibench-stream-journal-{}-{name}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn sharded_union_matches_unsharded_campaign() {
         let plan = fixed_plan(300);
@@ -668,28 +461,98 @@ mod tests {
         };
         let whole =
             run_campaign_stream(&demo_design(), &plan, &stream_cfg, &config, demo_measure).unwrap();
+        let dir = journal_dir("sharded");
         for shards in [1usize, 2, 4] {
-            let parts: Vec<_> = (0..shards)
-                .map(|s| {
-                    let mine: Vec<usize> = (0..4).filter(|i| i % shards == s).collect();
-                    run_campaign_stream_subset(
-                        &demo_design(),
-                        &plan,
-                        &stream_cfg,
-                        &config,
-                        &mine,
-                        demo_measure,
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let merged = merge_stream_shards(&parts).unwrap();
+            let mut merged = KeyedPartials::new();
+            for s in 0..shards {
+                let path = dir.join(format!("{shards}-{s}.journal"));
+                let mine: Vec<usize> = (0..4).filter(|i| i % shards == s).collect();
+                let part = run_campaign_stream_journaled_subset(
+                    &demo_design(),
+                    &plan,
+                    &stream_cfg,
+                    &config,
+                    &JournalSpec {
+                        path: &path,
+                        code_version: "test",
+                        config_fingerprint: "stream",
+                    },
+                    &mine,
+                    demo_measure,
+                )
+                .unwrap();
+                merged.merge_from(&part.partials).unwrap();
+            }
             assert_eq!(
                 merged.to_record(),
                 whole.partials.to_record(),
                 "shards={shards}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journaled_subset_writes_each_point_ahead_of_the_next() {
+        // A measure that panics on one point must leave every finished
+        // point in the journal, plus a dangling `begin` for the point it
+        // died on — the strike the shard supervisor charges.
+        let dir = journal_dir("write-ahead");
+        let path = dir.join("stream.journal");
+        let plan = fixed_plan(200);
+        let stream_cfg = StreamConfig {
+            threshold: 64,
+            ..StreamConfig::default()
+        };
+        let config = CampaignConfig {
+            seed: 31,
+            threads: 1,
+        };
+        let spec = JournalSpec {
+            path: &path,
+            code_version: "test",
+            config_fingerprint: "stream",
+        };
+        let all = [0usize, 1, 2, 3];
+        let crashed = std::panic::catch_unwind(|| {
+            run_campaign_stream_journaled_subset(
+                &demo_design(),
+                &plan,
+                &stream_cfg,
+                &config,
+                &spec,
+                &all,
+                |point, rng| {
+                    if point.levels == ["b", "8"] {
+                        panic!("worker died");
+                    }
+                    demo_measure(point, rng)
+                },
+            )
+        });
+        assert!(crashed.is_err(), "the panic must reach the caller");
+        let snapshot = Journal::load_or_empty(&path).unwrap();
+        assert_eq!(snapshot.records.len(), 3);
+        assert!(snapshot.records.values().all(|r| r.sketch.is_some()));
+        assert_eq!(snapshot.dangling_begins.len(), 1);
+        assert_eq!(snapshot.dangling_begins[0].0, 2);
+
+        let resumed = run_campaign_stream_journaled_subset(
+            &demo_design(),
+            &plan,
+            &stream_cfg,
+            &config,
+            &spec,
+            &all,
+            demo_measure,
+        )
+        .unwrap();
+        assert_eq!(resumed.resume.points_resumed, 3);
+        assert_eq!(resumed.resume.points_executed, 1);
+        let whole =
+            run_campaign_stream(&demo_design(), &plan, &stream_cfg, &config, demo_measure).unwrap();
+        assert_eq!(resumed.partials.to_record(), whole.partials.to_record());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -724,8 +587,8 @@ mod tests {
             demo_measure,
         )
         .unwrap();
-        assert_eq!(first.points_executed, 4);
-        assert_eq!(first.points_resumed, 0);
+        assert_eq!(first.resume.points_executed, 4);
+        assert_eq!(first.resume.points_resumed, 0);
         // Second run must replay all four sketches from the journal —
         // and a panicking measure proves nothing re-executed.
         let second = run_campaign_stream_journaled_subset(
@@ -738,8 +601,8 @@ mod tests {
             |_, _| panic!("resume must not re-measure"),
         )
         .unwrap();
-        assert_eq!(second.points_resumed, 4);
-        assert_eq!(second.points_executed, 0);
+        assert_eq!(second.resume.points_resumed, 4);
+        assert_eq!(second.resume.points_executed, 0);
         assert_eq!(
             second.partials.to_record(),
             first.partials.to_record(),

@@ -38,10 +38,10 @@ where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_traced(n, threads, None, task)
+    run_indexed_scoped_traced(n, threads, None, || (), |(), i| task(i))
 }
 
-/// [`run_indexed`] with a per-worker scratch state.
+/// [`run_indexed`] with a per-worker scratch state and optional tracing.
 ///
 /// `init` runs once on each worker (lane) to build its private scratch
 /// value `S`, and every task executed by that worker receives `&mut S`.
@@ -51,23 +51,7 @@ where
 /// whole call. The determinism contract of [`run_indexed`] is unchanged
 /// *provided* the task's output does not depend on scratch contents
 /// carried across tasks (an arena of reusable buffers qualifies; an
-/// accumulator does not).
-pub fn run_indexed_scoped<S, T, I, F>(
-    n: usize,
-    threads: usize,
-    init: I,
-    task: F,
-) -> Vec<std::thread::Result<T>>
-where
-    S: Send,
-    T: Send + Sync,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_indexed_scoped_traced(n, threads, None, init, task)
-}
-
-/// [`run_indexed`] with optional tracing.
+/// accumulator does not). Callers without scratch pass `|| ()`.
 ///
 /// When `tracer` is `Some`, each worker records on its own lane: one
 /// [`category::POOL`] span per executed task (exactly `n` at any thread
@@ -78,21 +62,6 @@ where
 /// influences task execution or result order, so the determinism
 /// contract above is unaffected; with `tracer` `None` (or a disabled
 /// tracer) every instrumentation point is a single branch.
-pub fn run_indexed_traced<T, F>(
-    n: usize,
-    threads: usize,
-    tracer: Option<&Tracer>,
-    task: F,
-) -> Vec<std::thread::Result<T>>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_scoped_traced(n, threads, tracer, || (), |(), i| task(i))
-}
-
-/// [`run_indexed_scoped`] with optional tracing (see
-/// [`run_indexed_traced`] for the event contract).
 pub fn run_indexed_scoped_traced<S, T, I, F>(
     n: usize,
     threads: usize,
@@ -100,33 +69,6 @@ pub fn run_indexed_scoped_traced<S, T, I, F>(
     init: I,
     task: F,
 ) -> Vec<std::thread::Result<T>>
-where
-    S: Send,
-    T: Send + Sync,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_indexed_collect_scoped(n, threads, tracer, init, task).0
-}
-
-/// [`run_indexed_scoped_traced`] that additionally returns every worker's
-/// scratch value after the run — the pool's fold primitive.
-///
-/// Each worker accumulates into its private scratch; the caller receives
-/// one scratch per *lane* (index = lane id, length = actual worker count)
-/// and performs the cross-lane reduction itself. Because stealing moves
-/// tasks between lanes nondeterministically, a reduction is only
-/// schedule-independent when the fold is insensitive to **which** lane
-/// absorbed which task — e.g. a commutative counter, or a keyed map whose
-/// union is canonicalized downstream (`scibench_stats::sketch::KeyedPartials`).
-/// The streaming campaign runner relies on exactly that structure.
-pub fn run_indexed_collect_scoped<S, T, I, F>(
-    n: usize,
-    threads: usize,
-    tracer: Option<&Tracer>,
-    init: I,
-    task: F,
-) -> (Vec<std::thread::Result<T>>, Vec<S>)
 where
     S: Send,
     T: Send + Sync,
@@ -163,7 +105,7 @@ where
                 ("steals", ArgValue::U64(0)),
             ],
         );
-        return (out, vec![scratch]);
+        return out;
     }
 
     // Worker `w` owns the contiguous range `bounds[w]..bounds[w + 1]`.
@@ -171,18 +113,15 @@ where
     let cursors: Vec<AtomicUsize> = (0..threads).map(|w| AtomicUsize::new(bounds[w])).collect();
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
-    // Scratch hand-back is once-per-worker, so a mutex is fine (cold path).
-    let scratches: Mutex<Vec<(usize, S)>> = Mutex::new(Vec::with_capacity(threads));
 
     {
         let bounds = &bounds;
         let cursors = &cursors;
         let slots = &slots;
         let panics = &panics;
-        let scratches = &scratches;
         let task = &task;
         let init = &init;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..threads {
                 scope.spawn(move || {
                     let mut lane = lane_of(tracer, w as u32);
@@ -240,7 +179,6 @@ where
                             ("steals", ArgValue::U64(steals)),
                         ],
                     );
-                    scratches.lock().push((w, scratch));
                 });
             }
         });
@@ -250,7 +188,7 @@ where
     for (i, payload) in panics.into_inner() {
         panic_by_index[i] = Some(payload);
     }
-    let results = slots
+    slots
         .into_iter()
         .zip(panic_by_index)
         .map(|(slot, panic)| match panic {
@@ -259,11 +197,7 @@ where
                 .into_inner()
                 .expect("every index is claimed by exactly one worker")),
         })
-        .collect();
-    // Hand scratches back in lane order so callers see a stable layout.
-    let mut pairs = scratches.into_inner();
-    pairs.sort_by_key(|(w, _)| *w);
-    (results, pairs.into_iter().map(|(_, s)| s).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -331,33 +265,13 @@ mod tests {
     }
 
     #[test]
-    fn collect_returns_one_scratch_per_lane_covering_all_tasks() {
-        for threads in [1, 2, 3, 8] {
-            let (out, scratches) = run_indexed_collect_scoped(
-                50,
-                threads,
-                None,
-                Vec::new,
-                |scratch: &mut Vec<usize>, i| {
-                    scratch.push(i);
-                    i
-                },
-            );
-            assert_eq!(out.len(), 50);
-            assert_eq!(scratches.len(), threads.min(50));
-            let mut seen: Vec<usize> = scratches.into_iter().flatten().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..50).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn traced_run_matches_untraced_and_counts_tasks() {
         use scibench_trace::category;
         for threads in [1, 2, 8] {
             let plain = run_indexed(25, threads, |i| i * 3);
             let tracer = Tracer::new();
-            let traced = run_indexed_traced(25, threads, Some(&tracer), |i| i * 3);
+            let traced =
+                run_indexed_scoped_traced(25, threads, Some(&tracer), || (), |(), i| i * 3);
             let plain: Vec<usize> = plain.into_iter().map(|r| r.unwrap()).collect();
             let traced: Vec<usize> = traced.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(plain, traced, "threads={threads}");
@@ -378,7 +292,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
-        let out = run_indexed_traced(40, 4, Some(&tracer), |i| i + 1);
+        let out = run_indexed_scoped_traced(40, 4, Some(&tracer), || (), |(), i| i + 1);
         assert_eq!(out.len(), 40);
         assert!(tracer.drain().is_empty());
     }
@@ -387,7 +301,7 @@ mod tests {
     fn traced_pool_spans_carry_task_indices() {
         use scibench_trace::{category, EventKind};
         let tracer = Tracer::new();
-        let _ = run_indexed_traced(10, 3, Some(&tracer), |i| i);
+        let _ = run_indexed_scoped_traced(10, 3, Some(&tracer), || (), |(), i| i);
         let trace = tracer.drain();
         let mut indices: Vec<u64> = trace
             .events
@@ -410,9 +324,10 @@ mod tests {
         // address to prove no cross-thread sharing, and results must be
         // identical to the unscoped run at every thread count.
         for threads in [1, 2, 8] {
-            let out = run_indexed_scoped(
+            let out = run_indexed_scoped_traced(
                 50,
                 threads,
+                None,
                 || Vec::<u64>::with_capacity(64),
                 |arena, i| {
                     arena.clear();

@@ -17,20 +17,35 @@ pub struct SimRng {
     rng: StdRng,
 }
 
-/// SplitMix64 finalizer: decorrelates related seeds.
-fn splitmix64(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: decorrelates related seeds. Also the final mix
+/// of the campaign journal's content-addressed keys.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a label, used to derive fork seeds.
-fn fnv1a(label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in label.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+/// The FNV-1a 64-bit offset basis: the starting state of [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `h` (64-bit FNV prime). The
+/// campaign journal chains calls from [`FNV_OFFSET`] to hash its keys.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    fnv1a_with(0x100_0000_01b3, h, bytes)
+}
+
+/// Hashes a fork label. Its multiplier is one hex digit longer than the
+/// FNV prime, and must stay so: changing it would re-seed every fork, and
+/// with them every campaign result and committed figure.
+fn fork_label_hash(label: &str) -> u64 {
+    fnv1a_with(0x1000_0000_01b3, FNV_OFFSET, label.as_bytes())
+}
+
+fn fnv1a_with(prime: u64, mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(prime);
     }
     h
 }
@@ -54,13 +69,15 @@ impl SimRng {
     /// Forks are a pure function of `(parent seed, label)` — they do not
     /// consume state from the parent, so fork order is irrelevant.
     pub fn fork(&self, label: &str) -> SimRng {
-        SimRng::new(splitmix64(self.seed ^ fnv1a(label)))
+        SimRng::new(splitmix64(self.seed ^ fork_label_hash(label)))
     }
 
     /// Derives an independent child stream for `(label, index)`, e.g. one
     /// per repetition or per rank.
     pub fn fork_indexed(&self, label: &str, index: u64) -> SimRng {
-        SimRng::new(splitmix64(self.seed ^ fnv1a(label) ^ splitmix64(index)))
+        SimRng::new(splitmix64(
+            self.seed ^ fork_label_hash(label) ^ splitmix64(index),
+        ))
     }
 
     /// Uniform draw in `[0, 1)`.

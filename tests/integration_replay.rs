@@ -3,7 +3,7 @@
 //! schedules must produce exactly the results the interpreted hot loops
 //! produced, independent of how many pool threads execute them.
 
-use scibench::experiment::campaign::{run_campaign, run_campaign_scoped, CampaignConfig};
+use scibench::experiment::campaign::{run_campaign, run_campaign_scoped_traced, CampaignConfig};
 use scibench::experiment::design::{Design, Factor};
 use scibench::experiment::measurement::{MeasurementPlan, StoppingRule};
 use scibench_bench::figures::{fig5_reduce, fig6_variation};
@@ -103,10 +103,11 @@ fn scoped_campaign_with_replay_is_thread_invariant() {
     .unwrap();
 
     for threads in [1usize, 2, 8] {
-        let replayed = run_campaign_scoped(
+        let replayed = run_campaign_scoped_traced(
             &design,
             &plan,
             &CampaignConfig { seed: 21, threads },
+            None,
             ReplayCtx::new,
             |ctx, point, rng| {
                 let p = point.level(0).parse::<f64>().unwrap() as usize;

@@ -19,14 +19,14 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use scibench::experiment::stream::{
-    merge_stream_shards, run_campaign_stream, run_campaign_stream_journaled_subset,
-    run_campaign_stream_subset, run_stream,
+    run_campaign_stream, run_campaign_stream_journaled_subset, run_stream,
 };
 use scibench::experiment::{
     CampaignConfig, Design, Factor, JournalSpec, MeasurementPlan, RunPoint, StoppingRule,
 };
 use scibench::parallel::shard::{collect_stream_partials, shard_assignment, shard_journal_path};
 use scibench_sim::rng::SimRng;
+use scibench_stats::error::StatsResult;
 use scibench_stats::quantile::QuantileMethod;
 use scibench_stats::sketch::{KeyedPartials, MergeableSummary, StreamConfig, StreamingSummary};
 use scibench_stats::sorted::SortedSamples;
@@ -102,10 +102,22 @@ fn million_sample_point_runs_in_bounded_memory() {
     assert!((mean - 1.1).abs() < 0.01, "mean {mean}");
 }
 
+/// Unions shard partials in the given order: a disjoint-key union, so
+/// the order must not change a bit.
+fn merge_shards(
+    shards: &[KeyedPartials<StreamingSummary>],
+) -> StatsResult<KeyedPartials<StreamingSummary>> {
+    let mut total = KeyedPartials::new();
+    for shard in shards {
+        total.merge_from(shard)?;
+    }
+    Ok(total)
+}
+
 /// Threads {1, 2, 8} × shards {1, 2, 4}: every execution shape must
-/// produce the identical partials record, whether the shards run
-/// in-process ([`run_campaign_stream_subset`]) or through journals
-/// ([`collect_stream_partials`]).
+/// produce the identical partials record, whether each shard's partials
+/// come back from its runner and are unioned in-process, or are
+/// collected from the shard journals ([`collect_stream_partials`]).
 #[test]
 fn partials_bit_identical_across_threads_and_shards() {
     let design = demo_design();
@@ -142,20 +154,29 @@ fn partials_bit_identical_across_threads_and_shards() {
 
         for shards in [1usize, 2, 4] {
             // In-process sharding: strided partition, then union.
+            let dir = tmp_dir(&format!("threads-{threads}-shards-{shards}"));
             let parts: Vec<KeyedPartials<StreamingSummary>> = (0..shards)
                 .map(|s| {
-                    run_campaign_stream_subset(
+                    let path = shard_journal_path(&dir, s);
+                    run_campaign_stream_journaled_subset(
                         &design,
                         &plan,
                         &stream_cfg,
                         &config,
+                        &JournalSpec {
+                            path: &path,
+                            code_version: "itest",
+                            config_fingerprint: "stream",
+                        },
                         &shard_assignment(4, shards, s),
                         demo_measure,
                     )
                     .unwrap()
+                    .partials
                 })
                 .collect();
-            let merged = merge_stream_shards(&parts).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            let merged = merge_shards(&parts).unwrap();
             assert_eq!(
                 merged.to_record(),
                 want,
@@ -163,7 +184,7 @@ fn partials_bit_identical_across_threads_and_shards() {
             );
             // Union order must not matter.
             let reversed: Vec<_> = parts.into_iter().rev().collect();
-            let merged = merge_stream_shards(&reversed).unwrap();
+            let merged = merge_shards(&reversed).unwrap();
             assert_eq!(merged.to_record(), want, "reversed shard merge");
         }
     }
@@ -241,7 +262,7 @@ fn nan_bearing_sketches_journal_round_trip() {
         nan_measure,
     )
     .unwrap();
-    assert_eq!(first.points_executed, 4);
+    assert_eq!(first.resume.points_executed, 4);
     let quarantined = first.partials.non_finite_count();
     assert!(quarantined > 0, "the contamination must actually fire");
     assert_eq!(
@@ -260,7 +281,7 @@ fn nan_bearing_sketches_journal_round_trip() {
         |_: &RunPoint, _: &mut SimRng| panic!("resume must not re-measure"),
     )
     .unwrap();
-    assert_eq!(second.points_resumed, 4);
+    assert_eq!(second.resume.points_resumed, 4);
     assert_eq!(second.partials.to_record(), first.partials.to_record());
     assert_eq!(second.partials.non_finite_count(), quarantined);
 

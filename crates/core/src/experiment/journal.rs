@@ -35,12 +35,13 @@
 //! and a persistent quarantine on the same framing.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use scibench_sim::rng::{fnv1a, splitmix64, FNV_OFFSET};
+use scibench_trace::export::push_json_escaped;
 use scibench_trace::json::{parse as parse_json, JsonValue};
 
 use super::design::{Design, RunPoint};
@@ -166,15 +167,58 @@ pub struct JournalSpec<'a> {
 // Hashing and framing primitives.
 // ---------------------------------------------------------------------------
 
-/// IEEE CRC32 (reflected, polynomial 0xEDB88320) — the frame checksum.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
+/// Slicing-by-8 lookup tables of the IEEE CRC32: `CRC32_TABLES[0][b]` is
+/// the CRC32 register after shifting the single byte `b` through the
+/// bitwise division, and `CRC32_TABLES[k][b]` the same after `k` further
+/// zero bytes, so one lookup per table folds eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// IEEE CRC32 (reflected, polynomial 0xEDB88320) — the frame checksum.
+/// Table-driven, eight bytes per step: a byte-at-a-time table loop waits
+/// on each lookup before the next and runs about 4x slower.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -211,24 +255,28 @@ pub fn point_key(meta: &JournalMeta, point: &RunPoint) -> JournalKey {
     JournalKey(splitmix64(h))
 }
 
-fn f64_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+/// Appends the IEEE-754 bit pattern of `x` as 16 lowercase hex digits.
+fn push_f64_hex(out: &mut String, x: f64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bits = x.to_bits();
+    for shift in (0..16).rev() {
+        out.push(char::from(HEX[(bits >> (4 * shift)) as usize & 0xF]));
+    }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `items` as a JSON array of quoted strings, each written by
+/// `push`.
+fn push_quoted_array<T>(out: &mut String, items: &[T], push: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        out.push('"');
+        push(out, item);
+        out.push('"');
     }
-    out
+    out.push(']');
 }
 
 /// Wraps a JSON payload into one CRC-framed line (with trailing newline).
@@ -375,67 +423,81 @@ impl PointRecord {
 
     /// Serializes the record body as canonical JSON (no CRC frame).
     pub fn to_json(&self) -> String {
-        let fate = match &self.fate {
+        let samples = self
+            .outcome
+            .as_ref()
+            .map_or(0, |o| o.warmup_samples.len() + o.samples.len());
+        let strings: usize = self
+            .levels
+            .iter()
+            .chain(&self.notes)
+            .chain(&self.sketch)
+            .map(|s| s.len() + 3)
+            .sum();
+        // A quoted bit pattern and its comma take 19 bytes; the fixed
+        // fields fit in 256.
+        let mut out = String::with_capacity(256 + 19 * samples + strings);
+        let _ = write!(
+            out,
+            "{{\"kind\":\"point\",\"idx\":{},\"key\":\"{}\",\"levels\":",
+            self.index, self.key
+        );
+        push_quoted_array(&mut out, &self.levels, |out, s| push_json_escaped(out, s));
+        out.push_str(",\"fate\":");
+        match &self.fate {
             PointFate::Completed {
                 attempts,
                 samples_dropped,
-            } => format!(
-                "{{\"kind\":\"completed\",\"attempts\":{attempts},\"dropped\":{samples_dropped}}}"
-            ),
+            } => {
+                let _ = write!(
+                    out,
+                    "{{\"kind\":\"completed\",\"attempts\":{attempts},\"dropped\":{samples_dropped}}}"
+                );
+            }
             PointFate::TimedOut {
                 attempts,
                 elapsed_ns,
-            } => format!(
-                "{{\"kind\":\"timed_out\",\"attempts\":{attempts},\"elapsed\":\"{}\"}}",
-                f64_hex(*elapsed_ns)
-            ),
+            } => {
+                let _ = write!(
+                    out,
+                    "{{\"kind\":\"timed_out\",\"attempts\":{attempts},\"elapsed\":\"{:016x}\"}}",
+                    elapsed_ns.to_bits()
+                );
+            }
             PointFate::Abandoned {
                 attempts,
                 last_error,
-            } => format!(
-                "{{\"kind\":\"abandoned\",\"attempts\":{attempts},\"error\":\"{}\"}}",
-                esc(last_error)
-            ),
-        };
-        let outcome = match &self.outcome {
-            None => "null".to_owned(),
-            Some(o) => {
-                let bits = |xs: &[f64]| {
-                    xs.iter()
-                        .map(|x| format!("\"{}\"", f64_hex(*x)))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                format!(
-                    "{{\"name\":\"{}\",\"converged\":{},\"warmup\":[{}],\"samples\":[{}]}}",
-                    esc(&o.name),
-                    o.converged,
-                    bits(&o.warmup_samples),
-                    bits(&o.samples),
-                )
+            } => {
+                let _ = write!(
+                    out,
+                    "{{\"kind\":\"abandoned\",\"attempts\":{attempts},\"error\":\""
+                );
+                push_json_escaped(&mut out, last_error);
+                out.push_str("\"}");
             }
-        };
-        let levels = self
-            .levels
-            .iter()
-            .map(|l| format!("\"{}\"", esc(l)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let notes = self
-            .notes
-            .iter()
-            .map(|l| format!("\"{}\"", esc(l)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let sketch = match &self.sketch {
-            None => String::new(),
-            Some(s) => format!(",\"sketch\":\"{}\"", esc(s)),
-        };
-        format!(
-            "{{\"kind\":\"point\",\"idx\":{},\"key\":\"{}\",\"levels\":[{levels}],\
-             \"fate\":{fate},\"panics\":{},\"outcome\":{outcome},\"notes\":[{notes}]{sketch}}}",
-            self.index, self.key, self.panics_contained,
-        )
+        }
+        let _ = write!(out, ",\"panics\":{},\"outcome\":", self.panics_contained);
+        match &self.outcome {
+            None => out.push_str("null"),
+            Some(o) => {
+                out.push_str("{\"name\":\"");
+                push_json_escaped(&mut out, &o.name);
+                let _ = write!(out, "\",\"converged\":{},\"warmup\":", o.converged);
+                push_quoted_array(&mut out, &o.warmup_samples, |out, &x| push_f64_hex(out, x));
+                out.push_str(",\"samples\":");
+                push_quoted_array(&mut out, &o.samples, |out, &x| push_f64_hex(out, x));
+                out.push('}');
+            }
+        }
+        out.push_str(",\"notes\":");
+        push_quoted_array(&mut out, &self.notes, |out, s| push_json_escaped(out, s));
+        if let Some(sketch) = &self.sketch {
+            out.push_str(",\"sketch\":\"");
+            push_json_escaped(&mut out, sketch);
+            out.push('"');
+        }
+        out.push('}');
+        out
     }
 
     fn from_json(v: &JsonValue) -> Result<Self, String> {
@@ -482,15 +544,19 @@ impl PointRecord {
 }
 
 fn header_json(meta: &JournalMeta) -> String {
-    format!(
-        "{{\"kind\":\"header\",\"format\":{},\"code_version\":\"{}\",\"config\":\"{}\",\
-         \"seed\":\"{:016x}\",\"design\":\"{:016x}\"}}",
-        meta.format,
-        esc(&meta.code_version),
-        esc(&meta.config_fingerprint),
-        meta.seed,
-        meta.design_fingerprint,
-    )
+    let mut out = format!(
+        "{{\"kind\":\"header\",\"format\":{},\"code_version\":\"",
+        meta.format
+    );
+    push_json_escaped(&mut out, &meta.code_version);
+    out.push_str("\",\"config\":\"");
+    push_json_escaped(&mut out, &meta.config_fingerprint);
+    let _ = write!(
+        out,
+        "\",\"seed\":\"{:016x}\",\"design\":\"{:016x}\"}}",
+        meta.seed, meta.design_fingerprint
+    );
+    out
 }
 
 fn header_from_json(v: &JsonValue) -> Result<JournalMeta, String> {
@@ -789,6 +855,8 @@ pub fn result_digest(result: &super::resilience::ResilientCampaignResult) -> u64
 mod tests {
     use super::*;
     use crate::experiment::design::Factor;
+    use proptest::prelude::*;
+    use scibench_sim::rng::SimRng;
     use std::fs;
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -844,7 +912,7 @@ mod tests {
         let key = point_key(&demo_meta(), &demo_design().full_factorial()[1]);
         assert_eq!(key, JournalKey(0x7d9c_56ed_933b_54a2));
         assert_eq!(design_fingerprint(&demo_design()), 0x281c_6c24_1525_e9ce);
-        let stream = scibench_sim::rng::SimRng::new(7).fork_indexed("campaign-point", 3);
+        let stream = SimRng::new(7).fork_indexed("campaign-point", 3);
         assert_eq!(stream.seed(), 0x82e8_e89b_2eff_6a0f);
     }
 
@@ -852,6 +920,287 @@ mod tests {
     fn crc32_matches_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time CRC32 the table is built from: the oracle the
+    /// table-driven [`crc32`] must match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn table_crc32_matches_bitwise_oracle(
+            bytes in prop::collection::vec(0u32..256, 0..=1024)
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+    }
+
+    /// Records covering every fate, escapes in every string field and the
+    /// sample bit patterns plain decimal would lose (NaN, -0.0, +inf, the
+    /// smallest subnormal, `f64::MAX`).
+    fn pinned_records() -> Vec<PointRecord> {
+        vec![
+            PointRecord {
+                index: 5,
+                key: JournalKey(0x0123_4567_89ab_cdef),
+                levels: vec!["a".into(), "8".into()],
+                fate: PointFate::Completed {
+                    attempts: 2,
+                    samples_dropped: 1,
+                },
+                panics_contained: 1,
+                outcome: Some(MeasurementOutcome {
+                    name: "op \"q\"\\\n\u{1}\u{e9}".into(),
+                    converged: false,
+                    warmup_samples: vec![0.5],
+                    samples: vec![f64::NAN, -0.0, f64::INFINITY, 5e-324, f64::MAX],
+                }),
+                notes: vec!["note\ttab".into()],
+                sketch: Some("ss1|x=\"y\"".into()),
+            },
+            PointRecord {
+                index: 6,
+                key: JournalKey(0xfedc_ba98_7654_3210),
+                levels: vec!["b".into(), "64".into()],
+                fate: PointFate::TimedOut {
+                    attempts: 7,
+                    elapsed_ns: 1.5e9,
+                },
+                panics_contained: 0,
+                outcome: None,
+                notes: Vec::new(),
+                sketch: None,
+            },
+            PointRecord {
+                index: 7,
+                key: JournalKey(7),
+                levels: vec!["b".into(), "8".into()],
+                fate: PointFate::Abandoned {
+                    attempts: 3,
+                    last_error: "panicked: \"boom\"\r\n".into(),
+                },
+                panics_contained: 3,
+                outcome: None,
+                notes: vec!["x".into(), "y".into()],
+                sketch: None,
+            },
+        ]
+    }
+
+    /// `pinned_records` as format 1 encodes them; journals written
+    /// earlier must keep loading, so these bytes must never change.
+    const PINNED_JSON: [&str; 3] = [
+        r#"{"kind":"point","idx":5,"key":"0123456789abcdef","levels":["a","8"],"fate":{"kind":"completed","attempts":2,"dropped":1},"panics":1,"outcome":{"name":"op \"q\"\\\n\u0001é","converged":false,"warmup":["3fe0000000000000"],"samples":["7ff8000000000000","8000000000000000","7ff0000000000000","0000000000000001","7fefffffffffffff"]},"notes":["note\ttab"],"sketch":"ss1|x=\"y\""}"#,
+        r#"{"kind":"point","idx":6,"key":"fedcba9876543210","levels":["b","64"],"fate":{"kind":"timed_out","attempts":7,"elapsed":"41d65a0bc0000000"},"panics":0,"outcome":null,"notes":[]}"#,
+        r#"{"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fate":{"kind":"abandoned","attempts":3,"error":"panicked: \"boom\"\r\n"},"panics":3,"outcome":null,"notes":["x","y"]}"#,
+    ];
+
+    /// A format-1 journal holding `pinned_records` (with a dangling
+    /// begin for point 8), as written before the table CRC and the
+    /// single-buffer encoder.
+    const PINNED_JOURNAL: &str = r#"6a2e52bd {"kind":"header","format":1,"code_version":"test-v1","config":"machine=demo","seed":"000000000000002a","design":"281c6c241525e9ce"}
+d156751f {"kind":"begin","idx":5,"key":"0123456789abcdef"}
+88136243 {"kind":"point","idx":5,"key":"0123456789abcdef","levels":["a","8"],"fate":{"kind":"completed","attempts":2,"dropped":1},"panics":1,"outcome":{"name":"op \"q\"\\\n\u0001é","converged":false,"warmup":["3fe0000000000000"],"samples":["7ff8000000000000","8000000000000000","7ff0000000000000","0000000000000001","7fefffffffffffff"]},"notes":["note\ttab"],"sketch":"ss1|x=\"y\""}
+0b10ad28 {"kind":"begin","idx":6,"key":"fedcba9876543210"}
+03c5aa25 {"kind":"point","idx":6,"key":"fedcba9876543210","levels":["b","64"],"fate":{"kind":"timed_out","attempts":7,"elapsed":"41d65a0bc0000000"},"panics":0,"outcome":null,"notes":[]}
+c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fate":{"kind":"abandoned","attempts":3,"error":"panicked: \"boom\"\r\n"},"panics":3,"outcome":null,"notes":["x","y"]}
+802dc9b2 {"kind":"begin","idx":8,"key":"0000000000000008"}
+"#;
+
+    #[test]
+    fn point_record_encoding_is_pinned() {
+        for (rec, json) in pinned_records().iter().zip(PINNED_JSON) {
+            assert_eq!(rec.to_json(), json);
+            // The encoding holds every field and sample bit, so equal
+            // encodings are bit-exact equality (`==` fails on NaN).
+            let parsed = PointRecord::from_json(&parse_json(json).unwrap()).unwrap();
+            assert_eq!(parsed.to_json(), json);
+        }
+    }
+
+    #[test]
+    fn journal_in_format_1_encoding_loads_the_same_records() {
+        let path = tmp_path("pinned");
+        fs::write(&path, PINNED_JOURNAL).unwrap();
+        let snap = Journal::load(&path).unwrap();
+        assert_eq!(snap.meta, Some(demo_meta()));
+        assert_eq!(snap.frames, 7);
+        assert!(!snap.torn);
+        assert_eq!(snap.valid_len, PINNED_JOURNAL.len() as u64);
+        assert_eq!(snap.dangling_begins, vec![(8, JournalKey(8))]);
+        assert_eq!(snap.records.len(), 3);
+        for rec in pinned_records() {
+            assert_eq!(snap.record_for(rec.key).unwrap().to_json(), rec.to_json());
+        }
+        // Writing the same frames today gives the same bytes.
+        let path = tmp_path("pinned-rewrite");
+        let (mut journal, _) = Journal::open_resume(&path, &demo_meta()).unwrap();
+        let recs = pinned_records();
+        journal.append_begin(5, recs[0].key).unwrap();
+        journal.append_point(&recs[0]).unwrap();
+        journal.append_begin(6, recs[1].key).unwrap();
+        journal.append_point(&recs[1]).unwrap();
+        journal.append_point(&recs[2]).unwrap();
+        journal.append_begin(8, JournalKey(8)).unwrap();
+        drop(journal);
+        assert_eq!(fs::read_to_string(&path).unwrap(), PINNED_JOURNAL);
+    }
+
+    // Byte-level fuzz. `Journal::load` is `std::fs::read` plus
+    // `Journal::parse`, so the cases go to `parse` directly; every one
+    // must give a snapshot or a typed `JournalError`, never a panic.
+
+    /// The first three frames of `PINNED_JOURNAL`: header, begin, point.
+    fn fuzz_base() -> Vec<&'static str> {
+        PINNED_JOURNAL.lines().take(3).collect()
+    }
+
+    fn join_frames(frames: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            bytes.extend_from_slice(frame);
+            bytes.push(b'\n');
+        }
+        bytes
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut line = format!("{:08x} ", crc32(payload)).into_bytes();
+        line.extend_from_slice(payload);
+        line
+    }
+
+    /// Parses one fuzz case, naming it if the parser panics, and checks
+    /// that whatever it accepted re-encodes stably.
+    fn parse_case(bytes: &[u8], case: &str) -> Result<JournalSnapshot, JournalError> {
+        let result = std::panic::catch_unwind(|| Journal::parse(bytes))
+            .unwrap_or_else(|_| panic!("Journal::parse panicked on {case}"));
+        if let Ok(snap) = &result {
+            assert!(snap.valid_len <= bytes.len() as u64, "{case}");
+            for rec in snap.records.values() {
+                let json = rec.to_json();
+                let again = PointRecord::from_json(&parse_json(&json).unwrap()).unwrap();
+                assert_eq!(again.to_json(), json, "{case}");
+            }
+        }
+        result
+    }
+
+    #[test]
+    fn fuzz_truncation_at_every_byte_keeps_the_intact_frames() {
+        let base = join_frames(&fuzz_base().iter().map(|l| l.as_bytes()).collect::<Vec<_>>());
+        let ends: Vec<usize> = (0..base.len())
+            .filter(|&i| base[i] == b'\n')
+            .map(|i| i + 1)
+            .collect();
+        for cut in 0..=base.len() {
+            let case = format!("truncation at byte {cut}");
+            let snap = parse_case(&base[..cut], &case).unwrap_or_else(|e| panic!("{case}: {e}"));
+            let intact = ends.iter().filter(|&&end| end <= cut).count();
+            let valid_len = ends[..intact].last().copied().unwrap_or(0);
+            assert_eq!(snap.frames, intact, "{case}");
+            assert_eq!(snap.valid_len, valid_len as u64, "{case}");
+            assert_eq!(snap.torn, cut != valid_len, "{case}");
+            assert_eq!(snap.records.len(), usize::from(intact == 3), "{case}");
+        }
+    }
+
+    #[test]
+    fn fuzz_bit_flips_behind_a_recomputed_crc_are_ok_or_typed_errors() {
+        let base = fuzz_base();
+        let (mut accepted, mut refused) = (0usize, 0usize);
+        for (target, line) in base.iter().enumerate() {
+            let payload = &line.as_bytes()[9..];
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let flipped = framed(&flipped);
+                let frames: Vec<&[u8]> = base
+                    .iter()
+                    .enumerate()
+                    .map(|(i, l)| {
+                        if i == target {
+                            &flipped[..]
+                        } else {
+                            l.as_bytes()
+                        }
+                    })
+                    .collect();
+                let case = format!("frame {target}, payload bit {bit} flipped");
+                match parse_case(&join_frames(&frames), &case) {
+                    Ok(_) => accepted += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+        // The flips reach both outcomes: the parser accepts some (a flip
+        // inside a sample's hex digit) and refuses others.
+        assert!(
+            accepted > 0 && refused > 0,
+            "{accepted} accepted, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn fuzz_random_payloads_behind_a_valid_crc_are_ok_or_typed_errors() {
+        const ALPHABET: &[u8] = b"{}[]\":,\\ 0123456789abcdefklnoprstu-.+eE\xc3\xa9";
+        let base = fuzz_base();
+        let point = &base[2].as_bytes()[9..];
+        let noise = |rng: &mut SimRng, len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|_| {
+                    if rng.bernoulli(0.05) {
+                        // Any byte but a newline: a payload is one line.
+                        match rng.index(256) as u8 {
+                            b'\n' => 0,
+                            b => b,
+                        }
+                    } else {
+                        ALPHABET[rng.index(ALPHABET.len())]
+                    }
+                })
+                .collect()
+        };
+        let mut rng = SimRng::new(0x5eed_f022);
+        for case in 0..256 {
+            // Even cases: noise. Odd cases: the point payload with one
+            // span replaced by noise, so more cases get past the JSON
+            // parser into `PointRecord::from_json`.
+            let payload = if case % 2 == 0 {
+                let len = rng.index(160);
+                noise(&mut rng, len)
+            } else {
+                let start = rng.index(point.len());
+                let end = start + rng.index(point.len() - start + 1);
+                let len = rng.index(8);
+                let mut spliced = point[..start].to_vec();
+                spliced.extend(noise(&mut rng, len));
+                spliced.extend_from_slice(&point[end..]);
+                spliced
+            };
+            let payload = framed(&payload);
+            // As the tail (a torn write at worst) and before a valid frame.
+            let mut tail: Vec<&[u8]> = base.iter().map(|l| l.as_bytes()).collect();
+            tail.push(&payload);
+            let snap = parse_case(&join_frames(&tail), &format!("random tail payload {case}"))
+                .unwrap_or_else(|e| panic!("random tail payload {case}: {e}"));
+            assert!(snap.frames >= 3, "random tail payload {case}");
+            let mut middle = tail;
+            middle.push(base[1].as_bytes());
+            let _ = parse_case(&join_frames(&middle), &format!("random mid payload {case}"));
+        }
     }
 
     #[test]

@@ -245,6 +245,11 @@ struct ShardState {
     id: usize,
     assigned: Vec<usize>,
     journal_path: PathBuf,
+    /// The shard journal as last loaded: at start-up, then once each time
+    /// its worker is gone. One supervisor incarnation owns a journal
+    /// directory, so once the shard is done nothing writes the journal
+    /// again and this snapshot is final; the merge moves records out.
+    snapshot: JournalSnapshot,
     child: Option<Child>,
     journal_len: u64,
     last_progress: Instant,
@@ -271,15 +276,16 @@ impl Supervisor<'_> {
     }
 
     /// Points of `shard` still needing execution: assigned minus
-    /// journaled minus quarantined.
-    fn remaining(&self, shard: &ShardState) -> Result<Vec<usize>, ShardError> {
-        let snapshot = Journal::load_or_empty(&shard.journal_path)?;
-        Ok(shard
+    /// journaled (in its snapshot) minus quarantined.
+    fn remaining(&self, shard: &ShardState) -> Vec<usize> {
+        shard
             .assigned
             .iter()
             .copied()
-            .filter(|&idx| snapshot.record_for(self.keys[idx]).is_none() && !self.poisoned(idx))
-            .collect())
+            .filter(|&idx| {
+                shard.snapshot.record_for(self.keys[idx]).is_none() && !self.poisoned(idx)
+            })
+            .collect()
     }
 
     fn spawn(&mut self, shard: &mut ShardState, remaining: &[usize]) -> Result<(), ShardError> {
@@ -304,11 +310,23 @@ impl Supervisor<'_> {
         Ok(())
     }
 
+    /// Handles a worker that is gone: loads its journal once, charges a
+    /// failed worker's death, then respawns or finishes the shard.
+    fn worker_gone(&mut self, shard: &mut ShardState, failed: bool) -> Result<(), ShardError> {
+        shard.snapshot = Journal::load_or_empty(&shard.journal_path)?;
+        if failed {
+            self.report.crashes_observed += 1;
+            self.attribute_crash(shard)?;
+        }
+        // A clean exit with work left behind (worker bug) is handled the
+        // same way: respawn on what remains.
+        self.respawn_or_finish(shard)
+    }
+
     /// Attributes a worker death to the points it had begun (strikes,
     /// possibly quarantine) or to the shard itself (barren crash).
     fn attribute_crash(&mut self, shard: &mut ShardState) -> Result<(), ShardError> {
-        let snapshot = Journal::load_or_empty(&shard.journal_path)?;
-        let counts = strike_counts(&snapshot);
+        let counts = strike_counts(&shard.snapshot);
         let mut struck = false;
         for &idx in counts.keys() {
             if !shard.assigned.contains(&idx) || self.poisoned(idx) {
@@ -337,7 +355,7 @@ impl Supervisor<'_> {
             shard.done = true;
             return Ok(());
         }
-        let remaining = self.remaining(shard)?;
+        let remaining = self.remaining(shard);
         if remaining.is_empty() {
             shard.done = true;
             return Ok(());
@@ -404,30 +422,30 @@ pub fn supervise_shards(
         },
     };
 
-    let mut shards: Vec<ShardState> = (0..policy.shards)
-        .map(|s| ShardState {
-            id: s,
-            assigned: shard_assignment(points.len(), policy.shards, s),
-            journal_path: shard_journal_path(durability.dir, s),
-            child: None,
-            journal_len: 0,
-            last_progress: Instant::now(),
-            barren_crashes: 0,
-            aborted: false,
-            done: false,
+    // Every shard journal gets a valid header before any worker runs, so
+    // resume and merge always see one identity.
+    let mut shards = (0..policy.shards)
+        .map(|s| {
+            let journal_path = shard_journal_path(durability.dir, s);
+            let (_, snapshot) = Journal::open_resume(&journal_path, &meta)?;
+            Ok(ShardState {
+                id: s,
+                assigned: shard_assignment(points.len(), policy.shards, s),
+                journal_path,
+                snapshot,
+                child: None,
+                journal_len: 0,
+                last_progress: Instant::now(),
+                barren_crashes: 0,
+                aborted: false,
+                done: false,
+            })
         })
-        .collect();
-
-    // Make sure every shard journal exists with a valid header before
-    // any worker runs, so resume/merge always sees consistent identity.
-    for shard in &shards {
-        let (journal, _) = Journal::open_resume(&shard.journal_path, &meta)?;
-        drop(journal);
-    }
+        .collect::<Result<Vec<ShardState>, ShardError>>()?;
 
     // Initial spawns (skipping shards with nothing left to do).
     for shard in &mut shards {
-        let remaining = supervisor.remaining(shard)?;
+        let remaining = supervisor.remaining(shard);
         if remaining.is_empty() {
             shard.done = true;
         } else {
@@ -446,13 +464,7 @@ pub fn supervise_shards(
             match child.try_wait() {
                 Ok(Some(status)) => {
                     shard.child = None;
-                    if !status.success() {
-                        supervisor.report.crashes_observed += 1;
-                        supervisor.attribute_crash(shard)?;
-                    }
-                    // A clean exit with work left behind (worker bug) is
-                    // handled the same way: respawn on what remains.
-                    supervisor.respawn_or_finish(shard)?;
+                    supervisor.worker_gone(shard, !status.success())?;
                 }
                 Ok(None) => {
                     // Heartbeat: journal growth is the liveness signal.
@@ -465,9 +477,7 @@ pub fn supervise_shards(
                         let _ = child.wait();
                         shard.child = None;
                         supervisor.report.hangs_killed += 1;
-                        supervisor.report.crashes_observed += 1;
-                        supervisor.attribute_crash(shard)?;
-                        supervisor.respawn_or_finish(shard)?;
+                        supervisor.worker_gone(shard, true)?;
                     }
                 }
                 Err(e) => {
@@ -480,14 +490,22 @@ pub fn supervise_shards(
         }
     }
 
-    // Merge shard journals into design order.
+    // Merge the final shard snapshots into design order, moving records
+    // out. Points with equal levels share a key and so one record: the
+    // first of them takes it and the others copy its run.
     let mut runs: Vec<Option<ResilientRun>> = vec![None; points.len()];
-    for shard in &shards {
-        let snapshot = Journal::load_or_empty(&shard.journal_path)?;
+    for shard in shards {
+        let mut records = shard.snapshot.records;
+        let mut taken: HashMap<JournalKey, usize> = HashMap::new();
         for &idx in &shard.assigned {
-            if let Some(record) = snapshot.record_for(keys[idx]) {
-                runs[idx] = Some(record.clone().into_run());
-            }
+            let key = keys[idx];
+            runs[idx] = match records.remove(&key) {
+                Some(record) => {
+                    taken.insert(key, idx);
+                    Some(record.into_run())
+                }
+                None => taken.get(&key).and_then(|&j| runs[j].clone()),
+            };
         }
     }
     let mut poisoned: Vec<usize> = Vec::new();
@@ -779,6 +797,42 @@ mod tests {
             let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&oa.samples), bits(&ob.samples));
         }
+    }
+
+    #[test]
+    fn points_with_equal_levels_share_one_journaled_record_in_the_merge() {
+        // Equal levels give equal keys, so one shard journal holds one
+        // record for both points, and both merged points carry it.
+        let design = Design::new(vec![Factor::new("system", &["a", "a"])]);
+        let dir = tmp_dir("equal-levels");
+        let path = shard_journal_path(&dir, 0);
+        run_campaign_resilient_journaled_subset(
+            &design,
+            &plan(),
+            &config(),
+            &RetryPolicy::default(),
+            &JournalSpec {
+                path: &path,
+                code_version: "test-v1",
+                config_fingerprint: "cfg",
+            },
+            &[0, 1],
+            measure,
+        )
+        .unwrap();
+        let worker = WorkerSpec {
+            program: PathBuf::from("/bin/sh"),
+            args: vec!["-c".into(), "exit 1".into()],
+        };
+        let policy = ShardPolicy {
+            shards: 1,
+            ..ShardPolicy::default()
+        };
+        let sharded =
+            supervise_shards(&design, &config(), &policy, &durability(&dir), &worker).unwrap();
+        assert_eq!(sharded.report.workers_spawned, 0);
+        assert_eq!(sharded.result.health.points_completed, 2);
+        assert_eq!(sharded.result.runs[0], sharded.result.runs[1]);
     }
 
     #[cfg(unix)]

@@ -17,6 +17,12 @@ use crate::trace::Trace;
 /// Escapes a string for inclusion inside JSON quotes.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped as by [`json_escape`].
+pub fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -30,7 +36,6 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Formats an `f64` as a JSON token: plain number when finite, quoted

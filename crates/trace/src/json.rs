@@ -4,9 +4,17 @@
 //! against emitted traces is implemented here: a small recursive-descent
 //! parser (objects, arrays, strings with escapes, numbers, literals)
 //! plus validators that enforce the chrome://tracing and JSONL event
-//! shapes this crate exports.
+//! shapes this crate exports. Parsing is linear in the input length, and
+//! nesting is capped at [`MAX_DEPTH`] so hostile input cannot exhaust
+//! the stack.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts; one level more is a
+/// [`JsonError`]. The documents this workspace writes nest three levels
+/// deep, and the cap keeps the recursive descent far inside a thread's
+/// stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,8 +85,10 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -115,8 +125,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -125,6 +135,21 @@ impl<'a> Parser<'a> {
             Some(b) => self.err(format!("unexpected byte 0x{b:02x}")),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -148,10 +173,9 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| JsonError {
-            offset: start,
-            message: "invalid utf-8 in number".into(),
-        })?;
+        // Every byte consumed above is ASCII, so this slice is on char
+        // boundaries.
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
             _ => self.err(format!("invalid number '{text}'")),
@@ -162,13 +186,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash in one step. Both are ASCII and never occur inside
+            // a multi-byte UTF-8 sequence, so the run ends on a char
+            // boundary of the (already valid) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run stopped at a backslash: decode one escape.
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -202,18 +237,6 @@ impl<'a> Parser<'a> {
                         _ => return self.err("invalid escape"),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str upstream,
-                    // so boundaries are valid).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| JsonError {
-                            offset: self.pos,
-                            message: "invalid utf-8 in string".into(),
-                        })?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -277,8 +300,10 @@ impl<'a> Parser<'a> {
 /// garbage is an error.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -389,6 +414,109 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::json_escape;
+    use proptest::prelude::*;
+
+    fn err(offset: usize, message: &str) -> Result<JsonValue, JsonError> {
+        Err(JsonError {
+            offset,
+            message: message.into(),
+        })
+    }
+
+    fn string(s: &str) -> Result<JsonValue, JsonError> {
+        Ok(JsonValue::String(s.into()))
+    }
+
+    #[test]
+    fn string_scan_gives_the_same_values_and_errors_as_per_char_decoding() {
+        // Expected values and error offsets are those of the earlier
+        // parser, which decoded one char at a time.
+        let cases: Vec<(&str, Result<JsonValue, JsonError>)> = vec![
+            // 2-, 3- and 4-byte UTF-8 next to escapes and the closing quote.
+            ("\"a\u{e9}\\\"\"", string("a\u{e9}\"")),
+            ("\"\u{20ac}\\\\\"", string("\u{20ac}\\")),
+            ("\"\u{1f600}\"", string("\u{1f600}")),
+            (
+                "\"\\n\u{1f600}\u{20ac}\u{e9}\\t\"",
+                string("\n\u{1f600}\u{20ac}\u{e9}\t"),
+            ),
+            ("\"\u{e9}\\u0041\u{20ac}\"", string("\u{e9}A\u{20ac}")),
+            (
+                "{\"k\u{e9}\":\"v\u{1f600}\"}",
+                Ok(JsonValue::Object(vec![(
+                    "k\u{e9}".into(),
+                    JsonValue::String("v\u{1f600}".into()),
+                )])),
+            ),
+            // `\u` escapes; unpaired surrogates become U+FFFD.
+            ("\"\\u0041\"", string("A")),
+            ("\"\\ud800\"", string("\u{fffd}")),
+            ("\"\\ud83d\\ude00\"", string("\u{fffd}\u{fffd}")),
+            // Raw control bytes are accepted as they are.
+            ("\"a\u{1}\tb\u{1f}\"", string("a\u{1}\tb\u{1f}")),
+            // Unterminated after a multi-byte char and after a trailing `\`.
+            ("\"ab\u{1f600}", err(7, "unterminated string")),
+            ("\"\u{e9}\\", err(4, "invalid escape")),
+            // Malformed escapes, including one cut inside a multi-byte char.
+            ("\"\\u12\"", err(2, "truncated \\u escape")),
+            ("\"\\uzzzz\"", err(2, "invalid \\u escape")),
+            ("\"\\u00\u{e9}\"", err(2, "invalid \\u escape")),
+            ("\"\u{e9}\\\u{fc}\"", err(4, "invalid escape")),
+            // Numbers are sliced from the input too.
+            ("-1.5e3", Ok(JsonValue::Number(-1500.0))),
+            ("1e999", err(5, "invalid number '1e999'")),
+        ];
+        for (input, expected) in cases {
+            assert_eq!(parse(input), expected, "{input:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn escaped_strings_parse_back(parts in prop::collection::vec(prop_oneof![
+            "[\u{0}-\u{7f}]{0,8}",
+            "[\u{80}-\u{7ff}]{0,4}",
+            "[\u{800}-\u{d7ff}\u{e000}-\u{ffff}]{0,4}",
+            // Both ends and the middle of the 4-byte range (the stub
+            // builds the whole class per draw).
+            "[\u{10000}-\u{100ff}\u{80000}-\u{800ff}\u{10ff00}-\u{10ffff}]{0,4}",
+        ], 0..8)) {
+            let s = parts.concat();
+            prop_assert_eq!(parse(&format!("\"{}\"", json_escape(&s))), Ok(JsonValue::String(s)));
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let too_deep = err(
+            MAX_DEPTH,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        );
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&nest(MAX_DEPTH + 1)), too_deep);
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+        // Without the cap this overflows a 2 MiB stack and aborts.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                (
+                    parse(&"[".repeat(100_000)),
+                    validate_chrome_trace(&"[".repeat(100_000)),
+                )
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(deep.0, too_deep);
+        assert!(deep.1.unwrap_err().contains("nesting deeper"));
+    }
 
     #[test]
     fn parses_scalars_and_nesting() {

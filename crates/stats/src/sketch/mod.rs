@@ -95,9 +95,14 @@ pub trait MergeableSummary: Sized {
     /// Canonical, bit-exact, single-line text record of the summary.
     ///
     /// The encoding uses IEEE-754 bit patterns for every float, so NaN
-    /// payloads and signed zeros survive, and the record of a summary is a
-    /// pure function of the *multiset* of observations it absorbed (order
-    /// of insertion never leaks into the record).
+    /// payloads and signed zeros survive. The record is a pure function of
+    /// the sequence of pushes and merges that built the summary: the same
+    /// sequence gives the same bits on any thread or shard, which is what
+    /// campaigns rely on. The same *multiset* in another order can give
+    /// other bits (the Welford sums round differently, a digest's centroids
+    /// depend on which samples share a flush, and `-0.0`/`+0.0` keep their
+    /// order), so campaigns fix the order instead (see
+    /// [`KeyedPartials`]).
     fn to_record(&self) -> String;
 
     /// Decodes a record produced by [`MergeableSummary::to_record`].
@@ -326,9 +331,11 @@ impl StreamingSummary {
         repr + grid + std::mem::size_of::<Self>()
     }
 
-    /// Converts the exact buffer into a t-digest. The buffer is sorted
-    /// first so the resulting digest is a pure function of the multiset of
-    /// samples — insertion order never changes the promoted sketch's bits.
+    /// Converts the exact buffer into a t-digest by pushing its values in
+    /// ascending order. The promoted digest depends on the exact values
+    /// and on the push order of any `-0.0` and `+0.0` among them (the two
+    /// sort equal), not on the order of the rest. Like any digest, its
+    /// later bits depend on the sequence of pushes that follows.
     fn promote(&mut self) -> StatsResult<()> {
         if let Repr::Exact(values) = &self.repr {
             let mut digest = TDigest::new(self.digest_delta)?;
@@ -446,7 +453,12 @@ impl MergeableSummary for StreamingSummary {
                 .ok_or(StatsError::MalformedSketch("missing '=' in ss1 field"))?;
             match key {
                 "thr" => threshold = Some(parse_usize(value)?),
-                "delta" => delta = Some(parse_u64(value)? as u32),
+                "delta" => {
+                    delta = Some(
+                        u32::try_from(parse_u64(value)?)
+                            .map_err(|_| StatsError::MalformedSketch("delta out of range"))?,
+                    )
+                }
                 "mom" => moments = Some(OnlineMoments::from_record(value)?),
                 "grid" => {
                     grid = Some(if value == "-" {
@@ -464,7 +476,15 @@ impl MergeableSummary for StreamingSummary {
                             let mut values = Vec::new();
                             if !body.is_empty() {
                                 for v in body.split(',') {
-                                    values.push(f64_from_hex(v)?);
+                                    let x = f64_from_hex(v)?;
+                                    // Pushes keep only finite values, and
+                                    // the exact regime sorts them.
+                                    if !x.is_finite() {
+                                        return Err(StatsError::MalformedSketch(
+                                            "non-finite exact value",
+                                        ));
+                                    }
+                                    values.push(x);
                                 }
                             }
                             Repr::Exact(values)
@@ -481,6 +501,9 @@ impl MergeableSummary for StreamingSummary {
         if threshold == 0 {
             return Err(StatsError::MalformedSketch("zero threshold"));
         }
+        // A push past the threshold promotes with this δ, as in `new`.
+        TDigest::new(digest_delta)
+            .map_err(|_| StatsError::MalformedSketch("delta out of range"))?;
         Ok(Self {
             threshold,
             digest_delta,
@@ -712,5 +735,150 @@ mod tests {
             ..StreamConfig::default()
         })
         .is_err());
+    }
+
+    /// Parses `record` as a `T`. An accepted record must re-encode to a
+    /// record that parses back to the same string; returns whether it was
+    /// accepted.
+    fn round_trips<T: MergeableSummary>(record: &str) -> bool {
+        let Ok(parsed) = T::from_record(record) else {
+            return false;
+        };
+        let once = parsed.to_record();
+        let again = T::from_record(&once).unwrap_or_else(|e| panic!("{once}: {e}"));
+        assert_eq!(again.to_record(), once, "from {record}");
+        true
+    }
+
+    /// Truncates `record` at every byte and substitutes `subs` random
+    /// characters at every position.
+    fn fuzz_record<T: MergeableSummary>(record: &str, rng: &mut rand::rngs::StdRng, subs: usize) {
+        use rand::Rng;
+        const ALPHABET: &[u8] = b"0123456789abcdefF;:,|=-+x ";
+        assert!(round_trips::<T>(record), "{record}");
+        for i in 0..record.len() {
+            round_trips::<T>(&record[..i]);
+            let mut bytes = record.as_bytes().to_vec();
+            for _ in 0..subs {
+                bytes[i] = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+                round_trips::<T>(std::str::from_utf8(&bytes).unwrap());
+            }
+        }
+    }
+
+    /// A random td1 record: every field drawn from values that parse,
+    /// values that do not and values at the edges of their range.
+    fn random_td1(rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+        let mut pick = |options: &[&str]| options[rng.gen_range(0..options.len())].to_string();
+        let delta = pick(&[
+            "10",
+            "200",
+            "10000",
+            "9",
+            "4294967496",
+            "18446744073709551615",
+            "-1",
+        ]);
+        let count = pick(&["0", "1", "7", "18446744073709551615", "x"]);
+        let hex = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..4) {
+            0 => format!("{:016x}", rng.gen::<u64>()),
+            1 => f64_to_hex(rng.gen_range(-1e3..1e3)),
+            2 => f64_to_hex([0.0, -0.0, 1.0, f64::NAN, f64::INFINITY][rng.gen_range(0..5usize)]),
+            _ => format!("{:x}", rng.gen::<u32>()),
+        };
+        let centroids: Vec<String> = (0..rng.gen_range(0..6))
+            .map(|_| format!("{}:{}", hex(rng), hex(rng)))
+            .collect();
+        format!(
+            "td1;{delta};{count};{count};{};{};{}",
+            hex(rng),
+            hex(rng),
+            centroids.join(",")
+        )
+    }
+
+    #[test]
+    fn sketch_records_fuzz_to_typed_errors_and_stable_round_trips() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5ca1_ab1e);
+        let mut xs: Vec<f64> = pareto_like(300).iter().map(|x| x - 2.0).collect();
+        xs.extend([-0.0, 0.0, f64::NAN, f64::INFINITY]);
+        let small = StreamConfig {
+            threshold: 64,
+            digest_delta: 10,
+            grid: Some(GridSpec {
+                lo: -1.0,
+                hi: 4.0,
+                bins: 6,
+            }),
+        };
+        let summaries = [
+            filled(cfg(4096), &[]),
+            filled(cfg(4096), &xs[295..]),
+            filled(small, &xs),
+        ];
+        let mut digest = TDigest::new(10).unwrap();
+        for &x in &xs {
+            digest.push(x);
+        }
+        fuzz_record::<TDigest>(&TDigest::new(10).unwrap().to_record(), &mut rng, 4);
+        fuzz_record::<TDigest>(&digest.to_record(), &mut rng, 4);
+        for s in &summaries {
+            fuzz_record::<StreamingSummary>(&s.to_record(), &mut rng, 2);
+        }
+        let (mut digests, mut streams) = (0, 0);
+        for _ in 0..2_000 {
+            let td = random_td1(&mut rng);
+            if round_trips::<TDigest>(&td) {
+                digests += 1;
+                // Every accepted digest has centroids the compress can
+                // order, however the record listed them.
+                let mut d = TDigest::from_record(&td).unwrap();
+                d.merge_from(&TDigest::new(d.delta()).unwrap()).unwrap();
+                let _ = d.quantile(0.5);
+            }
+            let exact: Vec<String> = (0..rng.gen_range(0..4))
+                .map(|_| f64_to_hex([1.5, -0.0, f64::NAN, 1e300][rng.gen_range(0..4usize)]))
+                .collect();
+            let repr = if rng.gen::<bool>() {
+                format!("exact:{}", exact.join(","))
+            } else {
+                format!("digest:{td}")
+            };
+            let delta = ["200", "10", "5", "4294967496"][rng.gen_range(0..4usize)];
+            let ss = format!(
+                "ss1|thr={}|delta={delta}|mom={}|grid=-|repr={repr}",
+                rng.gen_range(0..3),
+                OnlineMoments::new().to_record()
+            );
+            streams += usize::from(round_trips::<StreamingSummary>(&ss));
+        }
+        assert!(
+            digests > 50 && streams > 50,
+            "{digests} digests, {streams} streams accepted"
+        );
+    }
+
+    #[test]
+    fn stream_records_reject_what_a_push_would_trip_on() {
+        let good = filled(cfg(4096), &[1.5, 2.5]).to_record();
+        assert!(StreamingSummary::from_record(&good).is_ok());
+        for bad in [
+            // δ = 200 + 2³², which `as u32` used to wrap to 200.
+            good.replace("|delta=200|", "|delta=4294967496|"),
+            // A δ no digest accepts: the promotion used to panic.
+            good.replace("|delta=200|", "|delta=5|"),
+            // A NaN exact value: sorting it used to panic.
+            good.replace("3ff8000000000000", "7ff8000000000000"),
+        ] {
+            assert!(
+                matches!(
+                    StreamingSummary::from_record(&bad),
+                    Err(StatsError::MalformedSketch(_))
+                ),
+                "{bad}"
+            );
+        }
     }
 }

@@ -11,6 +11,8 @@
 //! built from the same sequence of pushes has identical bits on every
 //! thread/shard — the property the campaign-level determinism rests on.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{StatsError, StatsResult};
@@ -38,11 +40,150 @@ pub struct TDigest {
 }
 
 /// Buffered samples per compression pass, as a multiple of δ. Larger
-/// buffers amortize the O(m log m) merge over more pushes.
+/// buffers amortize the O(m log m) buffer sort over more pushes.
 const BUFFER_FACTOR: usize = 8;
+
+/// Half-width of the q window around an inverted k-limit inside which a
+/// merge decision is made by `k_scale` itself. The exact threshold and the
+/// inverted limit differ by a few 1e-16 in absolute terms, but by up to
+/// 1e-9 relative to q deep in the tails, so the window is absolute; 1e-12
+/// leaves a margin of over 4 000×.
+const Q_WINDOW: f64 = 1e-12;
 
 fn k_scale(q: f64, delta: f64) -> f64 {
     delta * ((2.0 * q - 1.0).clamp(-1.0, 1.0).asin() / std::f64::consts::PI + 0.5)
+}
+
+/// The merge test `k_scale(q, delta) <= k` with k₁ inverted once per
+/// output centroid: q below `lo` passes and q above `hi` fails without a
+/// call to `asin`; only q inside the window, or NaN, calls `k_scale`.
+struct KLimit {
+    k: f64,
+    lo: f64,
+    hi: f64,
+}
+
+impl KLimit {
+    /// `k` is `k_scale(·) + 1 ≥ 1`, so `k/δ − ½` is above −½ (or NaN, which
+    /// makes both window edges NaN and every decision exact).
+    fn new(k: f64, delta: f64) -> Self {
+        let t = k / delta - 0.5;
+        if t >= 0.5 {
+            // At or past k(1) = δ: every q up to 1 passes, and the clamp in
+            // `k_scale` decides the rest.
+            return Self {
+                k,
+                lo: 1.0 - Q_WINDOW,
+                hi: f64::INFINITY,
+            };
+        }
+        let q = ((std::f64::consts::PI * t).sin() + 1.0) * 0.5;
+        Self {
+            k,
+            lo: q - Q_WINDOW,
+            hi: q + Q_WINDOW,
+        }
+    }
+
+    fn admits(&self, q: f64, delta: f64) -> bool {
+        if q < self.lo {
+            true
+        } else if q > self.hi {
+            false
+        } else {
+            k_scale(q, delta) <= self.k
+        }
+    }
+}
+
+/// `a < b` in the lexicographic `(mean, weight)` order of `partial_cmp`,
+/// under which `-0.0` and `+0.0` are equal.
+fn precedes(a: &Centroid, b: &Centroid) -> bool {
+    a.mean < b.mean || (a.mean == b.mean && a.weight < b.weight)
+}
+
+/// `run` in `(mean, weight)` order, as a stable sort leaves it. A
+/// compress leaves its output in this order unless rounding moved a mean
+/// past its neighbour's, and a record may list centroids in any order, so
+/// the O(m) check is kept and the stable sort is the fallback.
+fn sorted_centroids(run: &[Centroid]) -> Cow<'_, [Centroid]> {
+    if run.windows(2).all(|w| !precedes(&w[1], &w[0])) {
+        return Cow::Borrowed(run);
+    }
+    let mut sorted = run.to_vec();
+    sorted.sort_by(|a, b| {
+        (a.mean, a.weight)
+            .partial_cmp(&(b.mean, b.weight))
+            .expect("from_record and the compress keep centroids free of NaN")
+    });
+    Cow::Owned(sorted)
+}
+
+/// Maps a finite f64 to a `u64` whose unsigned order is the value order,
+/// with `-0.0` just below `+0.0`.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
+/// Weight-1 centroids of the finite `values`, in the order a stable sort
+/// by value gives: ascending, equal values in input order. Keys sort
+/// unstably, which only reorders identical bits, except that every `-0.0`
+/// lands before every `+0.0`; those two compare equal, so their input
+/// order is put back.
+fn sorted_run(values: &[f64]) -> Vec<Centroid> {
+    let neg_zero = order_key(-0.0);
+    let mut keys: Vec<u64> = values.iter().map(|&x| order_key(x)).collect();
+    let zeros: Vec<u64> = if keys.contains(&neg_zero) {
+        keys.iter()
+            .copied()
+            .filter(|&k| k == neg_zero || k == order_key(0.0))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    keys.sort_unstable();
+    if !zeros.is_empty() {
+        let start = keys.partition_point(|&k| k < neg_zero);
+        keys[start..start + zeros.len()].copy_from_slice(&zeros);
+    }
+    keys.into_iter()
+        .map(|k| Centroid {
+            mean: from_order_key(k),
+            weight: 1.0,
+        })
+        .collect()
+}
+
+/// Stable merge of two `(mean, weight)`-ordered runs: ties take `a`'s
+/// element first, as a stable sort of `a` followed by `b` does.
+fn merge_runs(a: &[Centroid], b: &[Centroid]) -> Vec<Centroid> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if precedes(&b[j], &a[i]) {
+            out.push(b[j]);
+            j += 1;
+        } else {
+            out.push(a[i]);
+            i += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// A digest's centroids and buffer as one `(mean, weight)`-ordered run.
+fn sorted_pending(digest: &TDigest) -> Vec<Centroid> {
+    merge_runs(
+        &sorted_centroids(&digest.centroids),
+        &sorted_run(&digest.buffer),
+    )
 }
 
 impl TDigest {
@@ -98,44 +239,46 @@ impl TDigest {
         BUFFER_FACTOR * self.delta as usize
     }
 
-    /// Folds the buffer (and any extra centroids) into the centroid list
-    /// with one bounded merge pass.
-    fn compress_with(&mut self, extra: Vec<Centroid>) {
-        let mut pending: Vec<Centroid> =
-            Vec::with_capacity(self.centroids.len() + self.buffer.len() + extra.len());
-        pending.append(&mut self.centroids);
-        pending.extend(self.buffer.drain(..).map(|x| Centroid {
-            mean: x,
-            weight: 1.0,
-        }));
-        pending.extend(extra);
-        if pending.is_empty() {
-            return;
+    /// Folds the buffer, and `other`'s centroids and buffer when merging,
+    /// into the centroid list with one bounded pass.
+    ///
+    /// The pass reads this digest's centroids, its buffer, `other`'s
+    /// centroids and `other`'s buffer in the order a stable sort by
+    /// `(mean, weight)` of their concatenation gives, so its output has the
+    /// bits of sorting everything together. Sorted runs build that order:
+    /// only the buffers are sorted, and linear merges join the runs.
+    fn compress(&mut self, other: Option<&TDigest>) {
+        let mut pending = sorted_pending(self);
+        self.buffer.clear();
+        if let Some(other) = other {
+            pending = merge_runs(&pending, &sorted_pending(other));
         }
-        // Total order on (mean, weight): all values are finite, and equal
-        // (mean, weight) pairs are interchangeable, so the sorted sequence
-        // is a pure function of the multiset.
-        pending.sort_by(|a, b| {
-            (a.mean, a.weight)
-                .partial_cmp(&(b.mean, b.weight))
-                .expect("centroids are finite")
-        });
+        let Some((&first, rest)) = pending.split_first() else {
+            return;
+        };
         let total: f64 = pending.iter().map(|c| c.weight).sum();
         let delta = self.delta as f64;
         let mut out: Vec<Centroid> = Vec::with_capacity(2 * self.delta as usize);
-        let mut iter = pending.into_iter();
-        let mut cur = iter.next().expect("pending non-empty");
+        let mut cur = first;
         let mut w_done = 0.0;
-        let mut k_limit = k_scale(0.0, delta) + 1.0;
-        for c in iter {
+        let mut limit = KLimit::new(k_scale(0.0, delta) + 1.0, delta);
+        for &c in rest {
             let q = (w_done + cur.weight + c.weight) / total;
-            if k_scale(q, delta) <= k_limit {
-                // Weighted incremental mean keeps the update stable.
-                cur.mean += c.weight / (cur.weight + c.weight) * (c.mean - cur.mean);
+            if limit.admits(q, delta) {
+                // Weighted incremental mean keeps the update stable. Two
+                // means of opposite sign can lie more than f64::MAX apart;
+                // their weighted sum cannot overflow.
+                let f = c.weight / (cur.weight + c.weight);
+                let step = c.mean - cur.mean;
+                cur.mean = if step.is_finite() {
+                    cur.mean + f * step
+                } else {
+                    (1.0 - f) * cur.mean + f * c.mean
+                };
                 cur.weight += c.weight;
             } else {
                 w_done += cur.weight;
-                k_limit = k_scale(w_done / total, delta) + 1.0;
+                limit = KLimit::new(k_scale(w_done / total, delta) + 1.0, delta);
                 out.push(cur);
                 cur = c;
             }
@@ -166,7 +309,7 @@ impl TDigest {
         }
         if !self.buffer.is_empty() {
             let mut flushed = self.clone();
-            flushed.compress_with(Vec::new());
+            flushed.compress(None);
             return flushed.quantile(p);
         }
         let total: f64 = self.centroids.iter().map(|c| c.weight).sum();
@@ -216,7 +359,7 @@ impl MergeableSummary for TDigest {
         self.max = self.max.max(x);
         self.buffer.push(x);
         if self.buffer.len() >= self.buffer_capacity() {
-            self.compress_with(Vec::new());
+            self.compress(None);
         }
     }
 
@@ -228,12 +371,7 @@ impl MergeableSummary for TDigest {
         self.non_finite += other.non_finite;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        let mut extra = other.centroids.clone();
-        extra.extend(other.buffer.iter().map(|&x| Centroid {
-            mean: x,
-            weight: 1.0,
-        }));
-        self.compress_with(extra);
+        self.compress(Some(other));
         Ok(())
     }
 
@@ -246,11 +384,11 @@ impl MergeableSummary for TDigest {
     }
 
     fn to_record(&self) -> String {
-        // Canonical form: flush the buffer first so the record is a pure
-        // function of the absorbed multiset, not of push/flush phase.
+        // Buffered samples are flushed into a copy, so taking a record
+        // leaves this digest, and the bits of its later pushes, unchanged.
         if !self.buffer.is_empty() {
             let mut flushed = self.clone();
-            flushed.compress_with(Vec::new());
+            flushed.compress(None);
             return flushed.to_record();
         }
         let centroids: Vec<String> = self
@@ -274,7 +412,8 @@ impl MergeableSummary for TDigest {
         if parts.len() != 7 || parts[0] != "td1" {
             return Err(StatsError::MalformedSketch("expected 7-part td1 record"));
         }
-        let delta = parse_u64(parts[1])? as u32;
+        let delta = u32::try_from(parse_u64(parts[1])?)
+            .map_err(|_| StatsError::MalformedSketch("delta out of range"))?;
         let mut digest = TDigest::new(delta)?;
         digest.n = parse_u64(parts[2])?;
         digest.non_finite = parse_u64(parts[3])?;
@@ -285,10 +424,17 @@ impl MergeableSummary for TDigest {
                 let (mean, weight) = c
                     .split_once(':')
                     .ok_or(StatsError::MalformedSketch("centroid missing ':'"))?;
-                digest.centroids.push(Centroid {
-                    mean: f64_from_hex(mean)?,
-                    weight: f64_from_hex(weight)?,
-                });
+                let (mean, weight) = (f64_from_hex(mean)?, f64_from_hex(weight)?);
+                // The compress orders centroids by comparing floats.
+                if !mean.is_finite() {
+                    return Err(StatsError::MalformedSketch("non-finite centroid mean"));
+                }
+                if !(weight.is_finite() && weight > 0.0) {
+                    return Err(StatsError::MalformedSketch(
+                        "centroid weight not finite and positive",
+                    ));
+                }
+                digest.centroids.push(Centroid { mean, weight });
             }
         }
         Ok(digest)
@@ -420,5 +566,338 @@ mod tests {
         // NaN-bearing (all-quarantined) digest still round-trips.
         let back = TDigest::from_record(&d.to_record()).unwrap();
         assert_eq!(back.to_record(), d.to_record());
+    }
+
+    /// The compress this module had before the sorted-runs merge: it
+    /// stable-sorts centroids, buffer and `extra` together as `(mean,
+    /// weight)` tuples and calls `k_scale` for every element. Kept as the
+    /// bit-for-bit oracle of [`TDigest::compress`].
+    fn compress_with(d: &mut TDigest, extra: Vec<Centroid>) {
+        let mut pending: Vec<Centroid> =
+            Vec::with_capacity(d.centroids.len() + d.buffer.len() + extra.len());
+        pending.append(&mut d.centroids);
+        pending.extend(d.buffer.drain(..).map(|x| Centroid {
+            mean: x,
+            weight: 1.0,
+        }));
+        pending.extend(extra);
+        if pending.is_empty() {
+            return;
+        }
+        pending.sort_by(|a, b| {
+            (a.mean, a.weight)
+                .partial_cmp(&(b.mean, b.weight))
+                .expect("centroids are finite")
+        });
+        let total: f64 = pending.iter().map(|c| c.weight).sum();
+        let delta = d.delta as f64;
+        let mut out: Vec<Centroid> = Vec::with_capacity(2 * d.delta as usize);
+        let mut iter = pending.into_iter();
+        let mut cur = iter.next().expect("pending non-empty");
+        let mut w_done = 0.0;
+        let mut k_limit = k_scale(0.0, delta) + 1.0;
+        for c in iter {
+            let q = (w_done + cur.weight + c.weight) / total;
+            if k_scale(q, delta) <= k_limit {
+                cur.mean += c.weight / (cur.weight + c.weight) * (c.mean - cur.mean);
+                cur.weight += c.weight;
+            } else {
+                w_done += cur.weight;
+                k_limit = k_scale(w_done / total, delta) + 1.0;
+                out.push(cur);
+                cur = c;
+            }
+        }
+        out.push(cur);
+        d.centroids = out;
+    }
+
+    /// [`MergeableSummary::push`] on top of the oracle compress.
+    fn oracle_push(d: &mut TDigest, x: f64) {
+        if !x.is_finite() {
+            d.non_finite += 1;
+            return;
+        }
+        d.n += 1;
+        d.min = d.min.min(x);
+        d.max = d.max.max(x);
+        d.buffer.push(x);
+        if d.buffer.len() >= d.buffer_capacity() {
+            compress_with(d, Vec::new());
+        }
+    }
+
+    /// [`MergeableSummary::merge_from`] on top of the oracle compress.
+    fn oracle_merge(d: &mut TDigest, other: &TDigest) {
+        assert_eq!(d.delta, other.delta);
+        d.n += other.n;
+        d.non_finite += other.non_finite;
+        d.min = d.min.min(other.min);
+        d.max = d.max.max(other.max);
+        let mut extra = other.centroids.clone();
+        extra.extend(other.buffer.iter().map(|&x| Centroid {
+            mean: x,
+            weight: 1.0,
+        }));
+        compress_with(d, extra);
+    }
+
+    /// [`MergeableSummary::to_record`] on top of the oracle compress.
+    fn oracle_record(d: &TDigest) -> String {
+        let mut flushed = d.clone();
+        if !flushed.buffer.is_empty() {
+            compress_with(&mut flushed, Vec::new());
+        }
+        flushed.to_record()
+    }
+
+    /// A digest and its oracle twin fed the same values.
+    fn both(delta: u32, xs: &[f64]) -> (TDigest, TDigest) {
+        let mut new = TDigest::new(delta).unwrap();
+        let mut old = TDigest::new(delta).unwrap();
+        for &x in xs {
+            new.push(x);
+            oracle_push(&mut old, x);
+        }
+        (new, old)
+    }
+
+    /// The input families of the oracle comparison, `n` values each.
+    fn families(n: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |f: &mut dyn FnMut(&mut StdRng) -> f64| -> Vec<f64> {
+            (0..n).map(|_| f(&mut rng)).collect()
+        };
+        vec![
+            (
+                "shifted exponential",
+                draw(&mut |r| 0.1 - r.gen::<f64>().max(1e-300).ln()),
+            ),
+            ("uniform", draw(&mut |r| r.gen::<f64>())),
+            (
+                "few distinct",
+                draw(&mut |r| (r.gen::<f64>() * 4.0).floor()),
+            ),
+            ("signed", draw(&mut |r| (r.gen::<f64>() - 0.5) * 1e3)),
+            (
+                "pareto tail",
+                draw(&mut |r| (1.0 - r.gen::<f64>()).powf(-1.0 / 1.16)),
+            ),
+            (
+                "subnormal",
+                draw(&mut |r| {
+                    let x = f64::from_bits(r.gen::<u64>() % (1 << 52));
+                    if r.gen::<bool>() {
+                        -x
+                    } else {
+                        x
+                    }
+                }),
+            ),
+            (
+                "signed zeros",
+                draw(&mut |r| [-0.0, 0.0, 0.0, -0.0, 1.0, 2.0][r.gen_range(0..6usize)]),
+            ),
+        ]
+    }
+
+    #[test]
+    fn compress_matches_the_sort_oracle_bit_for_bit() {
+        for (i, delta) in [10, 37, 50, 100, 200, 500, 1000, 10_000]
+            .into_iter()
+            .enumerate()
+        {
+            let buffer = BUFFER_FACTOR * delta as usize;
+            // One long stream per δ, cycling through the families.
+            let long = if delta == 200 { 200_000 } else { 30_000 };
+            let all = families(long.max(buffer + 1), i as u64);
+            for (j, (family, xs)) in all.iter().enumerate() {
+                let mut lengths = vec![1, 7, 1_599, 1_600, 1_601, buffer - 1, buffer, buffer + 1];
+                if j == i % all.len() {
+                    lengths.push(long);
+                }
+                for len in lengths {
+                    let (new, old) = both(delta, &xs[..len]);
+                    assert_eq!(
+                        new.to_record(),
+                        oracle_record(&old),
+                        "δ={delta} {family} n={len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_matches_the_sort_oracle_bit_for_bit() {
+        for delta in [10, 37, 200, 1000] {
+            let buffer = BUFFER_FACTOR * delta as usize;
+            for (k, (family, xs)) in families(3 * buffer + 5, 7).iter().enumerate() {
+                // Buffer-only (never compressed) and compressed sides, in
+                // all four pairings.
+                let short = &xs[..buffer / 2 + k];
+                let long = &xs[buffer / 2 + k..];
+                for (a, b) in [(short, long), (long, short), (short, short), (long, long)] {
+                    let (mut new, mut old) = both(delta, a);
+                    let (other, _) = both(delta, b);
+                    new.merge_from(&other).unwrap();
+                    oracle_merge(&mut old, &other);
+                    assert_eq!(
+                        new.to_record(),
+                        oracle_record(&old),
+                        "δ={delta} {family} {}+{}",
+                        a.len(),
+                        b.len()
+                    );
+                }
+            }
+        }
+        // Centroids a record lists out of order take the stable-sort
+        // fallback, in this digest and in the one merged in.
+        let (whole, _) = both(50, &families(2_000, 9)[4].1);
+        let record = whole.to_record();
+        let (head, list) = record.rsplit_once(';').unwrap();
+        let mut centroids: Vec<&str> = list.split(',').collect();
+        centroids.reverse();
+        centroids.swap(0, 5);
+        let shuffled = TDigest::from_record(&format!("{head};{}", centroids.join(","))).unwrap();
+        let (mut new, mut old) = (shuffled.clone(), shuffled.clone());
+        for x in [3.0, -0.0, 0.5, 1e9] {
+            new.push(x);
+            oracle_push(&mut old, x);
+        }
+        new.merge_from(&shuffled).unwrap();
+        oracle_merge(&mut old, &shuffled);
+        assert_eq!(new.to_record(), oracle_record(&old));
+    }
+
+    #[test]
+    fn sorted_run_keeps_signed_zeros_in_push_order() {
+        let xs = [0.0, -1.0, -0.0, 0.0, 2.0, -0.0, -0.0, 0.0, -1.0];
+        let bits: Vec<u64> = sorted_run(&xs).iter().map(|c| c.mean.to_bits()).collect();
+        let want: Vec<u64> = [-1.0, -1.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 2.0]
+            .iter()
+            .map(|x: &f64| x.to_bits())
+            .collect();
+        assert_eq!(bits, want);
+        for x in [
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MAX,
+        ] {
+            assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    fn window_decides_like_k_scale_around_each_threshold() {
+        for delta in [10.0, 200.0, 10_000.0] {
+            for total in [1e3f64, 1e6, 1e9, 1e12] {
+                let mut done = vec![0.0, 1.0, 2.0, 10.0];
+                for frac in [
+                    1e-9,
+                    1e-6,
+                    1e-3,
+                    0.1,
+                    0.25,
+                    0.5,
+                    0.75,
+                    0.9,
+                    0.999,
+                    1.0 - 1e-6,
+                ] {
+                    done.push((total * frac).round());
+                }
+                done.extend([total - 10.0, total - 2.0, total - 1.0]);
+                for w in done {
+                    let k = k_scale(w / total, delta) + 1.0;
+                    let limit = KLimit::new(k, delta);
+                    let exact = |q: f64| k_scale(q, delta) <= k;
+                    // The largest q in [0, 1] that fits, by bisection over
+                    // bit patterns (ordered like the non-negative floats).
+                    let threshold = if exact(1.0) {
+                        1.0
+                    } else {
+                        let (mut lo, mut hi) = (0.0f64.to_bits(), 1.0f64.to_bits());
+                        while hi - lo > 1 {
+                            let mid = lo + (hi - lo) / 2;
+                            if exact(f64::from_bits(mid)) {
+                                lo = mid;
+                            } else {
+                                hi = mid;
+                            }
+                        }
+                        f64::from_bits(lo)
+                    };
+                    for q in [
+                        threshold,
+                        threshold.next_up(),
+                        limit.lo,
+                        limit.lo.next_down(),
+                        limit.hi,
+                        limit.hi.next_up(),
+                    ] {
+                        assert_eq!(
+                            limit.admits(q, delta),
+                            exact(q),
+                            "δ={delta} total={total} w={w} q={q:e} threshold={threshold:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn means_of_extreme_values_stay_finite() {
+        // The mean update used to overflow to ±inf, then NaN, and the next
+        // compress panicked ordering it.
+        let mut d = TDigest::new(200).unwrap();
+        for i in 0..20_000 {
+            d.push(if i % 2 == 0 { -1.7e308 } else { f64::MAX });
+        }
+        d.merge_from(&d.clone()).unwrap();
+        assert!(d.centroids.iter().all(|c| c.mean.is_finite()));
+        let record = d.to_record();
+        let back = TDigest::from_record(&record).unwrap();
+        assert_eq!(back.to_record(), record);
+    }
+
+    #[test]
+    fn from_record_rejects_what_the_compress_cannot_order() {
+        let good = "td1;100;2;0;3ff0000000000000;4000000000000000;\
+                    3ff0000000000000:3ff0000000000000,4000000000000000:3ff0000000000000";
+        assert!(TDigest::from_record(good).is_ok());
+        for bad in [
+            // NaN and infinite means.
+            good.replace("3ff0000000000000:", "7ff8000000000000:"),
+            good.replace("4000000000000000:", "fff0000000000000:"),
+            // Zero, negative, NaN and infinite weights.
+            good.replace(":3ff0000000000000,", ":0000000000000000,"),
+            good.replace(":3ff0000000000000,", ":bff0000000000000,"),
+            good.replace(":3ff0000000000000,", ":7ff8000000000000,"),
+            good.replace(":3ff0000000000000,", ":7ff0000000000000,"),
+            // δ = 200 + 2³², which `as u32` used to wrap to 200.
+            good.replace("td1;100;", "td1;4294967496;"),
+        ] {
+            assert!(
+                matches!(
+                    TDigest::from_record(&bad),
+                    Err(StatsError::MalformedSketch(_))
+                ),
+                "{bad}"
+            );
+        }
+        // A NaN mean used to panic in the next merge.
+        let (with_nan, _) = both(100, &[1.0, 2.0]);
+        let nan = with_nan
+            .to_record()
+            .replacen("3ff0000000000000:", "7ff8000000000000:", 1);
+        assert!(TDigest::from_record(&nan).is_err());
     }
 }

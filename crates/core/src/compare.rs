@@ -8,12 +8,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use scibench_stats::ci::{mean_ci, median_ci, ConfidenceInterval};
+use scibench_stats::ci::{mean_ci, ConfidenceInterval};
 use scibench_stats::error::StatsResult;
 use scibench_stats::htest::{
-    cohens_d, effect_magnitude, kruskal_wallis, welch_t_test, EffectMagnitude, TestResult,
+    cohens_d, effect_magnitude, kruskal_wallis_sorted, welch_t_test, EffectMagnitude, TestResult,
 };
 use scibench_stats::quantreg::{two_sample, QuantileEffect};
+use scibench_stats::sorted::SortedSamples;
 
 /// The full comparison of two samples.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,10 +122,13 @@ pub fn compare_two(
 ) -> StatsResult<Comparison> {
     let mean_ci_a = mean_ci(a, confidence)?;
     let mean_ci_b = mean_ci(b, confidence)?;
-    let median_ci_a = median_ci(a, confidence)?;
-    let median_ci_b = median_ci(b, confidence)?;
+    // One sort per sample serves the median CIs and the rank test.
+    let sorted_a = SortedSamples::new(a)?;
+    let sorted_b = SortedSamples::new(b)?;
+    let median_ci_a = sorted_a.median_ci(confidence)?;
+    let median_ci_b = sorted_b.median_ci(confidence)?;
     let t_test = welch_t_test(a, b)?;
-    let kw = kruskal_wallis(&[a, b])?;
+    let kw = kruskal_wallis_sorted(&[&sorted_a, &sorted_b])?;
     let d = cohens_d(b, a)?;
     let quantile_effects = if taus.is_empty() {
         Vec::new()
@@ -225,5 +229,54 @@ mod tests {
         let b = sample(100, 1.0, 0.2);
         let c = compare_two("A", &a, "B", &b, 0.95, &[], 4).unwrap();
         assert!(c.effect_size < 0.0, "B smaller than A must give negative d");
+    }
+
+    #[test]
+    fn sorted_statistics_equal_the_per_call_functions() {
+        use scibench_stats::ci::median_ci;
+        use scibench_stats::htest::kruskal_wallis;
+
+        let ci_bits = |ci: &ConfidenceInterval| {
+            [ci.estimate, ci.lower, ci.upper, ci.confidence].map(f64::to_bits)
+        };
+        // Integer steps tie heavily; the zeros mix both signs.
+        let ties = |n: usize, shift: usize| -> Vec<f64> {
+            (0..n)
+                .map(|i| match (i * 7 + shift) % 11 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    r => (r % 4) as f64,
+                })
+                .collect()
+        };
+        let cases = [
+            (sample(500, 10.0, 0.5), sample(300, 10.2, 0.7)),
+            (ties(40, 0), ties(33, 5)),
+            (ties(21, 1), sample(16, 1.0, 1.0)),
+        ];
+        for (a, b) in &cases {
+            for confidence in [0.95, 0.99] {
+                let c = compare_two("A", a, "B", b, confidence, &[], 5).unwrap();
+                assert_eq!(
+                    ci_bits(&c.median_ci_a),
+                    ci_bits(&median_ci(a, confidence).unwrap())
+                );
+                assert_eq!(
+                    ci_bits(&c.median_ci_b),
+                    ci_bits(&median_ci(b, confidence).unwrap())
+                );
+                let kw = kruskal_wallis(&[a, b]).unwrap();
+                assert_eq!(c.kruskal_wallis.statistic.to_bits(), kw.statistic.to_bits());
+                assert_eq!(c.kruskal_wallis.p_value.to_bits(), kw.p_value.to_bits());
+                assert_eq!(c.kruskal_wallis.df, kw.df);
+            }
+        }
+        // Too few samples for a median CI: the same error as the per-call
+        // function.
+        let short = sample(5, 1.0, 1.0);
+        assert_eq!(
+            compare_two("A", &short, "B", &cases[0].1, 0.95, &[], 5).unwrap_err(),
+            median_ci(&short, 0.95).unwrap_err()
+        );
     }
 }

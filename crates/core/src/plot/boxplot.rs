@@ -3,9 +3,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use scibench_stats::ci::median_ci;
 use scibench_stats::error::StatsResult;
-use scibench_stats::quantile::{quantile, FiveNumberSummary, QuantileMethod};
+use scibench_stats::quantile::{FiveNumberSummary, QuantileMethod};
+use scibench_stats::sorted::SortedSamples;
 
 /// What the whiskers mean — §5.2: "the semantics of the whiskers must be
 /// specified".
@@ -69,7 +69,8 @@ impl BoxPlotStats {
     /// Notches are the 95 % nonparametric CI of the median when enough
     /// samples exist.
     pub fn from_samples(label: &str, xs: &[f64], rule: WhiskerRule) -> StatsResult<Self> {
-        let five = FiveNumberSummary::from_samples(xs)?;
+        let sorted = SortedSamples::new(xs)?;
+        let five = sorted.five_number();
         let mean = scibench_stats::summary::arithmetic_mean(xs)?;
         let (lo, hi) = match rule {
             WhiskerRule::MinMax => (five.min, five.max),
@@ -93,8 +94,8 @@ impl BoxPlotStats {
                 lower_pct,
                 upper_pct,
             } => (
-                quantile(xs, lower_pct / 100.0, QuantileMethod::Interpolated)?,
-                quantile(xs, upper_pct / 100.0, QuantileMethod::Interpolated)?,
+                sorted.quantile(lower_pct / 100.0, QuantileMethod::Interpolated)?,
+                sorted.quantile(upper_pct / 100.0, QuantileMethod::Interpolated)?,
             ),
         };
         // Whiskers attach to the box: for tiny samples the most extreme
@@ -103,7 +104,7 @@ impl BoxPlotStats {
         let lo = lo.min(five.q1);
         let hi = hi.max(five.q3);
         let outliers: Vec<f64> = xs.iter().cloned().filter(|&x| x < lo || x > hi).collect();
-        let notch = median_ci(xs, 0.95).ok().map(|ci| (ci.lower, ci.upper));
+        let notch = sorted.median_ci(0.95).ok().map(|ci| (ci.lower, ci.upper));
         Ok(Self {
             label: label.to_owned(),
             five_number: five,
@@ -204,5 +205,53 @@ mod tests {
     fn small_sample_has_no_notch() {
         let b = BoxPlotStats::from_samples("x", &[1.0, 2.0, 3.0], WhiskerRule::MinMax).unwrap();
         assert!(b.notch.is_none());
+    }
+
+    #[test]
+    fn sorted_statistics_equal_the_per_call_functions() {
+        use scibench_stats::ci::median_ci;
+        use scibench_stats::quantile::quantile;
+
+        let five_bits =
+            |f: &FiveNumberSummary| [f.min, f.q1, f.median, f.q3, f.max].map(f64::to_bits);
+        // Integer steps tie heavily; the zeros mix both signs.
+        let ties: Vec<f64> = (0..57)
+            .map(|i| match (i * 5) % 13 {
+                0 => -0.0,
+                1 => 0.0,
+                r => (r % 3) as f64 - 1.0,
+            })
+            .collect();
+        let zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0];
+        let rules = [
+            WhiskerRule::MinMax,
+            WhiskerRule::TukeyIqr,
+            WhiskerRule::Percentiles {
+                lower_pct: 1.0,
+                upper_pct: 99.0,
+            },
+        ];
+        for xs in [&sample()[..], &ties, &zeros, &[4.0, -2.0]] {
+            let five = FiveNumberSummary::from_samples(xs).unwrap();
+            let notch = median_ci(xs, 0.95).ok().map(|ci| (ci.lower, ci.upper));
+            for rule in rules {
+                let b = BoxPlotStats::from_samples("x", xs, rule).unwrap();
+                assert_eq!(five_bits(&b.five_number), five_bits(&five));
+                assert_eq!(
+                    b.notch.map(|(l, u)| (l.to_bits(), u.to_bits())),
+                    notch.map(|(l, u)| (l.to_bits(), u.to_bits()))
+                );
+                if let WhiskerRule::Percentiles {
+                    lower_pct,
+                    upper_pct,
+                } = rule
+                {
+                    let lo = quantile(xs, lower_pct / 100.0, QuantileMethod::Interpolated).unwrap();
+                    let hi = quantile(xs, upper_pct / 100.0, QuantileMethod::Interpolated).unwrap();
+                    assert_eq!(b.whisker_low.to_bits(), lo.min(five.q1).to_bits());
+                    assert_eq!(b.whisker_high.to_bits(), hi.max(five.q3).to_bits());
+                }
+            }
+        }
     }
 }

@@ -31,6 +31,7 @@ use crate::ci::ConfidenceInterval;
 use crate::dist::normal::std_normal_inv_cdf;
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::{quantile_sorted, QuantileMethod};
+use crate::sort::sorted_finite;
 use crate::sorted::{merge_sorted_runs, SortedSamples};
 use crate::validate_samples;
 
@@ -181,8 +182,7 @@ fn bootstrap_distribution(
             let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, rep as u64));
             stats.push(replicate(&mut rng, &mut scratch)?);
         }
-        stats.sort_by(|a, b| a.partial_cmp(b).expect("replicates checked finite"));
-        Ok(stats)
+        Ok(sorted_finite(stats))
     });
     // Chunks are in index order, so the first Err is the error of the
     // lowest failing replicate range — same error the sequential loop

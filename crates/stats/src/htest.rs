@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dist::{ChiSquared, ContinuousDistribution, FisherF, StudentT};
 use crate::error::{StatsError, StatsResult};
-use crate::rank::{average_ranks, tie_correction};
+use crate::sorted::SortedSamples;
 use crate::summary::{arithmetic_mean, sample_variance};
 use crate::validate_samples;
 
@@ -176,14 +176,33 @@ pub fn one_way_anova(groups: &[&[f64]]) -> StatsResult<AnovaResult> {
 
 /// Kruskal–Wallis one-way ANOVA on ranks (§3.2.2): nonparametric test for
 /// equality of medians across `k ≥ 2` groups, with tie correction.
+///
+/// Sorts each group once and calls [`kruskal_wallis_sorted`].
 pub fn kruskal_wallis(groups: &[&[f64]]) -> StatsResult<TestResult> {
     if groups.len() < 2 {
         return Err(StatsError::InvalidGroups(
             "Kruskal-Wallis needs at least two groups",
         ));
     }
-    for g in groups {
-        validate_samples(g)?;
+    let sorted = groups
+        .iter()
+        .map(|g| SortedSamples::new(g))
+        .collect::<StatsResult<Vec<_>>>()?;
+    let refs: Vec<&SortedSamples> = sorted.iter().collect();
+    kruskal_wallis_sorted(&refs)
+}
+
+/// [`kruskal_wallis`] on groups that are already sorted.
+///
+/// Ranks in one merge of the sorted groups: each run of tied values gets
+/// its mid-rank, each group's rank sum is kept exactly as an integer sum
+/// of twice the mid-rank, and the tie sum `Σ (t³ − t)` is added up in
+/// ascending order.
+pub fn kruskal_wallis_sorted(groups: &[&SortedSamples]) -> StatsResult<TestResult> {
+    if groups.len() < 2 {
+        return Err(StatsError::InvalidGroups(
+            "Kruskal-Wallis needs at least two groups",
+        ));
     }
     let total_n: usize = groups.iter().map(|g| g.len()).sum();
     if total_n < 3 {
@@ -192,23 +211,18 @@ pub fn kruskal_wallis(groups: &[&[f64]]) -> StatsResult<TestResult> {
             actual: total_n,
         });
     }
-    // Rank all observations together.
-    let all: Vec<f64> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-    let ranks = average_ranks(&all);
+    let (twice_rank_sums, tie_sum) = merged_rank_sums(groups);
     let nf = total_n as f64;
 
     let mut h = 0.0;
-    let mut offset = 0;
-    for g in groups {
-        let ni = g.len() as f64;
-        let rank_sum: f64 = ranks[offset..offset + g.len()].iter().sum();
-        h += rank_sum * rank_sum / ni;
-        offset += g.len();
+    for (g, &twice) in groups.iter().zip(&twice_rank_sums) {
+        let rank_sum = twice as f64 / 2.0;
+        h += rank_sum * rank_sum / g.len() as f64;
     }
     h = 12.0 / (nf * (nf + 1.0)) * h - 3.0 * (nf + 1.0);
 
     // Tie correction.
-    let c = tie_correction(&all);
+    let c = 1.0 - tie_sum / (nf * nf * nf - nf);
     if c <= 0.0 {
         return Err(StatsError::ZeroVariance);
     }
@@ -222,6 +236,48 @@ pub fn kruskal_wallis(groups: &[&[f64]]) -> StatsResult<TestResult> {
         p_value,
         df: (df, 0.0),
     })
+}
+
+/// Twice each group's rank sum, and `Σ (t³ − t)` over the tie runs in
+/// ascending order, from one merge of the sorted groups. A run of `t`
+/// equal values (`-0.0 == +0.0`) after `below` smaller ones takes the
+/// ranks `below + 1 ..= below + t`, whose mid-rank is
+/// `(2·below + t + 1) / 2`.
+fn merged_rank_sums(groups: &[&SortedSamples]) -> (Vec<u128>, f64) {
+    let mut heads = vec![0usize; groups.len()];
+    let mut counts = vec![0usize; groups.len()];
+    let mut twice_rank_sums = vec![0u128; groups.len()];
+    let mut tie_sum = 0.0;
+    let mut below = 0usize;
+    // The smallest value not yet ranked; its run is every group's equal
+    // values at the heads.
+    let least = |heads: &[usize]| {
+        groups
+            .iter()
+            .zip(heads)
+            .filter_map(|(g, &head)| g.as_slice().get(head).copied())
+            .reduce(f64::min)
+    };
+    while let Some(v) = least(&heads) {
+        let mut t = 0;
+        for ((g, head), count) in groups.iter().zip(&mut heads).zip(&mut counts) {
+            let run = g.as_slice()[*head..]
+                .iter()
+                .take_while(|&&x| x == v)
+                .count();
+            *head += run;
+            *count = run;
+            t += run;
+        }
+        let twice_mid = (2 * below + t + 1) as u128;
+        for (sum, &count) in twice_rank_sums.iter_mut().zip(&counts) {
+            *sum += count as u128 * twice_mid;
+        }
+        let tf = t as f64;
+        tie_sum += tf * tf * tf - tf;
+        below += t;
+    }
+    (twice_rank_sums, tie_sum)
 }
 
 /// One pairwise comparison from a post-hoc analysis.

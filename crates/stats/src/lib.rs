@@ -58,6 +58,7 @@ pub mod quantreg;
 pub mod rank;
 pub mod sanitize;
 pub mod sketch;
+mod sort;
 pub mod sorted;
 pub mod special;
 pub mod summary;
@@ -80,9 +81,7 @@ pub(crate) fn validate_samples(xs: &[f64]) -> StatsResult<()> {
 
 /// Returns a sorted copy of the input samples.
 pub(crate) fn sorted_copy(xs: &[f64]) -> Vec<f64> {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("samples validated finite"));
-    v
+    sort::sorted_finite(xs.to_vec())
 }
 
 /// Encodes an `f64` as its 16-hex-digit IEEE-754 bit pattern — the

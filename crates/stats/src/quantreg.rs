@@ -26,6 +26,7 @@ use crate::bootstrap::mix_seed;
 use crate::ci::ConfidenceInterval;
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::{quantile_sorted, QuantileMethod};
+use crate::sort::sorted_finite;
 use crate::sorted::SortedSamples;
 use crate::validate_samples;
 
@@ -111,7 +112,7 @@ pub fn two_sample(
             let qo = bootstrap_quantile(other_cache.as_slice(), tau, &mut rng);
             diffs.push(qo - qb);
         }
-        diffs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let diffs = sorted_finite(diffs);
         let alpha = 1.0 - confidence;
         let lower = quantile_sorted(&diffs, alpha / 2.0, QuantileMethod::Interpolated);
         let upper = quantile_sorted(&diffs, 1.0 - alpha / 2.0, QuantileMethod::Interpolated);

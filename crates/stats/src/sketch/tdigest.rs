@@ -16,6 +16,7 @@ use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{StatsError, StatsResult};
+use crate::sort::{from_order_key, order_key, sort_keys};
 use crate::{f64_from_hex, f64_to_hex};
 
 use super::{parse_u64, MergeableSummary};
@@ -119,44 +120,30 @@ fn sorted_centroids(run: &[Centroid]) -> Cow<'_, [Centroid]> {
     Cow::Owned(sorted)
 }
 
-/// Maps a finite f64 to a `u64` whose unsigned order is the value order,
-/// with `-0.0` just below `+0.0`.
-fn order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
-}
-
-fn from_order_key(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
-}
-
 /// Weight-1 centroids of the finite `values`, in the order a stable sort
-/// by value gives: ascending, equal values in input order. Keys sort
-/// unstably, which only reorders identical bits, except that every `-0.0`
-/// lands before every `+0.0`; those two compare equal, so their input
-/// order is put back.
+/// by value gives: ascending, equal values in input order. The centroids
+/// are built straight from the sorted keys.
 fn sorted_run(values: &[f64]) -> Vec<Centroid> {
-    let neg_zero = order_key(-0.0);
     let mut keys: Vec<u64> = values.iter().map(|&x| order_key(x)).collect();
-    let zeros: Vec<u64> = if keys.contains(&neg_zero) {
-        keys.iter()
-            .copied()
-            .filter(|&k| k == neg_zero || k == order_key(0.0))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    keys.sort_unstable();
-    if !zeros.is_empty() {
-        let start = keys.partition_point(|&k| k < neg_zero);
-        keys[start..start + zeros.len()].copy_from_slice(&zeros);
-    }
+    sort_keys(&mut keys);
     keys.into_iter()
         .map(|k| Centroid {
             mean: from_order_key(k),
             weight: 1.0,
         })
         .collect()
+}
+
+/// `a + t·(b − a)` for `t ∈ [0, 1]`. Two finite values of opposite sign
+/// can lie more than f64::MAX apart; then `(1 − t)·a + t·b`, which cannot
+/// overflow, takes over.
+fn interpolate(a: f64, b: f64, t: f64) -> f64 {
+    let step = b - a;
+    if step.is_finite() {
+        a + t * step
+    } else {
+        (1.0 - t) * a + t * b
+    }
 }
 
 /// Stable merge of two `(mean, weight)`-ordered runs: ties take `a`'s
@@ -265,16 +252,9 @@ impl TDigest {
         for &c in rest {
             let q = (w_done + cur.weight + c.weight) / total;
             if limit.admits(q, delta) {
-                // Weighted incremental mean keeps the update stable. Two
-                // means of opposite sign can lie more than f64::MAX apart;
-                // their weighted sum cannot overflow.
+                // Weighted incremental mean keeps the update stable.
                 let f = c.weight / (cur.weight + c.weight);
-                let step = c.mean - cur.mean;
-                cur.mean = if step.is_finite() {
-                    cur.mean + f * step
-                } else {
-                    (1.0 - f) * cur.mean + f * c.mean
-                };
+                cur.mean = interpolate(cur.mean, c.mean, f);
                 cur.weight += c.weight;
             } else {
                 w_done += cur.weight;
@@ -327,7 +307,7 @@ impl TDigest {
                 } else {
                     1.0
                 };
-                return Ok(prev_mean + t * (c.mean - prev_mean));
+                return Ok(interpolate(prev_mean, c.mean, t));
             }
             prev_mid = mid;
             prev_mean = c.mean;
@@ -339,7 +319,7 @@ impl TDigest {
         } else {
             1.0
         };
-        Ok(prev_mean + t * (self.max - prev_mean))
+        Ok(interpolate(prev_mean, self.max, t))
     }
 
     /// Median estimate.
@@ -866,6 +846,26 @@ mod tests {
         let record = d.to_record();
         let back = TDigest::from_record(&record).unwrap();
         assert_eq!(back.to_record(), record);
+    }
+
+    #[test]
+    fn quantiles_between_extreme_means_stay_finite() {
+        // Interpolating between centroid means near -f64::MAX and f64::MAX
+        // used to overflow to +inf.
+        for (delta, n) in [(100, 2), (100, 4), (10, 1000), (200, 20_000)] {
+            let mut d = TDigest::new(delta).unwrap();
+            for i in 0..n {
+                d.push(if i % 2 == 0 { -f64::MAX } else { 1.7e308 });
+            }
+            let (min, max) = (d.min().unwrap(), d.max().unwrap());
+            for p in [0.0, 0.25, 0.5, 0.75, 1.0] {
+                let q = d.quantile(p).unwrap();
+                assert!(
+                    q.is_finite() && (min..=max).contains(&q),
+                    "δ = {delta}, n = {n}, p = {p}: {q}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::ci::{quantile_ci_ranks, ConfidenceInterval};
 use crate::error::{StatsError, StatsResult};
 use crate::outlier::TukeyFences;
 use crate::quantile::{quantile_sorted, FiveNumberSummary, QuantileMethod};
+use crate::sort::sorted_finite;
 use crate::validate_samples;
 
 /// A validated, ascending copy of a sample: sort once, query many times.
@@ -34,10 +35,11 @@ impl SortedSamples {
     }
 
     /// Sorts `xs` in place, avoiding the copy [`SortedSamples::new`] makes.
-    pub fn from_vec(mut xs: Vec<f64>) -> StatsResult<Self> {
+    pub fn from_vec(xs: Vec<f64>) -> StatsResult<Self> {
         validate_samples(&xs)?;
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("samples validated finite"));
-        Ok(Self { xs })
+        Ok(Self {
+            xs: sorted_finite(xs),
+        })
     }
 
     /// Wraps data that is already ascending; errors if it is not (or is
@@ -165,8 +167,7 @@ impl SortedSamples {
         if batch.iter().any(|x| !x.is_finite()) {
             return Err(StatsError::NonFiniteSample);
         }
-        let mut incoming = batch.to_vec();
-        incoming.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+        let incoming = sorted_finite(batch.to_vec());
         let mut merged = Vec::with_capacity(self.xs.len() + incoming.len());
         let (mut i, mut j) = (0usize, 0usize);
         while i < self.xs.len() && j < incoming.len() {

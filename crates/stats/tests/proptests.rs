@@ -170,7 +170,7 @@ proptest! {
 
     #[test]
     fn ranks_sum_invariant(xs in finite_samples()) {
-        let r = average_ranks(&xs);
+        let r = average_ranks(&xs).unwrap();
         let n = xs.len() as f64;
         let total: f64 = r.iter().sum();
         prop_assert!((total - n * (n + 1.0) / 2.0).abs() < 1e-6);

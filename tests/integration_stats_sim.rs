@@ -9,11 +9,15 @@ use scibench_sim::machine::MachineSpec;
 use scibench_sim::pingpong::{pingpong_latencies_us, PingPongConfig};
 use scibench_sim::rng::SimRng;
 use scibench_stats::ci::{mean_ci, median_ci};
-use scibench_stats::htest::{kruskal_wallis, one_way_anova};
+use scibench_stats::dist::{ChiSquared, ContinuousDistribution};
+use scibench_stats::htest::{kruskal_wallis, kruskal_wallis_sorted, one_way_anova, TestResult};
 use scibench_stats::normality::shapiro_wilk_thinned;
 use scibench_stats::outlier::tukey_filter;
 use scibench_stats::quantile::{quantile, QuantileMethod};
+use scibench_stats::rank::{average_ranks, tie_correction};
+use scibench_stats::sorted::SortedSamples;
 use scibench_stats::summary::{arithmetic_mean, coefficient_of_variation};
+use scibench_stats::{StatsError, StatsResult};
 
 fn dora_latencies(n: usize, seed: u64) -> Vec<f64> {
     let mut cfg = PingPongConfig::paper_64b(n);
@@ -83,6 +87,130 @@ fn kruskal_wallis_separates_systems_anova_ranks() {
     let dora2 = dora_latencies(5_000, 5);
     let kw_null = kruskal_wallis(&[&dora, &dora2]).unwrap();
     assert!(!kw_null.significant_at(0.01), "p = {}", kw_null.p_value);
+}
+
+/// Kruskal–Wallis in its pooled formulation: one mid-rank vector over all
+/// observations, each group's rank sum added up in f64 in input order, and
+/// the pooled tie correction. The merge-ranked test must match it bit for
+/// bit, errors included.
+fn pooled_kruskal_wallis(groups: &[&[f64]]) -> StatsResult<TestResult> {
+    if groups.len() < 2 {
+        return Err(StatsError::InvalidGroups(
+            "Kruskal-Wallis needs at least two groups",
+        ));
+    }
+    for g in groups {
+        if g.is_empty() {
+            return Err(StatsError::EmptySample);
+        }
+        if g.iter().any(|x| !x.is_finite()) {
+            return Err(StatsError::NonFiniteSample);
+        }
+    }
+    let all: Vec<f64> = groups.concat();
+    if all.len() < 3 {
+        return Err(StatsError::TooFewSamples {
+            required: 3,
+            actual: all.len(),
+        });
+    }
+    let ranks = average_ranks(&all)?;
+    let nf = all.len() as f64;
+    let mut h = 0.0;
+    let mut offset = 0;
+    for g in groups {
+        let rank_sum: f64 = ranks[offset..offset + g.len()].iter().sum();
+        h += rank_sum * rank_sum / g.len() as f64;
+        offset += g.len();
+    }
+    h = 12.0 / (nf * (nf + 1.0)) * h - 3.0 * (nf + 1.0);
+    let c = tie_correction(&all)?;
+    if c <= 0.0 {
+        return Err(StatsError::ZeroVariance);
+    }
+    h /= c;
+    let df = groups.len() as f64 - 1.0;
+    let p_value = (1.0 - ChiSquared::new(df)?.cdf(h)).clamp(0.0, 1.0);
+    Ok(TestResult {
+        statistic: h,
+        p_value,
+        df: (df, 0.0),
+    })
+}
+
+fn assert_matches_pooled(groups: &[&[f64]], case: &str) {
+    let bits = |r: StatsResult<TestResult>| {
+        r.map(|t| [t.statistic, t.p_value, t.df.0, t.df.1].map(f64::to_bits))
+    };
+    let want = bits(pooled_kruskal_wallis(groups));
+    assert_eq!(bits(kruskal_wallis(groups)), want, "{case}");
+    if let Ok(sorted) = groups
+        .iter()
+        .map(|g| SortedSamples::new(g))
+        .collect::<StatsResult<Vec<_>>>()
+    {
+        let refs: Vec<&SortedSamples> = sorted.iter().collect();
+        assert_eq!(bits(kruskal_wallis_sorted(&refs)), want, "{case} (sorted)");
+    }
+}
+
+#[test]
+fn kruskal_wallis_matches_the_pooled_ranks_bit_for_bit() {
+    let root = SimRng::new(0x4B57);
+    for k in 2..=5usize {
+        for trial in 0..40u64 {
+            let mut rng = root.fork_indexed("kw-groups", k as u64 * 1000 + trial);
+            let family = trial % 3;
+            let groups: Vec<Vec<f64>> = (0..k)
+                .map(|g| {
+                    let n = if trial < 3 { 1 + g } else { 1 + rng.index(200) };
+                    (0..n)
+                        .map(|_| match family {
+                            0 => rng.lognormal(g as f64 * 0.05, 0.5),
+                            // Integer draws: heavy ties within and across groups.
+                            1 => rng.index(6 + g) as f64,
+                            _ => [-0.0, 0.0, 1.0][rng.index(3)],
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[f64]> = groups.iter().map(Vec::as_slice).collect();
+            assert_matches_pooled(&refs, &format!("k = {k}, trial {trial}"));
+        }
+    }
+    // Two systems at 1e5 ping-pong latencies each.
+    let dora = dora_latencies(100_000, 21);
+    let mut cfg = PingPongConfig::paper_64b(100_000);
+    cfg.warmup_iterations = 0;
+    let pilatus = pingpong_latencies_us(&MachineSpec::pilatus(), &cfg, &mut SimRng::new(22));
+    assert_matches_pooled(&[&dora, &pilatus], "ping-pong");
+}
+
+#[test]
+fn kruskal_wallis_keeps_its_error_variants() {
+    let cases: [(&[&[f64]], StatsError); 5] = [
+        (
+            &[&[1.0, 2.0, 3.0]],
+            StatsError::InvalidGroups("Kruskal-Wallis needs at least two groups"),
+        ),
+        (
+            &[&[1.0], &[2.0]],
+            StatsError::TooFewSamples {
+                required: 3,
+                actual: 2,
+            },
+        ),
+        (&[&[1.0, 2.0], &[]], StatsError::EmptySample),
+        (
+            &[&[1.0, f64::NAN], &[2.0, 3.0]],
+            StatsError::NonFiniteSample,
+        ),
+        (&[&[0.0, -0.0], &[-0.0, 0.0]], StatsError::ZeroVariance),
+    ];
+    for (groups, want) in cases {
+        assert_eq!(kruskal_wallis(groups).unwrap_err(), want);
+        assert_matches_pooled(groups, &format!("{want:?}"));
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //!   before the time itself."
 //!
 //! Both return the *global* times at which each rank actually starts, so
-//! experiments (and the `ablation_sync` bench) can quantify the residual
+//! experiments (and the `ablation_sync` example) can quantify the residual
 //! skew of each scheme.
 
 use scibench_sim::alloc::Allocation;

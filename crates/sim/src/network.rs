@@ -120,8 +120,8 @@ impl<'m> NetworkModel<'m> {
         Ok(t)
     }
 
-    /// Noisy transfer time under an overridden noise profile (used by the
-    /// ablation benches to isolate noise sources).
+    /// Noisy transfer time under an overridden noise profile, to isolate
+    /// one noise source.
     pub fn transfer_with_noise_ns(
         &self,
         src: usize,

@@ -222,14 +222,14 @@ impl<'a> Parser<'a> {
                                         message: "truncated \\u escape".into(),
                                     }
                                 })?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| JsonError {
-                                offset: self.pos,
-                                message: "invalid \\u escape".into(),
-                            })?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
-                                offset: self.pos,
-                                message: "invalid \\u escape".into(),
-                            })?;
+                            // Four hex digits and nothing else: `from_str_radix`
+                            // would also take a leading `+`.
+                            let code = hex.iter().try_fold(0u32, |code, &b| {
+                                (b as char).to_digit(16).map(|d| code * 16 + d)
+                            });
+                            let Some(code) = code else {
+                                return self.err("invalid \\u escape");
+                            };
                             // Surrogates are not paired here; replace them.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
@@ -484,6 +484,81 @@ mod tests {
         ], 0..8)) {
             let s = parts.concat();
             prop_assert_eq!(parse(&format!("\"{}\"", json_escape(&s))), Ok(JsonValue::String(s)));
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u00e9\u00C9""#), string("\u{e9}\u{c9}"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u0x41""#] {
+            assert_eq!(parse(bad), err(2, "invalid \\u escape"), "{bad}");
+        }
+    }
+
+    /// A chrome trace and a JSONL trace in the shapes the exporters
+    /// write, with escapes and multi-byte characters in their strings.
+    const CHROME: &str = r#"[
+{"name":"task","cat":"pool","ts":1234.567,"pid":0,"tid":2,"ph":"X","dur":4.005,"args":{"index":7,"stolen":true}},
+{"name":"steal \"x\"\n","cat":"sched","ts":0.008,"pid":0,"tid":0,"ph":"i","s":"t","args":{"err":"a\\b \u00e9 é😀"}},
+{"name":"samples","cat":"campaign","ts":0.009,"pid":0,"tid":1,"ph":"C","args":{"value":12.5,"bad":"NaN","n":-3}}
+]
+"#;
+    const JSONL: &str = r#"{"cat":"pool","name":"task","t_ns":1234567,"lane":2,"seq":0,"kind":"span","dur_ns":4005,"args":{"index":7,"stolen":true}}
+{"cat":"sched","name":"steal \"x\"\n","t_ns":8,"lane":0,"seq":1,"kind":"instant","args":{"err":"a\\b \u00e9 é😀"}}
+{"cat":"campaign","name":"samples","t_ns":9,"lane":1,"seq":2,"kind":"counter","value":"NaN","args":{"n":-3e0}}
+"#;
+
+    /// Feeds `input` to the parser and both validators. None may panic,
+    /// and a parse error must point inside the input.
+    fn fuzz_case(input: &str, case: &str) {
+        let parsed = std::panic::catch_unwind(|| {
+            let _ = validate_chrome_trace(input);
+            let _ = validate_jsonl(input);
+            parse(input)
+        })
+        .unwrap_or_else(|_| panic!("{case} panicked on {input:?}"));
+        if let Err(e) = parsed {
+            assert!(e.offset <= input.len(), "{case}: {e} in {input:?}");
+        }
+    }
+
+    #[test]
+    fn fuzzed_traces_give_values_or_typed_errors() {
+        // splitmix64 from a fixed seed: every run sees the same cases.
+        let mut state = 0x5eed_0016_u64;
+        let mut below = |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        assert_eq!(validate_chrome_trace(CHROME), Ok(3));
+        assert_eq!(validate_jsonl(JSONL), Ok(3));
+        for (name, base) in [("chrome", CHROME), ("jsonl", JSONL)] {
+            for cut in (0..=base.len()).filter(|&i| base.is_char_boundary(i)) {
+                fuzz_case(&base[..cut], &format!("{name} cut at byte {cut}"));
+            }
+            for case in 0..500 {
+                let mut bytes = base.as_bytes().to_vec();
+                for _ in 0..1 + below(4) {
+                    let at = below(bytes.len());
+                    if bytes[at].is_ascii() {
+                        bytes[at] = below(128) as u8;
+                    }
+                }
+                let text = String::from_utf8(bytes).expect("ASCII replaced by ASCII");
+                fuzz_case(&text, &format!("{name} mutation {case}"));
+            }
+        }
+        let alphabet: Vec<char> = "{}[]\":,\\ \n019-+.eEuaflnrst\u{e9}\u{1f600}"
+            .chars()
+            .collect();
+        for case in 0..2_000 {
+            let text: String = (0..below(48))
+                .map(|_| alphabet[below(alphabet.len())])
+                .collect();
+            fuzz_case(&text, &format!("random string {case}"));
         }
     }
 

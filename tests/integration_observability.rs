@@ -64,7 +64,7 @@ proptest! {
             &CampaignConfig { seed, threads: 1 },
             measure,
         ).expect("untraced campaign");
-        for threads in [1usize, 2, 8] {
+        for threads in [1usize, 2, 4, 8] {
             let (result, trace) = traced(seed, sizes, samples, threads);
             prop_assert_eq!(
                 &result, &untraced,

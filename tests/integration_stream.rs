@@ -5,7 +5,8 @@
 //!
 //! * a ≥ 10⁶-sample-per-point campaign runs in streaming mode with
 //!   O(sketch) resident memory, and its quantiles stay within the
-//!   sketch's rank-error bound of the exact answer;
+//!   sketch's rank-error bound of the exact answer, both analytic and
+//!   from the vector campaign over the same draws;
 //! * the campaign's keyed partials are **bit-identical** across thread
 //!   counts {1, 2, 8} and shard partitions {1, 2, 4} — the disjoint key
 //!   union plus canonical ascending fold removes the schedule from the
@@ -22,7 +23,8 @@ use scibench::experiment::stream::{
     run_campaign_stream, run_campaign_stream_journaled_subset, run_stream,
 };
 use scibench::experiment::{
-    CampaignConfig, Design, Factor, JournalSpec, MeasurementPlan, RunPoint, StoppingRule,
+    run_campaign, CampaignConfig, Design, Factor, JournalSpec, MeasurementPlan, RunPoint,
+    StoppingRule,
 };
 use scibench::parallel::shard::{collect_stream_partials, shard_assignment, shard_journal_path};
 use scibench_sim::rng::SimRng;
@@ -100,6 +102,46 @@ fn million_sample_point_runs_in_bounded_memory() {
     }
     let mean = out.summary.mean().unwrap();
     assert!((mean - 1.1).abs() < 0.01, "mean {mean}");
+}
+
+/// The vector and streaming campaigns draw the same samples, so each
+/// promoted sketch's quantiles can be held against the exact ones: within
+/// 1% relative, and inside the exact quantiles at p ± 0.01.
+#[test]
+fn stream_campaign_quantiles_match_the_vector_campaign() {
+    let design = demo_design();
+    let plan = fixed_plan(50_000);
+    let config = CampaignConfig {
+        seed: 31,
+        threads: 4,
+    };
+    let vector = run_campaign(&design, &plan, &config, demo_measure).unwrap();
+    let stream = run_campaign_stream(
+        &design,
+        &plan,
+        &StreamConfig::default(),
+        &config,
+        demo_measure,
+    )
+    .unwrap();
+    assert_eq!((vector.runs.len(), stream.runs.len()), (4, 4));
+    for (vr, sr) in vector.runs.iter().zip(&stream.runs) {
+        assert_eq!(vr.point, sr.point);
+        let sketch = &sr.outcome.summary;
+        assert!(!sketch.is_exact(), "50k samples must promote");
+        let sorted = SortedSamples::new(&vr.outcome.samples).unwrap();
+        let exact = |p: f64| sorted.quantile(p, QuantileMethod::Interpolated).unwrap();
+        for p in [0.5, 0.9, 0.99] {
+            let (want, got) = (exact(p), sketch.quantile(p).unwrap());
+            let rel = (got - want).abs() / want.abs();
+            assert!(rel <= 0.01, "q{p} = {got} is {rel:.2e} off exact {want}");
+            let (lo, hi) = (exact(p - 0.01), exact(p + 0.01));
+            assert!(
+                lo <= got && got <= hi,
+                "q{p} = {got} outside the rank window [{lo}, {hi}]"
+            );
+        }
+    }
 }
 
 /// Unions shard partials in the given order: a disjoint-key union, so

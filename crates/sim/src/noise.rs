@@ -64,12 +64,37 @@ impl NoiseProfile {
         }
     }
 
-    /// Whether the profile produces any nondeterminism at all.
+    /// Whether the profile produces any nondeterminism at all: true
+    /// exactly when every mechanism is off, so that [`perturb`] returns
+    /// its base and draws no RNG word.
+    ///
+    /// [`perturb`]: Self::perturb
     pub fn is_quiet(&self) -> bool {
-        self.jitter_sigma == 0.0
-            && self.daemon_period_ns == 0.0
-            && self.congestion_prob == 0.0
-            && self.slow_path_prob == 0.0
+        !(self.jitter_on() || self.slow_path_on() || self.daemons_on() || self.congestion_on())
+    }
+
+    // One predicate per mechanism, shared by `is_quiet` and `perturb`. A
+    // mechanism is on only when its parameters are positive: zero,
+    // negative and NaN settings all switch it off.
+
+    #[inline]
+    fn jitter_on(&self) -> bool {
+        self.jitter_sigma > 0.0
+    }
+
+    #[inline]
+    fn slow_path_on(&self) -> bool {
+        self.slow_path_prob > 0.0
+    }
+
+    #[inline]
+    fn daemons_on(&self) -> bool {
+        self.daemon_period_ns > 0.0 && self.daemon_cost_ns > 0.0
+    }
+
+    #[inline]
+    fn congestion_on(&self) -> bool {
+        self.congestion_prob > 0.0
     }
 
     /// Perturbs a base duration of `base_ns`, returning the noisy duration.
@@ -84,24 +109,24 @@ impl NoiseProfile {
         let mut t = base_ns;
 
         // Baseline folded-lognormal jitter: factor exp(σ|z|) ≥ 1.
-        if self.jitter_sigma > 0.0 {
+        if self.jitter_on() {
             t *= (self.jitter_sigma * rng.std_normal().abs()).exp();
         }
 
         // Secondary (slow) path.
-        if self.slow_path_prob > 0.0 && rng.bernoulli(self.slow_path_prob) {
+        if self.slow_path_on() && rng.bernoulli(self.slow_path_prob) {
             t += self.slow_path_extra_ns;
         }
 
         // OS daemons: expected hits = duration / period, each adding cost.
-        if self.daemon_period_ns > 0.0 && self.daemon_cost_ns > 0.0 {
+        if self.daemons_on() {
             let expected_hits = t / self.daemon_period_ns;
             let hits = sample_poissonish(expected_hits, rng);
             t += hits as f64 * self.daemon_cost_ns;
         }
 
         // Rare heavy-tailed congestion.
-        if self.congestion_prob > 0.0 && rng.bernoulli(self.congestion_prob) {
+        if self.congestion_on() && rng.bernoulli(self.congestion_prob) {
             t += rng.pareto(self.congestion_scale_ns, self.congestion_shape);
         }
 
@@ -111,25 +136,44 @@ impl NoiseProfile {
 
 /// Samples an event count with the given mean.
 ///
-/// Exact Poisson via inversion for small means (the common case: an OS
-/// daemon rarely hits a microsecond-scale interval), normal approximation
-/// for large means (long compute phases).
+/// Exact Poisson via Knuth's product-of-uniforms inversion for small
+/// means (the common case: an OS daemon rarely hits a microsecond-scale
+/// interval), normal approximation for large means (long compute phases).
+///
+/// The first uniform `u` is drawn before `l = exp(-mean)` is computed,
+/// and the count is 0 at once when [`settles_at_zero`] holds, i.e. when
+/// `u < (1 - mean) - 2⁻⁴⁰`. This is exact, not an approximation. For
+/// every `m`, `e^(-m) ≥ 1 - m`. The threshold only fires for `0 < m < 1`.
+/// There the rounding of `1.0 - mean` and that of the subtraction each
+/// add at most 2⁻⁵⁴, and an `exp` within 2,000 ulps of `e^(-m)` is off by
+/// less than 2⁻⁴². The 2⁻⁴⁰ margin exceeds their sum, so such a `u`
+/// satisfies `u <= l`, and Knuth's loop would also stop at `k = 0` after
+/// this one draw. Otherwise Knuth's loop goes on from `p = u`, which
+/// equals its first product `1.0 * u`. Both paths draw the same RNG words
+/// in the same order and return the same count. The first uniform
+/// settles a share of about `1 - mean` of the calls without calling
+/// `exp`: over 99.7 % at the presets' means of at most ≈ 0.003 hits per
+/// message.
 #[inline]
 fn sample_poissonish(mean: f64, rng: &mut SimRng) -> u64 {
     if mean <= 0.0 {
         return 0;
     }
     if mean < 30.0 {
-        // Knuth inversion.
+        // Knuth inversion, its first draw taken before `exp`.
+        let u = rng.uniform();
+        if settles_at_zero(u, mean) {
+            return 0;
+        }
         let l = (-mean).exp();
         let mut k = 0u64;
-        let mut p = 1.0;
+        let mut p = u;
         loop {
-            p *= rng.uniform();
             if p <= l || k > 1000 {
                 return k;
             }
             k += 1;
+            p *= rng.uniform();
         }
     } else {
         let draw = rng.normal(mean, mean.sqrt());
@@ -137,9 +181,70 @@ fn sample_poissonish(mean: f64, rng: &mut SimRng) -> u64 {
     }
 }
 
+/// 2⁻⁴⁰: the margin of [`settles_at_zero`] below `1 - mean`.
+const SETTLE_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Whether the first uniform `u` of Knuth's loop settles a Poisson count
+/// of mean `mean` at 0: it implies `u <= exp(-mean)` without computing
+/// `exp` (proof at [`sample_poissonish`]).
+#[inline]
+fn settles_at_zero(u: f64, mean: f64) -> bool {
+    u < (1.0 - mean) - SETTLE_MARGIN
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineSpec;
+
+    /// `sample_poissonish` as it was before the first-uniform fast path:
+    /// the oracle the fast path must match bit for bit and word for word.
+    fn sample_poissonish_reference(mean: f64, rng: &mut SimRng) -> u64 {
+        if mean <= 0.0 {
+            return 0;
+        }
+        if mean < 30.0 {
+            // Knuth inversion.
+            let l = (-mean).exp();
+            let mut k = 0u64;
+            let mut p = 1.0;
+            loop {
+                p *= rng.uniform();
+                if p <= l || k > 1000 {
+                    return k;
+                }
+                k += 1;
+            }
+        } else {
+            let draw = rng.normal(mean, mean.sqrt());
+            draw.round().max(0.0) as u64
+        }
+    }
+
+    /// `perturb` as it was before the fast path, over the reference draw.
+    fn perturb_reference(p: &NoiseProfile, base_ns: f64, rng: &mut SimRng) -> f64 {
+        let mut t = base_ns;
+        if p.jitter_sigma > 0.0 {
+            t *= (p.jitter_sigma * rng.std_normal().abs()).exp();
+        }
+        if p.slow_path_prob > 0.0 && rng.bernoulli(p.slow_path_prob) {
+            t += p.slow_path_extra_ns;
+        }
+        if p.daemon_period_ns > 0.0 && p.daemon_cost_ns > 0.0 {
+            let expected_hits = t / p.daemon_period_ns;
+            let hits = sample_poissonish_reference(expected_hits, rng);
+            t += hits as f64 * p.daemon_cost_ns;
+        }
+        if p.congestion_prob > 0.0 && rng.bernoulli(p.congestion_prob) {
+            t += rng.pareto(p.congestion_scale_ns, p.congestion_shape);
+        }
+        t.max(base_ns)
+    }
+
+    /// The word a stream would draw next, without advancing it.
+    fn next_word(rng: &SimRng) -> u64 {
+        rng.clone().uniform().to_bits()
+    }
 
     fn profile() -> NoiseProfile {
         NoiseProfile {
@@ -241,6 +346,171 @@ mod tests {
         let mut rng = SimRng::new(6);
         for _ in 0..10_000 {
             assert!(p.perturb(1_000.0, &mut rng) >= 1_000.0);
+        }
+    }
+
+    #[test]
+    fn poissonish_matches_the_reference_draw_for_draw() {
+        let means = [
+            0.0,
+            -0.0,
+            5e-324,
+            1e-300,
+            1e-12,
+            1e-6,
+            2e-3,
+            0.1,
+            0.5,
+            1.0f64.next_down(),
+            1.0,
+            1.0f64.next_up(),
+            2.5,
+            30.0f64.next_down(),
+            30.0,
+            1e6,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for (i, &mean) in means.iter().enumerate() {
+            let mut fast = SimRng::new(1_000 + i as u64);
+            let mut reference = fast.clone();
+            for call in 0..2_000 {
+                let got = sample_poissonish(mean, &mut fast);
+                let want = sample_poissonish_reference(mean, &mut reference);
+                assert_eq!(got, want, "mean {mean:e}, call {call}");
+                assert_eq!(
+                    next_word(&fast),
+                    next_word(&reference),
+                    "mean {mean:e}, call {call}: the streams diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn perturb_matches_the_reference_draw_for_draw() {
+        let profiles = [
+            ("Piz Daint", MachineSpec::piz_daint().noise),
+            ("Piz Dora", MachineSpec::piz_dora().noise),
+            ("Pilatus", MachineSpec::pilatus().noise),
+            ("test_machine", MachineSpec::test_machine(4).noise),
+            (
+                "all on",
+                NoiseProfile {
+                    slow_path_prob: 0.3,
+                    slow_path_extra_ns: 700.0,
+                    ..profile()
+                },
+            ),
+        ];
+        let bases = [0.0, 5e-324, 1.5e3, 2.7e3, 1e6, 1e8, f64::MAX];
+        for (i, (name, p)) in profiles.iter().enumerate() {
+            for (j, &base) in bases.iter().enumerate() {
+                let mut fast = SimRng::new(100 * i as u64 + j as u64);
+                let mut reference = fast.clone();
+                for call in 0..2_000 {
+                    let got = p.perturb(base, &mut fast);
+                    let want = perturb_reference(p, base, &mut reference);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{name}, base {base:e}, call {call}: {got} vs {want}"
+                    );
+                    assert_eq!(
+                        next_word(&fast),
+                        next_word(&reference),
+                        "{name}, base {base:e}, call {call}: the streams diverged"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn settling_at_zero_implies_knuth_stops_at_zero() {
+        // A log grid of means from the smallest subnormal to 30.
+        let (lo, hi) = (5e-324f64.ln(), 30f64.ln());
+        let steps = 4_000;
+        let means = (0..=steps)
+            .map(|i| (lo + (hi - lo) * i as f64 / steps as f64).exp())
+            .chain([5e-324, 30.0]);
+        let mut settled = 0;
+        for mean in means {
+            let threshold = (1.0 - mean) - SETTLE_MARGIN;
+            let l = (-mean).exp();
+            let us = [
+                0.0,
+                threshold,
+                threshold.next_down(),
+                threshold.next_up(),
+                1.0 - f64::EPSILON / 2.0,
+            ];
+            for u in us {
+                if settles_at_zero(u, mean) {
+                    settled += 1;
+                    assert!(
+                        u <= l,
+                        "u {u:e} settles mean {mean:e} but exceeds exp(-mean) {l:e}"
+                    );
+                }
+            }
+            // The comparison is strict: the threshold itself goes to the loop.
+            assert!(!settles_at_zero(threshold, mean), "mean {mean:e}");
+            if threshold > 0.0 {
+                assert!(
+                    settles_at_zero(threshold.next_down(), mean),
+                    "mean {mean:e}"
+                );
+            }
+        }
+        assert!(
+            settled > 1_000,
+            "the grid must exercise the fast path: {settled}"
+        );
+    }
+
+    #[test]
+    fn is_quiet_exactly_when_perturb_is_identity_and_draws_nothing() {
+        // Every mechanism's parameters range over zero, signed zero,
+        // negative, NaN and positive settings. An infinite daemon period
+        // is left out: it counts as on, but it draws for infinite
+        // durations only.
+        type Field = fn(&mut NoiseProfile) -> &mut f64;
+        let fields: [(Field, &[f64]); 5] = [
+            (|p| &mut p.jitter_sigma, &[0.1, f64::INFINITY]),
+            (|p| &mut p.daemon_period_ns, &[1e4]),
+            (|p| &mut p.daemon_cost_ns, &[500.0, f64::INFINITY]),
+            (|p| &mut p.congestion_prob, &[0.02, f64::INFINITY]),
+            (|p| &mut p.slow_path_prob, &[0.02, f64::INFINITY]),
+        ];
+        let off = [0.0, -0.0, -1.0, f64::NAN, f64::NEG_INFINITY];
+        let mut grid = vec![NoiseProfile {
+            slow_path_extra_ns: 700.0,
+            congestion_scale_ns: 2_000.0,
+            ..NoiseProfile::quiet()
+        }];
+        for (field, on) in fields {
+            grid = grid
+                .iter()
+                .flat_map(|p| {
+                    off.iter().chain(on).map(move |&v| {
+                        let mut q = *p;
+                        *field(&mut q) = v;
+                        q
+                    })
+                })
+                .collect();
+        }
+        let mut rng = SimRng::new(17);
+        let quiet = grid.iter().filter(|p| p.is_quiet()).count();
+        assert!(quiet > 0 && quiet < grid.len(), "{quiet} of {}", grid.len());
+        for p in &grid {
+            for base in [1.5e3, 1e6] {
+                let before = next_word(&rng);
+                let t = p.perturb(base, &mut rng);
+                let identity = t.to_bits() == base.to_bits() && next_word(&rng) == before;
+                assert_eq!(p.is_quiet(), identity, "{p:?} at base {base}");
+            }
         }
     }
 }

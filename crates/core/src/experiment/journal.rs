@@ -42,7 +42,9 @@ use std::path::{Path, PathBuf};
 
 use scibench_sim::rng::{fnv1a, splitmix64, FNV_OFFSET};
 use scibench_trace::export::push_json_escaped;
-use scibench_trace::json::{parse as parse_json, JsonValue};
+#[cfg(test)]
+use scibench_trace::json::parse as parse_json;
+use scibench_trace::json::{JsonError, JsonReader, JsonValue};
 
 use super::design::{Design, RunPoint};
 use super::measurement::MeasurementOutcome;
@@ -301,7 +303,7 @@ fn unframe(line: &str) -> Result<&str, String> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON accessors (over the in-repo parser from scibench-trace).
+// Frame decoding (over the JSON reader from scibench-trace).
 // ---------------------------------------------------------------------------
 
 fn get_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
@@ -347,6 +349,7 @@ fn get_strings(v: &JsonValue, key: &str) -> Result<Vec<String>, String> {
         .collect()
 }
 
+#[cfg(test)]
 fn get_f64_bits_vec(v: &JsonValue, key: &str) -> Result<Vec<f64>, String> {
     let arr = v
         .get(key)
@@ -362,6 +365,186 @@ fn get_f64_bits_vec(v: &JsonValue, key: &str) -> Result<Vec<f64>, String> {
                 .map_err(|_| format!("bad bit pattern in \"{key}\""))
         })
         .collect()
+}
+
+/// Hex digit values by byte, and `0xFF` for every byte that is none.
+const NIBBLES: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut b = 0;
+    while b < 256 {
+        if let Some(d) = (b as u8 as char).to_digit(16) {
+            table[b] = d as u8;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// `u64::from_str_radix(s, 16)`. Sixteen hex digits, the form format 1
+/// writes, are decoded through [`NIBBLES`] with no branch per digit; any
+/// other string takes the library path.
+fn hex_u64(s: &str) -> Option<u64> {
+    if let Ok(digits) = <&[u8; 16]>::try_from(s.as_bytes()) {
+        let (bits, seen) = digits.iter().fold((0u64, 0u8), |(bits, seen), &b| {
+            let nibble = NIBBLES[usize::from(b)];
+            (bits << 4 | u64::from(nibble & 0xF), seen | nibble)
+        });
+        if seen <= 0xF {
+            return Some(bits);
+        }
+    }
+    u64::from_str_radix(s, 16).ok()
+}
+
+/// Reads an object, handing the first occurrence of each key in `keys`
+/// to `field`. Later duplicates and every other key are checked and
+/// skipped, so the fields read are those [`JsonValue::get`] finds in the
+/// object's tree.
+fn read_fields<'a, const N: usize>(
+    r: &mut JsonReader<'a>,
+    keys: &[&'static str; N],
+    mut field: impl FnMut(&mut JsonReader<'a>, &'static str) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    let mut seen = [false; N];
+    r.object(|r, key| match keys.iter().position(|k| *k == key) {
+        Some(i) if !seen[i] => {
+            seen[i] = true;
+            field(r, keys[i])
+        }
+        _ => r.skip(),
+    })
+}
+
+/// Reads `warmup` or `samples`, an array of quoted bit patterns, straight
+/// into `f64`s. A value that is not such an array is still read through,
+/// and becomes the error a point frame reports.
+fn decode_samples(
+    r: &mut JsonReader<'_>,
+    key: &str,
+) -> Result<Result<Vec<f64>, String>, JsonError> {
+    if r.peek() != Some(b'[') {
+        r.skip()?;
+        return Ok(Err(format!("missing or non-array \"{key}\"")));
+    }
+    let (mut samples, mut valid) = (Vec::new(), true);
+    r.array(|r| {
+        let bits = match r.fixed_string::<16>() {
+            Some(digits) => hex_u64(digits),
+            None if r.peek() == Some(b'"') => hex_u64(&r.string()?),
+            None => {
+                r.skip()?;
+                None
+            }
+        };
+        match bits {
+            Some(bits) => samples.push(f64::from_bits(bits)),
+            None => valid = false,
+        }
+        Ok(())
+    })?;
+    Ok(if valid {
+        Ok(samples)
+    } else {
+        Err(format!("bad bit pattern in \"{key}\""))
+    })
+}
+
+/// Reads an `outcome` value: `null` is no outcome, and an object is
+/// decoded with its sample arrays going straight into `f64`s. Any other
+/// value is read through and becomes the error a point frame reports.
+fn decode_outcome(
+    r: &mut JsonReader<'_>,
+) -> Result<Result<Option<MeasurementOutcome>, String>, JsonError> {
+    if r.peek() != Some(b'{') {
+        return Ok(match r.value()? {
+            JsonValue::Null => Ok(None),
+            _ => Err("non-object \"outcome\"".into()),
+        });
+    }
+    let mut fields = Vec::new();
+    let mut warmup = Err("missing \"warmup\"".to_string());
+    let mut samples = Err("missing \"samples\"".to_string());
+    read_fields(r, &["name", "converged", "warmup", "samples"], |r, key| {
+        match key {
+            "warmup" => warmup = decode_samples(r, key)?,
+            "samples" => samples = decode_samples(r, key)?,
+            _ => fields.push((key.to_owned(), r.value()?)),
+        }
+        Ok(())
+    })?;
+    let fields = JsonValue::Object(fields);
+    Ok((|| {
+        Ok(Some(MeasurementOutcome {
+            name: get_str(&fields, "name")?.to_owned(),
+            converged: get_bool(&fields, "converged")?,
+            warmup_samples: warmup?,
+            samples: samples?,
+        }))
+    })())
+}
+
+/// What one valid frame says.
+enum Frame {
+    Header(JournalMeta),
+    Begin(usize, JournalKey),
+    Point(PointRecord),
+}
+
+/// The top-level keys some frame kind reads.
+const FRAME_KEYS: [&str; 14] = [
+    "kind",
+    "format",
+    "code_version",
+    "config",
+    "seed",
+    "design",
+    "idx",
+    "key",
+    "levels",
+    "fate",
+    "panics",
+    "outcome",
+    "notes",
+    "sketch",
+];
+
+/// Decodes one frame payload in a single pass. The JSON is checked byte
+/// for byte as [`scibench_trace::json::parse`] checks it, but the sample
+/// arrays never become a tree: only the small fields come out as
+/// [`JsonValue`]s, which the accessors read as they would in the tree of
+/// the whole frame. A field of the wrong type fails the frame only if
+/// the frame's kind reads it.
+fn decode_frame(payload: &str) -> Result<Frame, String> {
+    let mut r = JsonReader::new(payload);
+    let mut fields = Vec::new();
+    let mut outcome = Ok(None);
+    read_fields(&mut r, &FRAME_KEYS, |r, key| {
+        if key == "outcome" {
+            outcome = decode_outcome(r)?;
+        } else {
+            fields.push((key.to_owned(), r.value()?));
+        }
+        Ok(())
+    })
+    .and_then(|()| r.finish())
+    .map_err(|e| format!("bad JSON: {e}"))?;
+    frame_of_kind(&JsonValue::Object(fields), |v| {
+        PointRecord::from_fields(v, outcome)
+    })
+}
+
+/// Reads the frame's `kind` and converts the fields that kind reads from
+/// `v`, the frame's top-level fields; `point` converts a point frame.
+fn frame_of_kind(
+    v: &JsonValue,
+    point: impl FnOnce(&JsonValue) -> Result<PointRecord, String>,
+) -> Result<Frame, String> {
+    Ok(match get_str(v, "kind")? {
+        "header" => Frame::Header(header_from_json(v)?),
+        "begin" => Frame::Begin(get_usize(v, "idx")?, JournalKey(get_hex64(v, "key")?)),
+        "point" => Frame::Point(point(v)?),
+        other => return Err(format!("unknown frame kind \"{other}\"")),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -500,7 +683,12 @@ impl PointRecord {
         out
     }
 
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
+    /// Converts a point frame: `v` holds its top-level fields, and
+    /// `outcome` is its `outcome` field, decoded.
+    fn from_fields(
+        v: &JsonValue,
+        outcome: Result<Option<MeasurementOutcome>, String>,
+    ) -> Result<Self, String> {
         let fate_v = v.get("fate").ok_or("missing \"fate\"")?;
         let attempts = get_usize(fate_v, "attempts")?;
         let fate = match get_str(fate_v, "kind")? {
@@ -518,6 +706,26 @@ impl PointRecord {
             },
             other => return Err(format!("unknown fate kind \"{other}\"")),
         };
+        Ok(Self {
+            index: get_usize(v, "idx")?,
+            key: JournalKey(get_hex64(v, "key")?),
+            levels: get_strings(v, "levels")?,
+            fate,
+            panics_contained: get_usize(v, "panics")?,
+            outcome: outcome?,
+            notes: get_strings(v, "notes").unwrap_or_default(),
+            sketch: match v.get("sketch") {
+                Some(JsonValue::Null) | None => None,
+                Some(_) => Some(get_str(v, "sketch")?.to_owned()),
+            },
+        })
+    }
+
+    /// The tree decode of a point frame, the oracle of [`decode_frame`]:
+    /// `outcome` and its sample arrays are read from `v`, the frame's
+    /// whole tree.
+    #[cfg(test)]
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
         let outcome = match v.get("outcome") {
             Some(JsonValue::Null) | None => None,
             Some(o) => Some(MeasurementOutcome {
@@ -527,20 +735,16 @@ impl PointRecord {
                 samples: get_f64_bits_vec(o, "samples")?,
             }),
         };
-        Ok(Self {
-            index: get_usize(v, "idx")?,
-            key: JournalKey(get_hex64(v, "key")?),
-            levels: get_strings(v, "levels")?,
-            fate,
-            panics_contained: get_usize(v, "panics")?,
-            outcome,
-            notes: get_strings(v, "notes").unwrap_or_default(),
-            sketch: match v.get("sketch") {
-                Some(JsonValue::Null) | None => None,
-                Some(_) => Some(get_str(v, "sketch")?.to_owned()),
-            },
-        })
+        Self::from_fields(v, Ok(outcome))
     }
+}
+
+/// The tree decode of a frame, the oracle of [`decode_frame`]: the
+/// payload is parsed into one [`JsonValue`] first.
+#[cfg(test)]
+fn decode_frame_tree(payload: &str) -> Result<Frame, String> {
+    let v = parse_json(payload).map_err(|e| format!("bad JSON: {e}"))?;
+    frame_of_kind(&v, PointRecord::from_json)
 }
 
 fn header_json(meta: &JournalMeta) -> String {
@@ -561,7 +765,8 @@ fn header_json(meta: &JournalMeta) -> String {
 
 fn header_from_json(v: &JsonValue) -> Result<JournalMeta, String> {
     Ok(JournalMeta {
-        format: get_usize(v, "format")? as u32,
+        format: u32::try_from(get_usize(v, "format")?)
+            .map_err(|_| "\"format\" does not fit in u32".to_string())?,
         code_version: get_str(v, "code_version")?.to_owned(),
         config_fingerprint: get_str(v, "config")?.to_owned(),
         seed: get_hex64(v, "seed")?,
@@ -636,6 +841,15 @@ impl Journal {
     }
 
     fn parse(bytes: &[u8]) -> Result<JournalSnapshot, JournalError> {
+        Self::parse_with(bytes, decode_frame)
+    }
+
+    /// [`Journal::parse`] with the frame decoder given, so that tests can
+    /// run the tree oracle through the same framing.
+    fn parse_with(
+        bytes: &[u8],
+        decode: impl Fn(&str) -> Result<Frame, String>,
+    ) -> Result<JournalSnapshot, JournalError> {
         let mut snap = JournalSnapshot::default();
         // Split into newline-terminated lines; an unterminated tail is a
         // torn write by definition (every append ends with '\n').
@@ -651,12 +865,21 @@ impl Journal {
 
         for (lineno, (offset, raw)) in lines.iter().enumerate() {
             let last = lineno + 1 == lines.len() && !unterminated_tail;
-            let parsed: Result<JsonValue, String> = std::str::from_utf8(raw)
+            let frame = std::str::from_utf8(raw)
                 .map_err(|_| "invalid utf-8".to_string())
                 .and_then(unframe)
-                .and_then(|payload| parse_json(payload).map_err(|e| format!("bad JSON: {e}")));
-            let value = match parsed {
-                Ok(v) => v,
+                .and_then(&decode)
+                .and_then(|frame| match frame {
+                    Frame::Header(_) if lineno != 0 => Err("header frame not first".to_string()),
+                    frame => Ok(frame),
+                });
+            match frame {
+                Ok(Frame::Header(meta)) => snap.meta = Some(meta),
+                Ok(Frame::Begin(idx, key)) => snap.dangling_begins.push((idx, key)),
+                Ok(Frame::Point(rec)) => {
+                    snap.dangling_begins.retain(|(_, k)| *k != rec.key);
+                    snap.records.insert(rec.key, rec);
+                }
                 Err(_) if last => {
                     // Torn trailing record: truncate-and-continue.
                     snap.torn = true;
@@ -669,50 +892,12 @@ impl Journal {
                         reason,
                     });
                 }
-            };
-            let classify: Result<(), String> = (|| {
-                let kind = get_str(&value, "kind")?;
-                match kind {
-                    "header" => {
-                        if lineno != 0 {
-                            return Err("header frame not first".into());
-                        }
-                        snap.meta = Some(header_from_json(&value)?);
-                    }
-                    "begin" => {
-                        let idx = get_usize(&value, "idx")?;
-                        let key = JournalKey(get_hex64(&value, "key")?);
-                        snap.dangling_begins.push((idx, key));
-                    }
-                    "point" => {
-                        let rec = PointRecord::from_json(&value)?;
-                        snap.dangling_begins.retain(|(_, k)| *k != rec.key);
-                        snap.records.insert(rec.key, rec);
-                    }
-                    other => return Err(format!("unknown frame kind \"{other}\"")),
-                }
-                Ok(())
-            })();
-            match classify {
-                Ok(()) => {
-                    if lineno == 0 && snap.meta.is_none() {
-                        return Err(JournalError::MissingHeader);
-                    }
-                    snap.frames += 1;
-                    snap.valid_len = (*offset + raw.len() + 1) as u64;
-                }
-                Err(_) if last => {
-                    snap.torn = true;
-                    snap.valid_len = *offset as u64;
-                    return Ok(snap);
-                }
-                Err(reason) => {
-                    return Err(JournalError::CorruptFrame {
-                        line: lineno + 1,
-                        reason,
-                    });
-                }
             }
+            if lineno == 0 && snap.meta.is_none() {
+                return Err(JournalError::MissingHeader);
+            }
+            snap.frames += 1;
+            snap.valid_len = (*offset + raw.len() + 1) as u64;
         }
         if unterminated_tail {
             snap.torn = true;
@@ -857,6 +1042,8 @@ mod tests {
     use crate::experiment::design::Factor;
     use proptest::prelude::*;
     use scibench_sim::rng::SimRng;
+    use scibench_trace::json::MAX_DEPTH;
+    use std::collections::BTreeMap;
     use std::fs;
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -1082,17 +1269,69 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
         line
     }
 
-    /// Parses one fuzz case, naming it if the parser panics, and checks
-    /// that whatever it accepted re-encodes stably.
+    /// Decodes a point payload with the one-pass decoder, and checks that
+    /// the tree oracle decodes it to the same record.
+    fn decode_point(json: &str) -> PointRecord {
+        let Ok(Frame::Point(rec)) = decode_frame(json) else {
+            panic!("{json} does not decode");
+        };
+        let oracle = PointRecord::from_json(&parse_json(json).unwrap()).unwrap();
+        assert_eq!(rec.to_json(), oracle.to_json());
+        rec
+    }
+
+    /// A parse result in the terms two decoders must agree on: every
+    /// snapshot field, with each record as its encoding (`==` fails on
+    /// NaN), or the error's variant and line. A `CorruptFrame` reason is
+    /// left out: it names the first fault found, which depends on the
+    /// order the decoder reads fields in.
+    type Agreed = Result<
+        (
+            Option<JournalMeta>,
+            usize,
+            u64,
+            bool,
+            Vec<(usize, JournalKey)>,
+            BTreeMap<JournalKey, String>,
+        ),
+        String,
+    >;
+
+    fn agreed(result: &Result<JournalSnapshot, JournalError>) -> Agreed {
+        match result {
+            Ok(snap) => Ok((
+                snap.meta.clone(),
+                snap.frames,
+                snap.valid_len,
+                snap.torn,
+                snap.dangling_begins.clone(),
+                snap.records
+                    .iter()
+                    .map(|(k, r)| (*k, r.to_json()))
+                    .collect(),
+            )),
+            Err(JournalError::CorruptFrame { line, .. }) => Err(format!("corrupt frame {line}")),
+            Err(e) => Err(format!("{e:?}")),
+        }
+    }
+
+    /// Parses one fuzz case with the one-pass decoder and with the tree
+    /// oracle, naming the case if either panics. The two must agree, and
+    /// whatever they accepted must re-encode stably.
     fn parse_case(bytes: &[u8], case: &str) -> Result<JournalSnapshot, JournalError> {
-        let result = std::panic::catch_unwind(|| Journal::parse(bytes))
-            .unwrap_or_else(|_| panic!("Journal::parse panicked on {case}"));
+        let (result, oracle) = std::panic::catch_unwind(|| {
+            (
+                Journal::parse(bytes),
+                Journal::parse_with(bytes, decode_frame_tree),
+            )
+        })
+        .unwrap_or_else(|_| panic!("Journal::parse panicked on {case}"));
+        assert_eq!(agreed(&result), agreed(&oracle), "{case}");
         if let Ok(snap) = &result {
             assert!(snap.valid_len <= bytes.len() as u64, "{case}");
             for rec in snap.records.values() {
                 let json = rec.to_json();
-                let again = PointRecord::from_json(&parse_json(&json).unwrap()).unwrap();
-                assert_eq!(again.to_json(), json, "{case}");
+                assert_eq!(decode_point(&json).to_json(), json, "{case}");
             }
         }
         result
@@ -1117,38 +1356,64 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
         }
     }
 
+    /// Flips each payload bit of the frame at `target`, one at a time
+    /// behind a recomputed CRC, and parses the journal `base` makes with
+    /// it; returns how many cases were accepted and how many refused.
+    fn flip_each_bit(base: &[&str], target: usize) -> (usize, usize) {
+        let (mut accepted, mut refused) = (0usize, 0usize);
+        let payload = &base[target].as_bytes()[9..];
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let flipped = framed(&flipped);
+            let frames: Vec<&[u8]> = base
+                .iter()
+                .enumerate()
+                .map(|(i, l)| {
+                    if i == target {
+                        &flipped[..]
+                    } else {
+                        l.as_bytes()
+                    }
+                })
+                .collect();
+            let case = format!("frame {target}, payload bit {bit} flipped");
+            match parse_case(&join_frames(&frames), &case) {
+                Ok(_) => accepted += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        (accepted, refused)
+    }
+
     #[test]
     fn fuzz_bit_flips_behind_a_recomputed_crc_are_ok_or_typed_errors() {
         let base = fuzz_base();
         let (mut accepted, mut refused) = (0usize, 0usize);
-        for (target, line) in base.iter().enumerate() {
-            let payload = &line.as_bytes()[9..];
-            for bit in 0..payload.len() * 8 {
-                let mut flipped = payload.to_vec();
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                let flipped = framed(&flipped);
-                let frames: Vec<&[u8]> = base
-                    .iter()
-                    .enumerate()
-                    .map(|(i, l)| {
-                        if i == target {
-                            &flipped[..]
-                        } else {
-                            l.as_bytes()
-                        }
-                    })
-                    .collect();
-                let case = format!("frame {target}, payload bit {bit} flipped");
-                match parse_case(&join_frames(&frames), &case) {
-                    Ok(_) => accepted += 1,
-                    Err(_) => refused += 1,
-                }
-            }
+        for target in 0..base.len() {
+            let (a, r) = flip_each_bit(&base, target);
+            accepted += a;
+            refused += r;
         }
         // The flips reach both outcomes: the parser accepts some (a flip
         // inside a sample's hex digit) and refuses others.
         assert!(
             accepted > 0 && refused > 0,
+            "{accepted} accepted, {refused} refused"
+        );
+        // A point frame with 64 samples, so that most flips land in a bit
+        // pattern: a digit flipped to another digit or to its uppercase
+        // form stays on the nibble table, any other byte sends the
+        // pattern to the `from_str_radix` fallback. A frame follows it, so
+        // that a refused flip is an error rather than a torn tail.
+        let mut wide = pinned_records().remove(0);
+        if let Some(outcome) = wide.outcome.as_mut() {
+            outcome.samples = (0..64).map(|i| f64::from_bits(splitmix64(i))).collect();
+        }
+        let wide = frame_line(&wide.to_json());
+        let (accepted, refused) = flip_each_bit(&[base[0], wide.trim_end(), base[1]], 1);
+        assert!(
+            accepted > 64 * 16 && refused > 64 * 16,
             "{accepted} accepted, {refused} refused"
         );
     }
@@ -1203,6 +1468,179 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
         }
     }
 
+    /// A point payload with `fields` spliced in after `"kind":"point",`.
+    fn point_with(fields: &str) -> String {
+        format!(
+            r#"{{"kind":"point",{fields}"idx":5,"key":"0123456789abcdef","levels":["a","8"],"fate":{{"kind":"completed","attempts":2,"dropped":1}},"panics":1,"outcome":{{"name":"n","converged":true,"warmup":[],"samples":["3ff0000000000000"]}},"notes":[]}}"#
+        )
+    }
+
+    /// A point payload whose only sample is the JSON value `sample`.
+    fn sample(sample: &str) -> String {
+        point_with(&format!(
+            r#""outcome":{{"name":"n","converged":true,"warmup":[],"samples":[{sample}]}},"#
+        ))
+    }
+
+    /// A begin payload with `fields` spliced in before its end.
+    fn begin_with(fields: &str) -> String {
+        format!(r#"{{"kind":"begin","idx":1,"key":"0000000000000001"{fields}}}"#)
+    }
+
+    #[test]
+    fn hand_written_frames_decode_as_the_tree_does() {
+        let nest = |n: usize| begin_with(&format!(",\"x\":{}{}", "[".repeat(n), "]".repeat(n)));
+        let cases: Vec<(&str, String, bool)> = vec![
+            ("canonical point", point_with(""), true),
+            (
+                "kind last, whitespace everywhere",
+                " {\t\"idx\" : 5 ,\"key\":\"0123456789abcdef\" , \"levels\" : [ \"a\" , \"8\" ] , \
+                 \"fate\" : { \"attempts\" : 2 , \"dropped\" : 1 , \"kind\" : \"completed\" } , \
+                 \"panics\":1 , \"outcome\" : { \"samples\" : [ \"3ff0000000000000\" , \
+                 \"4000000000000000\" ] , \"warmup\" : [ ] , \"converged\" : true , \"name\" : \"n\" } , \
+                 \"notes\" : [ ] , \"kind\" : \"point\" }\r "
+                    .into(),
+                true,
+            ),
+            // The first occurrence of a key wins; later ones are only checked.
+            (
+                "later duplicates of every key",
+                point_with("").replace(
+                    r#""notes":[]}"#,
+                    r#""notes":[],"kind":"begin","idx":"x","key":5,"levels":5,"fate":5,"panics":-1,"outcome":5,"notes":[1]}"#,
+                ),
+                true,
+            ),
+            (
+                "an earlier bad duplicate wins",
+                point_with(r#""outcome":5,"#),
+                false,
+            ),
+            (
+                "duplicate keys in fate",
+                point_with(
+                    r#""fate":{"kind":"completed","attempts":2,"dropped":1,"kind":"bogus","attempts":"x"},"#,
+                ),
+                true,
+            ),
+            (
+                "duplicate keys in outcome",
+                point_with(
+                    r#""outcome":{"name":"n","converged":true,"warmup":[],"samples":["3ff0000000000000"],"samples":[1],"name":5,"warmup":{}},"#,
+                ),
+                true,
+            ),
+            (
+                "escaped key",
+                point_with(
+                    r#""outcome":{"name":"n","converged":true,"warmup":[],"s\u0061mples":["4000000000000000"]},"#,
+                ),
+                true,
+            ),
+            ("uppercase pattern", sample(r#""3FF0000000000000""#), true),
+            ("short pattern", sample(r#""1""#), true),
+            // 16 bytes after the first quote end at a quote, but span two
+            // strings: the fixed-width path must not take them as one.
+            ("two short patterns", sample(r#""1","0123456789ab""#), true),
+            ("plus-prefixed pattern", sample(r#""+3ff0000000000000""#), true),
+            ("plus-prefixed short pattern", sample(r#""+3ff000000000000""#), true),
+            ("zero-padded pattern", sample(r#""00003ff0000000000000""#), true),
+            ("escaped digit", sample(r#""\u0033ff0000000000000""#), true),
+            ("overflowing pattern", sample(r#""13ff0000000000000""#), false),
+            ("empty pattern", sample(r#""""#), false),
+            ("negative pattern", sample(r#""-1""#), false),
+            ("non-hex digit", sample(r#""3ff000000000000g""#), false),
+            ("multi-byte char", sample("\"3ff00000000000\u{e9}\""), false),
+            ("number for a pattern", sample("1"), false),
+            ("null outcome", point_with(r#""outcome":null,"#), true),
+            (
+                "absent outcome",
+                point_with("").replace(
+                    r#""outcome":{"name":"n","converged":true,"warmup":[],"samples":["3ff0000000000000"]},"#,
+                    "",
+                ),
+                true,
+            ),
+            ("numeric outcome", point_with(r#""outcome":1,"#), false),
+            ("outcome without samples", point_with(r#""outcome":{"name":"n","converged":true,"warmup":[]},"#), false),
+            ("malformed notes", point_with(r#""notes":5,"#), true),
+            ("notes with a number", point_with(r#""notes":["a",1],"#), true),
+            ("null sketch", point_with(r#""sketch":null,"#), true),
+            ("numeric sketch", point_with(r#""sketch":5,"#), false),
+            (
+                "begin with malformed samples",
+                begin_with(
+                    r#","outcome":{"samples":[1,"zz"],"warmup":5},"samples":["zz"],"fate":5"#,
+                ),
+                true,
+            ),
+            ("begin with a bad idx", begin_with(r#","idx":"x""#).replacen(r#""idx":1,"#, "", 1), false),
+            ("127 levels inside an ignored field", nest(MAX_DEPTH - 1), true),
+            ("128 levels inside an ignored field", nest(MAX_DEPTH), false),
+            ("129 levels inside an ignored field", nest(MAX_DEPTH + 1), false),
+            ("unknown kind", point_with("").replacen("point", "pont", 1), false),
+            ("numeric kind", point_with("").replacen(r#""point""#, "1", 1), false),
+            ("no kind", point_with("").replacen(r#""kind":"point","#, "", 1), false),
+            ("trailing garbage", point_with("") + "]", false),
+            ("an array", format!("[{}]", point_with("")), false),
+        ];
+        let header = PINNED_JOURNAL.lines().next().unwrap();
+        let begin = PINNED_JOURNAL.lines().nth(1).unwrap();
+        for (case, payload, accepted) in &cases {
+            assert_eq!(
+                decode_frame(payload).is_ok(),
+                *accepted,
+                "{case}: {payload}"
+            );
+            assert_eq!(
+                decode_frame_tree(payload).is_ok(),
+                *accepted,
+                "{case}: {payload}"
+            );
+            let frame = framed(payload.as_bytes());
+            // In the middle of a journal, and as its torn tail.
+            let middle = join_frames(&[header.as_bytes(), &frame, begin.as_bytes()]);
+            let result = parse_case(&middle, case);
+            assert_eq!(result.is_ok(), *accepted, "{case}");
+            let tail = join_frames(&[header.as_bytes(), &frame]);
+            let snap = parse_case(&tail, case).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(snap.torn, !*accepted, "{case}");
+        }
+    }
+
+    #[test]
+    fn header_format_beyond_u32_is_refused() {
+        // 2^32 + 1 used to wrap to format 1.
+        let header = format!(
+            r#"{{"kind":"header","format":{},"code_version":"test-v1","config":"machine=demo","seed":"000000000000002a","design":"281c6c241525e9ce"}}"#,
+            (1u64 << 32) + 1
+        );
+        let begin = PINNED_JOURNAL.lines().nth(1).unwrap();
+        let journal = join_frames(&[&framed(header.as_bytes()), begin.as_bytes()]);
+        assert!(matches!(
+            parse_case(&journal, "format 2^32 + 1"),
+            Err(JournalError::CorruptFrame { line: 1, .. })
+        ));
+        let path = tmp_path("format-wrap");
+        fs::write(&path, &journal).unwrap();
+        assert!(matches!(
+            Journal::open_resume(&path, &demo_meta()),
+            Err(JournalError::CorruptFrame { line: 1, .. })
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn nibble_table_decodes_as_from_str_radix(
+            digits in prop::collection::vec(0usize..24, 14..=18)
+        ) {
+            const CHARS: &[u8; 24] = b"0123456789abcdefABCDEFg+";
+            let s: String = digits.iter().map(|&i| char::from(CHARS[i])).collect();
+            prop_assert_eq!(hex_u64(&s), u64::from_str_radix(&s, 16).ok(), "{}", s);
+        }
+    }
+
     #[test]
     fn keys_are_stable_and_sensitive() {
         let meta = demo_meta();
@@ -1226,7 +1664,7 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
         let run = demo_run(true);
         let rec = PointRecord::from_run(3, JournalKey(0xdead_beef), &run);
         let json = rec.to_json();
-        let parsed = PointRecord::from_json(&parse_json(&json).unwrap()).unwrap();
+        let parsed = decode_point(&json);
         assert_eq!(parsed.index, 3);
         assert_eq!(parsed.key, JournalKey(0xdead_beef));
         assert_eq!(parsed.fate, rec.fate);
@@ -1264,7 +1702,7 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
                 notes: vec!["note one".into()],
                 sketch: None,
             };
-            let parsed = PointRecord::from_json(&parse_json(&rec.to_json()).unwrap()).unwrap();
+            let parsed = decode_point(&rec.to_json());
             assert_eq!(parsed.fate, fate);
             assert!(parsed.outcome.is_none());
             assert_eq!(parsed.notes, vec!["note one".to_string()]);
@@ -1293,14 +1731,14 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
             notes: Vec::new(),
             sketch: Some(wire.to_owned()),
         };
-        let parsed = PointRecord::from_json(&parse_json(&rec.to_json()).unwrap()).unwrap();
+        let parsed = decode_point(&rec.to_json());
         assert_eq!(parsed.sketch.as_deref(), Some(wire));
         assert_eq!(parsed.to_json(), rec.to_json());
         // Pre-sketch-era JSON (no "sketch" key) parses as None.
         let legacy = rec
             .to_json()
             .replace(&format!(",\"sketch\":\"{wire}\""), "");
-        let parsed = PointRecord::from_json(&parse_json(&legacy).unwrap()).unwrap();
+        let parsed = decode_point(&legacy);
         assert!(parsed.sketch.is_none());
     }
 

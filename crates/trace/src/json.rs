@@ -1,13 +1,23 @@
-//! Minimal JSON parser and trace schema validators.
+//! Minimal JSON reader, parser and trace schema validators.
 //!
 //! The workspace vendors no JSON library, so the schema check CI runs
 //! against emitted traces is implemented here: a small recursive-descent
-//! parser (objects, arrays, strings with escapes, numbers, literals)
+//! grammar (objects, arrays, strings with escapes, numbers, literals)
 //! plus validators that enforce the chrome://tracing and JSONL event
-//! shapes this crate exports. Parsing is linear in the input length, and
+//! shapes this crate exports. Reading is linear in the input length, and
 //! nesting is capped at [`MAX_DEPTH`] so hostile input cannot exhaust
 //! the stack.
+//!
+//! The grammar lives in one place, [`JsonReader`], a pull reader. It
+//! hands out a document's values one at a time: an object's fields and an
+//! array's elements through callbacks, strings borrowed from the input
+//! unless they hold an escape, and small values as [`JsonValue`]s.
+//! [`JsonReader::skip`] checks a value without building it. [`parse`] is
+//! the reader's `value` followed by `finish`, and the validators run on
+//! its tree. The campaign journal decodes its frames through the reader,
+//! so sample arrays go straight into numbers without a tree.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Deepest array/object nesting [`parse`] accepts; one level more is a
@@ -84,14 +94,37 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
+/// A pull reader over one JSON document: the grammar behind [`parse`],
+/// for callers that want a document's values without its tree.
+///
+/// Each read starts at the next value, after any whitespace, and
+/// consumes exactly that value. [`object`](Self::object) and
+/// [`array`](Self::array) hand each member to a callback, which must
+/// read it with one of the value methods; [`skip`](Self::skip) checks a
+/// value as [`value`](Self::value) would, but builds nothing. Every read
+/// reports the same error, at the same byte offset, that [`parse`]
+/// reports for that input, and nesting deeper than [`MAX_DEPTH`] levels
+/// is refused, in skipped values too. After an error the reader is
+/// spent: its position is unspecified.
+#[derive(Debug)]
+pub struct JsonReader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
         Err(JsonError {
             offset: self.pos,
@@ -109,12 +142,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The byte at the current position.
+    fn byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// The first byte of the next value, after whitespace, without
+    /// reading the value; `None` at the end of the input.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -122,12 +163,88 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_ws();
+    /// Reads the next value into a [`JsonValue`].
+    pub fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|r, key| {
+                    let value = r.value()?;
+                    fields.push((key.into_owned(), value));
+                    Ok(())
+                })?;
+                Ok(JsonValue::Object(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
+            _ => self.scalar(),
+        }
+    }
+
+    /// Reads the next value and drops it, checking it as
+    /// [`value`](Self::value) does without building it.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.object(|r, _| r.skip()),
+            Some(b'[') => self.array(Self::skip),
+            Some(b'"') => self.string().map(drop),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// Checks that only whitespace follows the value read last: trailing
+    /// garbage is an error.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return self.err("trailing characters after document");
+        }
+        Ok(())
+    }
+
+    /// Reads an array or object from its `open` bracket to its `close`
+    /// one, calling `member` for each member. Refuses to go deeper than
+    /// [`MAX_DEPTH`].
+    fn members(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.peek() != Some(open) {
+            return self.err(format!("expected '{}'", open as char));
+        }
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        if self.peek() != Some(close) {
+            loop {
+                member(self)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ => return self.err(format!("expected ',' or '{}'", close as char)),
+                }
+            }
+        }
+        self.depth -= 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads a literal or a number, or fails on a byte that starts no
+    /// value.
+    fn scalar(&mut self) -> Result<JsonValue, JsonError> {
+        match self.peek() {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
@@ -135,21 +252,6 @@ impl<'a> Parser<'a> {
             Some(b) => self.err(format!("unexpected byte 0x{b:02x}")),
             None => self.err("unexpected end of input"),
         }
-    }
-
-    /// Parses an array or object one level deeper, refusing to go past
-    /// [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
-    ) -> Result<JsonValue, JsonError> {
-        if self.depth == MAX_DEPTH {
-            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
-        }
-        self.depth += 1;
-        let value = parse(self)?;
-        self.depth -= 1;
-        Ok(value)
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -163,10 +265,10 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.byte() == Some(b'-') {
             self.pos += 1;
         }
-        while let Some(b) = self.peek() {
+        while let Some(b) = self.byte() {
             if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
                 self.pos += 1;
             } else {
@@ -182,11 +284,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string with its escapes decoded. The result borrows from
+    /// the input when the string has no escape.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
-            // Copy the run of plain characters up to the next quote or
+            // Take the run of plain characters up to the next quote or
             // backslash in one step. Both are ASCII and never occur inside
             // a multi-byte UTF-8 sequence, so the run ends on a char
             // boundary of the (already valid) input.
@@ -194,18 +299,26 @@ impl<'a> Parser<'a> {
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
                 .map_or(self.bytes.len(), |n| self.pos + n);
-            out.push_str(&self.text[self.pos..run]);
+            let plain = &self.text[self.pos..run];
             self.pos = run;
-            match self.peek() {
+            match self.byte() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(plain),
+                        Some(mut out) => {
+                            out.push_str(plain);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 // The run stopped at a backslash: decode one escape.
                 Some(_) => {
+                    let out = out.get_or_insert_with(String::new);
+                    out.push_str(plain);
                     self.pos += 1;
-                    match self.peek() {
+                    match self.byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -242,75 +355,57 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// The fixed-width fast path of [`string`](Self::string): reads the
+    /// next value when it is a string of exactly `N` bytes with no escape,
+    /// and returns those bytes. It tests the `N` bytes together instead of
+    /// scanning them one at a time for the closing quote. Any other value
+    /// is left unread, and gives `None`.
+    pub fn fixed_string<const N: usize>(&mut self) -> Option<&'a str> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
+        let start = self.pos + 1;
+        let body = self.bytes.get(start..start + N)?;
+        let plain = body
+            .iter()
+            .fold(true, |plain, &b| plain & (b != b'"') & (b != b'\\'));
+        if self.byte() != Some(b'"') || self.bytes.get(start + N) != Some(&b'"') || !plain {
+            return None;
         }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
+        self.pos = start + N + 1;
+        // Both ends are ASCII quotes, so they are char boundaries.
+        Some(&self.text[start..start + N])
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
+    /// Reads an array, calling `item` once per element; `item` must read
+    /// that element.
+    pub fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.members(b'[', b']', item)
+    }
+
+    /// Reads an object, calling `field` with each key in document order;
+    /// `field` must read that key's value.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.members(b'{', b'}', |r| {
+            let key = r.string()?;
+            r.skip_ws();
+            r.expect(b':')?;
+            field(r, key)
+        })
     }
 }
 
 /// Parses one JSON document; trailing whitespace is allowed, trailing
 /// garbage is an error.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        text: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing characters after document");
-    }
-    Ok(v)
+    let mut reader = JsonReader::new(input);
+    let value = reader.value()?;
+    reader.finish()?;
+    Ok(value)
 }
 
 fn require_string(obj: &JsonValue, key: &str, at: &str) -> Result<String, String> {
@@ -509,14 +604,19 @@ mod tests {
 "#;
 
     /// Feeds `input` to the parser and both validators. None may panic,
-    /// and a parse error must point inside the input.
+    /// and a parse error must point inside the input. Skipping the
+    /// document must succeed exactly when parsing does, with the same
+    /// error.
     fn fuzz_case(input: &str, case: &str) {
-        let parsed = std::panic::catch_unwind(|| {
+        let (parsed, skipped) = std::panic::catch_unwind(|| {
             let _ = validate_chrome_trace(input);
             let _ = validate_jsonl(input);
-            parse(input)
+            let mut reader = JsonReader::new(input);
+            let skipped = reader.skip().and_then(|()| reader.finish());
+            (parse(input), skipped)
         })
         .unwrap_or_else(|_| panic!("{case} panicked on {input:?}"));
+        assert_eq!(skipped, parsed.clone().map(drop), "{case}: {input:?}");
         if let Err(e) = parsed {
             assert!(e.offset <= input.len(), "{case}: {e} in {input:?}");
         }
@@ -560,6 +660,52 @@ mod tests {
                 .collect();
             fuzz_case(&text, &format!("random string {case}"));
         }
+    }
+
+    #[test]
+    fn reader_hands_out_values_without_a_tree() {
+        let doc = r#" {"a" : [1, "x\ty"], "b\u0063": {"d": null}, "e": "0123", "f": "01\"3"} "#;
+        let mut r = JsonReader::new(doc);
+        let mut seen = Vec::new();
+        r.object(|r, key| {
+            match &*key {
+                "a" => r.array(|r| {
+                    seen.push(format!("{:?}", r.value()?));
+                    Ok(())
+                })?,
+                "bc" => {
+                    assert!(matches!(key, Cow::Owned(_)), "an escaped key is decoded");
+                    r.skip()?;
+                }
+                "e" => {
+                    assert_eq!(r.fixed_string::<3>(), None);
+                    assert_eq!(r.fixed_string::<4>(), Some("0123"));
+                }
+                _ => {
+                    // An escape inside the fixed width leaves the string
+                    // to the general path.
+                    assert_eq!(r.fixed_string::<5>(), None);
+                    assert!(matches!(r.string()?, Cow::Owned(s) if s == "01\"3"));
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+        r.finish().unwrap();
+        assert_eq!(seen, ["Number(1.0)", "String(\"x\\ty\")"]);
+        let mut r = JsonReader::new(r#""plain""#);
+        assert!(matches!(r.string(), Ok(Cow::Borrowed("plain"))));
+        // A skipped value nested past the cap is refused where `parse`
+        // refuses it.
+        let deep = format!(
+            "{{\"k\":{}{}}}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        let mut r = JsonReader::new(&deep);
+        let skipped = r.object(|r, _| r.skip());
+        assert_eq!(skipped, parse(&deep).map(drop));
+        assert_eq!(skipped.unwrap_err().offset, 5 + MAX_DEPTH - 1);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!   recording call is one branch.
 //! - [`export`]: JSONL and chrome://tracing JSON exporters (hand-rolled,
 //!   no JSON dependency, workspace convention).
-//! - [`json`]: a minimal JSON parser and trace schema validators, so CI
-//!   can check emitted traces without external tooling.
+//! - [`json`]: a minimal JSON pull reader, the parser built on it and
+//!   trace schema validators, so CI can check emitted traces without
+//!   external tooling and the campaign journal can decode its frames
+//!   without a tree.
 //! - [`overhead`]: self-accounting — measures the tracer's own timer and
 //!   record costs and reports them against the traced payload, the
 //!   Rule 4/5 disclosure the paper asks for.

@@ -6,15 +6,16 @@
 //! many of the 1M measurements overlap"; the mean CI is tiny and
 //! misleading because neither distribution is normal.
 
-use scibench::compare::{compare_two, Comparison};
+use scibench::compare::{compare_two_sorted, Comparison};
 use scibench::data::DataSet;
 use scibench::plot::ascii::render_density;
 use scibench_sim::machine::MachineSpec;
 use scibench_sim::pingpong::{pingpong_latencies_us, PingPongConfig};
 use scibench_sim::rng::SimRng;
-use scibench_stats::ci::{mean_ci, median_ci, ConfidenceInterval};
+use scibench_stats::ci::{mean_ci, ConfidenceInterval};
 use scibench_stats::error::StatsResult;
-use scibench_stats::kde::{kde, Bandwidth, DensityEstimate};
+use scibench_stats::kde::{kde_sorted, Bandwidth, DensityEstimate};
+use scibench_stats::sorted::SortedSamples;
 
 /// One system's annotated distribution.
 #[derive(Debug, Clone)]
@@ -34,6 +35,10 @@ pub struct SystemPanel {
     pub mean_ci: ConfidenceInterval,
     /// 99 % CI of the median (nonparametric).
     pub median_ci: ConfidenceInterval,
+    /// The ascending copy of `latencies_us`: the one sort of the panel,
+    /// read by the density, both median CIs, the rank test and the
+    /// report's summary.
+    sorted: SortedSamples,
 }
 
 /// Regenerated Figure 3 data.
@@ -56,15 +61,17 @@ fn panel(
     let mut cfg = PingPongConfig::paper_64b(samples);
     cfg.warmup_iterations = 0;
     let latencies = pingpong_latencies_us(machine, &cfg, rng);
-    let density = kde(&latencies, Bandwidth::Silverman, 512)?;
+    let sorted = SortedSamples::new(&latencies)?;
+    let density = kde_sorted(&latencies, &sorted, Bandwidth::Silverman, 512)?;
     Ok(SystemPanel {
         name: name.to_owned(),
         min: latencies.iter().cloned().fold(f64::INFINITY, f64::min),
         max: latencies.iter().cloned().fold(0.0, f64::max),
         mean_ci: mean_ci(&latencies, 0.99)?,
-        median_ci: median_ci(&latencies, 0.99)?,
+        median_ci: sorted.median_ci(0.99)?,
         density,
         latencies_us: latencies,
+        sorted,
     })
 }
 
@@ -80,11 +87,11 @@ pub fn compute(samples: usize, seed: u64) -> StatsResult<Fig3> {
         samples,
         &mut rng_pilatus,
     )?;
-    let comparison = compare_two(
+    let comparison = compare_two_sorted(
         &dora.name,
-        &dora.latencies_us,
+        (&dora.latencies_us, &dora.sorted),
         &pilatus.name,
-        &pilatus.latencies_us,
+        (&pilatus.latencies_us, &pilatus.sorted),
         0.95,
         &[],
         seed ^ 0xF163,
@@ -113,7 +120,7 @@ impl Fig3 {
                 samples: panel.latencies_us.clone(),
                 converged: true,
             }
-            .summarize(0.99)
+            .summarize_sorted(0.99, &panel.sorted)
             .expect("panel summary")
         };
         let env = scibench::experiment::environment::EnvironmentDoc::from_machine(

@@ -13,8 +13,9 @@ use scibench::plot::violin::ViolinData;
 use scibench_sim::machine::MachineSpec;
 use scibench_sim::pingpong::{pingpong_latencies_us, PingPongConfig};
 use scibench_sim::rng::SimRng;
-use scibench_stats::ci::{median_ci, ConfidenceInterval};
+use scibench_stats::ci::ConfidenceInterval;
 use scibench_stats::error::StatsResult;
+use scibench_stats::sorted::SortedSamples;
 
 /// Regenerated Figure 7(c) data.
 #[derive(Debug, Clone)]
@@ -36,9 +37,12 @@ pub fn compute(samples: usize, seed: u64) -> StatsResult<Fig7c> {
     cfg.warmup_iterations = 0;
     let mut rng = SimRng::new(seed).fork("fig7c");
     let latencies = pingpong_latencies_us(&machine, &cfg, &mut rng);
-    let boxplot = BoxPlotStats::from_samples("ping-pong 64B", &latencies, WhiskerRule::TukeyIqr)?;
-    let violin = ViolinData::from_samples("ping-pong 64B", &latencies, 256)?;
-    let median_ci = median_ci(&latencies, 0.95)?;
+    // One sort serves the box, the violin and the median CI.
+    let sorted = SortedSamples::new(&latencies)?;
+    let boxplot =
+        BoxPlotStats::from_sorted("ping-pong 64B", &latencies, &sorted, WhiskerRule::TukeyIqr)?;
+    let violin = ViolinData::from_sorted("ping-pong 64B", &latencies, &sorted, 256)?;
+    let median_ci = sorted.median_ci(0.95)?;
     Ok(Fig7c {
         latencies_us: latencies,
         boxplot,

@@ -110,7 +110,8 @@ impl Comparison {
 /// Compares two samples with the full §3.2 battery.
 ///
 /// `taus` selects the quantiles for quantile regression (empty = skip);
-/// `seed` drives the bootstrap CIs of the quantile differences.
+/// `seed` drives the bootstrap CIs of the quantile differences. Sorts
+/// each sample once and calls [`compare_two_sorted`].
 pub fn compare_two(
     label_a: &str,
     a: &[f64],
@@ -120,15 +121,42 @@ pub fn compare_two(
     taus: &[f64],
     seed: u64,
 ) -> StatsResult<Comparison> {
-    let mean_ci_a = mean_ci(a, confidence)?;
-    let mean_ci_b = mean_ci(b, confidence)?;
-    // One sort per sample serves the median CIs and the rank test.
     let sorted_a = SortedSamples::new(a)?;
     let sorted_b = SortedSamples::new(b)?;
+    compare_two_sorted(
+        label_a,
+        (a, &sorted_a),
+        label_b,
+        (b, &sorted_b),
+        confidence,
+        taus,
+        seed,
+    )
+}
+
+/// [`compare_two`] on samples whose ascending copies the caller holds
+/// already: each sample comes with its sorted copy, which serves the
+/// median CIs and the rank test. The means, the t-test, the effect size
+/// and the quantile regression read the samples in their own order.
+/// Bit-identical to [`compare_two`]; errors when a sorted copy is not as
+/// long as its sample (see [`SortedSamples::check_copy_of`]).
+pub fn compare_two_sorted(
+    label_a: &str,
+    (a, sorted_a): (&[f64], &SortedSamples),
+    label_b: &str,
+    (b, sorted_b): (&[f64], &SortedSamples),
+    confidence: f64,
+    taus: &[f64],
+    seed: u64,
+) -> StatsResult<Comparison> {
+    sorted_a.check_copy_of(a)?;
+    sorted_b.check_copy_of(b)?;
+    let mean_ci_a = mean_ci(a, confidence)?;
+    let mean_ci_b = mean_ci(b, confidence)?;
     let median_ci_a = sorted_a.median_ci(confidence)?;
     let median_ci_b = sorted_b.median_ci(confidence)?;
     let t_test = welch_t_test(a, b)?;
-    let kw = kruskal_wallis_sorted(&[&sorted_a, &sorted_b])?;
+    let kw = kruskal_wallis_sorted(&[sorted_a, sorted_b])?;
     let d = cohens_d(b, a)?;
     let quantile_effects = if taus.is_empty() {
         Vec::new()
@@ -231,8 +259,31 @@ mod tests {
         assert!(c.effect_size < 0.0, "B smaller than A must give negative d");
     }
 
+    /// Every float of a comparison, as bits.
+    fn comparison_bits(c: &Comparison) -> Vec<u64> {
+        let ci = |ci: &ConfidenceInterval| [ci.estimate, ci.lower, ci.upper, ci.confidence];
+        let test = |t: &TestResult| [t.statistic, t.p_value, t.df.0, t.df.1];
+        let mut xs = [
+            ci(&c.mean_ci_a),
+            ci(&c.mean_ci_b),
+            ci(&c.median_ci_a),
+            ci(&c.median_ci_b),
+            test(&c.t_test),
+            test(&c.kruskal_wallis),
+            [c.effect_size, c.confidence, 0.0, 0.0],
+        ]
+        .concat();
+        for e in &c.quantile_effects {
+            xs.push(e.tau);
+            xs.extend(ci(&e.intercept));
+            xs.extend(ci(&e.difference));
+        }
+        crate::test_samples::bits(&xs)
+    }
+
     #[test]
     fn sorted_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::{comparator_sorted, sharing_cases};
         use scibench_stats::ci::median_ci;
         use scibench_stats::htest::kruskal_wallis;
 
@@ -249,14 +300,39 @@ mod tests {
                 })
                 .collect()
         };
-        let cases = [
+        let mut cases = vec![
             (sample(500, 10.0, 0.5), sample(300, 10.2, 0.7)),
             (ties(40, 0), ties(33, 5)),
             (ties(21, 1), sample(16, 1.0, 1.0)),
         ];
-        for (a, b) in &cases {
+        let fixed = cases.len();
+        let shared = sharing_cases();
+        cases.extend(shared.chunks(2).map(|p| (p[0].clone(), p[1].clone())));
+        for (i, (a, b)) in cases.iter().enumerate() {
+            let taus: &[f64] = if a.len() < 1000 { &[0.25, 0.5] } else { &[] };
             for confidence in [0.95, 0.99] {
-                let c = compare_two("A", a, "B", b, confidence, &[], 5).unwrap();
+                let slice = compare_two("A", a, "B", b, confidence, taus, 5);
+                let shared = compare_two_sorted(
+                    "A",
+                    (a, &comparator_sorted(a)),
+                    "B",
+                    (b, &comparator_sorted(b)),
+                    confidence,
+                    taus,
+                    5,
+                );
+                let c = match (slice, shared) {
+                    (Ok(c), Ok(d)) => {
+                        assert_eq!(c, d);
+                        assert_eq!(comparison_bits(&c), comparison_bits(&d));
+                        c
+                    }
+                    (c, d) => {
+                        assert!(i >= fixed, "case {i} failed: {c:?}");
+                        assert_eq!(c, d);
+                        continue;
+                    }
+                };
                 assert_eq!(
                     ci_bits(&c.median_ci_a),
                     ci_bits(&median_ci(a, confidence).unwrap())
@@ -264,6 +340,10 @@ mod tests {
                 assert_eq!(
                     ci_bits(&c.median_ci_b),
                     ci_bits(&median_ci(b, confidence).unwrap())
+                );
+                assert_eq!(
+                    ci_bits(&c.mean_ci_a),
+                    ci_bits(&mean_ci(a, confidence).unwrap())
                 );
                 let kw = kruskal_wallis(&[a, b]).unwrap();
                 assert_eq!(c.kruskal_wallis.statistic.to_bits(), kw.statistic.to_bits());
@@ -278,5 +358,24 @@ mod tests {
             compare_two("A", &short, "B", &cases[0].1, 0.95, &[], 5).unwrap_err(),
             median_ci(&short, 0.95).unwrap_err()
         );
+    }
+
+    #[test]
+    fn compare_two_sorted_refuses_a_copy_of_another_length() {
+        let (a, b) = (sample(60, 1.0, 0.1), sample(50, 1.1, 0.1));
+        let (sorted_a, sorted_b) = (
+            SortedSamples::new(&a).unwrap(),
+            SortedSamples::new(&b).unwrap(),
+        );
+        let wrong = SortedSamples::new(&a[1..]).unwrap();
+        for (pair_a, pair_b) in [
+            ((&a[..], &wrong), (&b[..], &sorted_b)),
+            ((&a[..], &sorted_a), (&b[..], &sorted_a)),
+        ] {
+            assert!(matches!(
+                compare_two_sorted("A", pair_a, "B", pair_b, 0.95, &[], 1),
+                Err(scibench_stats::error::StatsError::UnsupportedSampleSize { .. })
+            ));
+        }
     }
 }

@@ -23,7 +23,7 @@ use scibench_stats::ci::{self, ConfidenceInterval};
 use scibench_stats::error::{StatsError, StatsResult};
 use scibench_stats::normality::{shapiro_wilk_thinned, ShapiroWilk};
 use scibench_stats::quantile::FiveNumberSummary;
-use scibench_stats::sanitize::sanitize;
+use scibench_stats::sanitize::{sanitize, Sanitized};
 use scibench_stats::sorted::SortedSamples;
 use scibench_stats::summary::{self, OnlineMoments};
 
@@ -315,15 +315,52 @@ impl MeasurementOutcome {
     /// the surviving samples is the only interval reported. An
     /// all-contaminated outcome still fails with a typed error because
     /// there is nothing left to summarize.
+    ///
+    /// Sorts the surviving samples once and calls the body of
+    /// [`MeasurementOutcome::summarize_sorted`].
     pub fn summarize(&self, confidence: f64) -> StatsResult<MeasurementSummary> {
+        let sanitized = self.sanitized()?;
+        let sorted = SortedSamples::new(&sanitized.clean)?;
+        self.summary(&sanitized, &sorted, confidence)
+    }
+
+    /// [`MeasurementOutcome::summarize`] with the ascending copy of the
+    /// finite samples supplied by the caller; bit-identical to it.
+    ///
+    /// `sorted` serves the five-number summary and the median CI; the
+    /// mean, the standard deviation, the Shapiro–Wilk thinning and the
+    /// mean CI read the finite samples in recorded order. Errors when
+    /// `sorted` is not as long as the number of finite samples (see
+    /// [`SortedSamples::check_copy_of`]).
+    pub fn summarize_sorted(
+        &self,
+        confidence: f64,
+        sorted: &SortedSamples,
+    ) -> StatsResult<MeasurementSummary> {
+        let sanitized = self.sanitized()?;
+        sorted.check_copy_of(&sanitized.clean)?;
+        self.summary(&sanitized, sorted, confidence)
+    }
+
+    /// The samples split into finite and dropped ones; an error when
+    /// every sample was dropped.
+    fn sanitized(&self) -> StatsResult<Sanitized> {
         let sanitized = sanitize(&self.samples);
         if sanitized.clean.is_empty() && sanitized.contaminated() {
             return Err(StatsError::NonFiniteSample);
         }
+        Ok(sanitized)
+    }
+
+    /// The body of both summaries: `sorted` is the ascending copy of
+    /// `sanitized.clean`.
+    fn summary(
+        &self,
+        sanitized: &Sanitized,
+        sorted: &SortedSamples,
+        confidence: f64,
+    ) -> StatsResult<MeasurementSummary> {
         let xs = &sanitized.clean;
-        // One sort feeds both order-statistic consumers (five-number
-        // summary and median CI) below.
-        let sorted = SortedSamples::new(xs)?;
         let five = sorted.five_number();
         let mean = summary::arithmetic_mean(xs)?;
         let deterministic = five.max == five.min;
@@ -791,5 +828,115 @@ mod tests {
         for needle in ["min=", "median=", "max=", "mean=", "99% CI(median)"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
+    }
+
+    /// Every float of a summary, as bits.
+    fn summary_bits(s: &MeasurementSummary) -> Vec<u64> {
+        let ci = |ci: &Option<ConfidenceInterval>| {
+            ci.map_or([f64::NAN; 4], |c| {
+                [c.estimate, c.lower, c.upper, c.confidence]
+            })
+        };
+        let f = &s.five_number;
+        let sw = s
+            .normality
+            .as_ref()
+            .map_or([f64::NAN; 2], |sw| [sw.w, sw.p_value]);
+        let xs = [
+            vec![s.mean, s.confidence, f.min, f.q1, f.median, f.q3, f.max],
+            s.std_dev.into_iter().chain(s.cov).collect(),
+            sw.to_vec(),
+            ci(&s.mean_ci).to_vec(),
+            ci(&s.median_ci).to_vec(),
+        ]
+        .concat();
+        crate::test_samples::bits(&xs)
+    }
+
+    #[test]
+    fn summarize_sorted_equals_summarize_bit_for_bit() {
+        use crate::test_samples::{comparator_sorted, sharing_cases};
+        use scibench_stats::quantile::FiveNumberSummary;
+
+        for clean in sharing_cases() {
+            let mut contaminated = clean.clone();
+            let n = contaminated.len();
+            for (at, bad) in [
+                (0, f64::NAN),
+                (n / 2, f64::INFINITY),
+                (n, f64::NEG_INFINITY),
+            ] {
+                contaminated.insert(at, bad);
+            }
+            for samples in [clean.clone(), contaminated] {
+                let out = MeasurementOutcome {
+                    name: "shared".to_owned(),
+                    warmup_samples: Vec::new(),
+                    samples,
+                    converged: true,
+                };
+                let slice = out.summarize(0.95).unwrap();
+                let shared = out
+                    .summarize_sorted(0.95, &comparator_sorted(&clean))
+                    .unwrap();
+                assert_eq!(slice, shared);
+                assert_eq!(summary_bits(&slice), summary_bits(&shared));
+                let five = FiveNumberSummary::from_samples(&clean).unwrap();
+                assert_eq!(slice.five_number, five);
+                assert_eq!(
+                    summary_bits(&slice)[2..7],
+                    crate::test_samples::bits(&[five.min, five.q1, five.median, five.q3, five.max])
+                );
+                assert_eq!(
+                    slice
+                        .median_ci
+                        .map(|c| [c.lower, c.upper].map(f64::to_bits)),
+                    ci::median_ci(&clean, 0.95)
+                        .ok()
+                        .map(|c| [c.lower, c.upper].map(f64::to_bits))
+                );
+                // The order-dependent parts read the finite samples in
+                // recorded order.
+                let sd = summary::sample_std_dev(&clean).ok();
+                let sw = shapiro_wilk_thinned(&clean, 2000).ok();
+                let mean_ci = ci::mean_ci(&clean, 0.95).ok();
+                assert_eq!(
+                    summary_bits(&MeasurementSummary {
+                        mean: summary::arithmetic_mean(&clean).unwrap(),
+                        std_dev: slice.std_dev.and(sd),
+                        cov: slice.cov.and(sd.map(|s| s / slice.mean)),
+                        normality: slice.normality.as_ref().and(sw),
+                        mean_ci: slice.mean_ci.and(mean_ci),
+                        ..slice.clone()
+                    }),
+                    summary_bits(&slice)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn summarize_sorted_refuses_a_copy_of_another_length() {
+        let mut g = Gen::new(12);
+        let clean: Vec<f64> = (0..40).map(|_| g.next_latency()).collect();
+        let mut samples = clean.clone();
+        samples.push(f64::NAN);
+        let out = MeasurementOutcome {
+            name: "wrong".to_owned(),
+            warmup_samples: Vec::new(),
+            samples,
+            converged: true,
+        };
+        // Too short, and as long as the samples with their NaN: both
+        // differ from the 40 finite samples the summary reads.
+        for other in [&clean[1..], &[clean.clone(), vec![1.0]].concat()[..]] {
+            let wrong = SortedSamples::new(other).unwrap();
+            assert!(matches!(
+                out.summarize_sorted(0.95, &wrong),
+                Err(StatsError::UnsupportedSampleSize { .. })
+            ));
+        }
+        let right = SortedSamples::new(&clean).unwrap();
+        assert_eq!(out.summarize_sorted(0.95, &right), out.summarize(0.95));
     }
 }

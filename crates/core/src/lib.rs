@@ -68,6 +68,8 @@ pub mod report;
 pub mod rules;
 pub mod speedup;
 pub mod sync;
+#[cfg(test)]
+mod test_samples;
 pub mod units;
 
 pub use metric::{Cost, Rate, Ratio};

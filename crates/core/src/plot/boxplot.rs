@@ -67,9 +67,26 @@ impl BoxPlotStats {
     /// Computes box statistics for a sample.
     ///
     /// Notches are the 95 % nonparametric CI of the median when enough
-    /// samples exist.
+    /// samples exist. Sorts `xs` once and calls
+    /// [`BoxPlotStats::from_sorted`].
     pub fn from_samples(label: &str, xs: &[f64], rule: WhiskerRule) -> StatsResult<Self> {
-        let sorted = SortedSamples::new(xs)?;
+        Self::from_sorted(label, xs, &SortedSamples::new(xs)?, rule)
+    }
+
+    /// [`BoxPlotStats::from_samples`] with the ascending copy of `xs`
+    /// supplied by the caller; bit-identical to it.
+    ///
+    /// `sorted` serves the quartiles, the percentile whiskers and the
+    /// notch; the mean, the Tukey whisker scans and the outlier list read
+    /// `xs` in its own order. Errors when `sorted` is not as long as `xs`
+    /// (see [`SortedSamples::check_copy_of`]).
+    pub fn from_sorted(
+        label: &str,
+        xs: &[f64],
+        sorted: &SortedSamples,
+        rule: WhiskerRule,
+    ) -> StatsResult<Self> {
+        sorted.check_copy_of(xs)?;
         let five = sorted.five_number();
         let mean = scibench_stats::summary::arithmetic_mean(xs)?;
         let (lo, hi) = match rule {
@@ -207,10 +224,32 @@ mod tests {
         assert!(b.notch.is_none());
     }
 
+    /// Every float of a box, as bits.
+    fn box_bits(b: &BoxPlotStats) -> Vec<u64> {
+        let f = &b.five_number;
+        let (notch_lo, notch_hi) = b.notch.unwrap_or((f64::NAN, f64::NAN));
+        let mut xs = vec![
+            f.min,
+            f.q1,
+            f.median,
+            f.q3,
+            f.max,
+            b.mean,
+            b.whisker_low,
+            b.whisker_high,
+            notch_lo,
+            notch_hi,
+        ];
+        xs.extend(&b.outliers);
+        crate::test_samples::bits(&xs)
+    }
+
     #[test]
     fn sorted_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::{comparator_sorted, sharing_cases};
         use scibench_stats::ci::median_ci;
         use scibench_stats::quantile::quantile;
+        use scibench_stats::summary::arithmetic_mean;
 
         let five_bits =
             |f: &FiveNumberSummary| [f.min, f.q1, f.median, f.q3, f.max].map(f64::to_bits);
@@ -231,11 +270,28 @@ mod tests {
                 upper_pct: 99.0,
             },
         ];
-        for xs in [&sample()[..], &ties, &zeros, &[4.0, -2.0]] {
+        let shared = sharing_cases();
+        let fixed = [&sample()[..], &ties, &zeros, &[4.0, -2.0]];
+        for xs in fixed.into_iter().chain(shared.iter().map(Vec::as_slice)) {
             let five = FiveNumberSummary::from_samples(xs).unwrap();
             let notch = median_ci(xs, 0.95).ok().map(|ci| (ci.lower, ci.upper));
+            let sorted = comparator_sorted(xs);
             for rule in rules {
                 let b = BoxPlotStats::from_samples("x", xs, rule).unwrap();
+                let from_sorted = BoxPlotStats::from_sorted("x", xs, &sorted, rule).unwrap();
+                assert_eq!(b, from_sorted);
+                assert_eq!(box_bits(&b), box_bits(&from_sorted));
+                // The order-dependent parts read the slice: the mean's sum
+                // and the outliers, listed in input order.
+                assert_eq!(b.mean.to_bits(), arithmetic_mean(xs).unwrap().to_bits());
+                let outside = |&&x: &&f64| x < b.whisker_low || x > b.whisker_high;
+                assert_eq!(
+                    crate::test_samples::bits(&b.outliers),
+                    xs.iter()
+                        .filter(outside)
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>()
+                );
                 assert_eq!(five_bits(&b.five_number), five_bits(&five));
                 assert_eq!(
                     b.notch.map(|(l, u)| (l.to_bits(), u.to_bits())),
@@ -251,6 +307,20 @@ mod tests {
                     assert_eq!(b.whisker_low.to_bits(), lo.min(five.q1).to_bits());
                     assert_eq!(b.whisker_high.to_bits(), hi.max(five.q3).to_bits());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn from_sorted_refuses_a_copy_of_another_length() {
+        let xs = sample();
+        for other in [&xs[1..], &[xs.clone(), vec![7.0]].concat()[..]] {
+            let wrong = SortedSamples::new(other).unwrap();
+            for rule in [WhiskerRule::MinMax, WhiskerRule::TukeyIqr] {
+                assert!(matches!(
+                    BoxPlotStats::from_sorted("x", &xs, &wrong, rule),
+                    Err(scibench_stats::error::StatsError::UnsupportedSampleSize { .. })
+                ));
             }
         }
     }

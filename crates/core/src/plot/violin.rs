@@ -5,8 +5,9 @@
 use serde::{Deserialize, Serialize};
 
 use scibench_stats::error::StatsResult;
-use scibench_stats::kde::{kde, Bandwidth, DensityEstimate};
+use scibench_stats::kde::{kde_sorted, Bandwidth, DensityEstimate};
 use scibench_stats::quantile::FiveNumberSummary;
+use scibench_stats::sorted::SortedSamples;
 use scibench_stats::summary::{arithmetic_mean, geometric_mean};
 
 /// The data behind one violin.
@@ -26,9 +27,26 @@ pub struct ViolinData {
 
 impl ViolinData {
     /// Computes a violin from raw samples on `grid_size` density points.
+    /// Sorts `xs` once and calls [`ViolinData::from_sorted`].
     pub fn from_samples(label: &str, xs: &[f64], grid_size: usize) -> StatsResult<Self> {
-        let density = kde(xs, Bandwidth::Silverman, grid_size)?;
-        let five_number = FiveNumberSummary::from_samples(xs)?;
+        Self::from_sorted(label, xs, &SortedSamples::new(xs)?, grid_size)
+    }
+
+    /// [`ViolinData::from_samples`] with the ascending copy of `xs`
+    /// supplied by the caller; bit-identical to it.
+    ///
+    /// `sorted` serves the bandwidth's IQR and the quartiles; the density
+    /// binning and the means read `xs` in its own order. Errors when
+    /// `sorted` is not as long as `xs` (see
+    /// [`SortedSamples::check_copy_of`], which [`kde_sorted`] applies).
+    pub fn from_sorted(
+        label: &str,
+        xs: &[f64],
+        sorted: &SortedSamples,
+        grid_size: usize,
+    ) -> StatsResult<Self> {
+        let density = kde_sorted(xs, sorted, Bandwidth::Silverman, grid_size)?;
+        let five_number = sorted.five_number();
         let mean = arithmetic_mean(xs)?;
         let geometric_mean = geometric_mean(xs).ok();
         Ok(Self {
@@ -98,5 +116,60 @@ mod tests {
     fn rejects_degenerate_input() {
         assert!(ViolinData::from_samples("x", &[], 64).is_err());
         assert!(ViolinData::from_samples("x", &[1.0; 5], 64).is_err());
+    }
+
+    #[test]
+    fn from_sorted_equals_from_samples_bit_for_bit() {
+        use crate::test_samples::{bits, comparator_sorted, sharing_cases};
+        use scibench_stats::kde::kde;
+
+        let violin_bits = |v: &ViolinData| {
+            let f = &v.five_number;
+            let mut xs = vec![
+                v.density.bandwidth,
+                f.min,
+                f.q1,
+                f.median,
+                f.q3,
+                f.max,
+                v.mean,
+                v.geometric_mean.unwrap_or(f64::NAN),
+            ];
+            xs.extend(&v.density.x);
+            xs.extend(&v.density.density);
+            bits(&xs)
+        };
+        for xs in sharing_cases() {
+            let slice = ViolinData::from_samples("x", &xs, 64);
+            let shared = ViolinData::from_sorted("x", &xs, &comparator_sorted(&xs), 64);
+            match (slice, shared) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, b);
+                    assert_eq!(violin_bits(&a), violin_bits(&b));
+                    // Each part equals its per-call function on the slice.
+                    let reference = ViolinData {
+                        label: "x".to_owned(),
+                        density: kde(&xs, Bandwidth::Silverman, 64).unwrap(),
+                        five_number: FiveNumberSummary::from_samples(&xs).unwrap(),
+                        mean: arithmetic_mean(&xs).unwrap(),
+                        geometric_mean: geometric_mean(&xs).ok(),
+                    };
+                    assert_eq!(violin_bits(&a), violin_bits(&reference));
+                }
+                (a, b) => assert_eq!(a, b, "n = {}", xs.len()),
+            }
+        }
+    }
+
+    #[test]
+    fn from_sorted_refuses_a_copy_of_another_length() {
+        let xs = latencies();
+        for other in [&xs[1..], &[xs.clone(), vec![1.8]].concat()[..]] {
+            let wrong = SortedSamples::new(other).unwrap();
+            assert!(matches!(
+                ViolinData::from_sorted("x", &xs, &wrong, 64),
+                Err(scibench_stats::error::StatsError::UnsupportedSampleSize { .. })
+            ));
+        }
     }
 }

@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::FiveNumberSummary;
+use crate::sorted::SortedSamples;
 use crate::summary::sample_std_dev;
 use crate::validate_samples;
 
@@ -83,7 +84,16 @@ impl DensityEstimate {
 }
 
 /// Resolves a bandwidth rule against the sample.
+///
+/// Only [`Bandwidth::Silverman`] reads an order statistic (the IQR), so
+/// only it sorts a copy of `xs`.
 pub fn resolve_bandwidth(xs: &[f64], rule: Bandwidth) -> StatsResult<f64> {
+    bandwidth(xs, rule, None)
+}
+
+/// [`resolve_bandwidth`], reading Silverman's IQR from `sorted`, the
+/// ascending copy of `xs`, when the caller has one.
+fn bandwidth(xs: &[f64], rule: Bandwidth, sorted: Option<&SortedSamples>) -> StatsResult<f64> {
     validate_samples(xs)?;
     match rule {
         Bandwidth::Fixed(h) => {
@@ -106,7 +116,10 @@ pub fn resolve_bandwidth(xs: &[f64], rule: Bandwidth) -> StatsResult<f64> {
             let n = xs.len() as f64;
             let h = match rule {
                 Bandwidth::Silverman => {
-                    let iqr = FiveNumberSummary::from_samples(xs)?.iqr();
+                    let iqr = match sorted {
+                        Some(sorted) => sorted.five_number().iqr(),
+                        None => FiveNumberSummary::from_samples(xs)?.iqr(),
+                    };
                     let spread = if iqr > 0.0 { s.min(iqr / 1.34) } else { s };
                     0.9 * spread * n.powf(-0.2)
                 }
@@ -130,7 +143,36 @@ const BINNED_THRESHOLD: usize = 4096;
 /// Samples larger than a few thousand observations are evaluated by linear
 /// binning plus kernel convolution, which is exact to well under plotting
 /// resolution and fast enough for the paper's 10⁶-sample figures.
+///
+/// [`Bandwidth::Silverman`] sorts a copy of `xs` for its IQR; a caller
+/// that holds one already passes it to [`kde_sorted`] instead.
 pub fn kde(xs: &[f64], rule: Bandwidth, grid_size: usize) -> StatsResult<DensityEstimate> {
+    density(xs, rule, grid_size, None)
+}
+
+/// [`kde`], reading Silverman's IQR from `sorted`, the ascending copy of
+/// `xs`, instead of sorting again; bit-identical to [`kde`].
+///
+/// The grid, the binning and the standard deviation still read `xs` in
+/// its own order. Errors when `sorted` is not as long as `xs` (see
+/// [`SortedSamples::check_copy_of`]).
+pub fn kde_sorted(
+    xs: &[f64],
+    sorted: &SortedSamples,
+    rule: Bandwidth,
+    grid_size: usize,
+) -> StatsResult<DensityEstimate> {
+    sorted.check_copy_of(xs)?;
+    density(xs, rule, grid_size, Some(sorted))
+}
+
+/// The body of [`kde`] and [`kde_sorted`]; `sorted` as in [`bandwidth`].
+fn density(
+    xs: &[f64],
+    rule: Bandwidth,
+    grid_size: usize,
+    sorted: Option<&SortedSamples>,
+) -> StatsResult<DensityEstimate> {
     validate_samples(xs)?;
     if grid_size < 2 {
         return Err(StatsError::InvalidParameter {
@@ -138,7 +180,7 @@ pub fn kde(xs: &[f64], rule: Bandwidth, grid_size: usize) -> StatsResult<Density
             value: grid_size as f64,
         });
     }
-    let h = resolve_bandwidth(xs, rule)?;
+    let h = bandwidth(xs, rule, sorted)?;
     let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let lo = min - 3.0 * h;
@@ -319,6 +361,103 @@ mod tests {
         assert!(kde(&[1.0, 2.0], Bandwidth::Fixed(0.0), 64).is_err());
         assert!(kde(&[1.0, 2.0], Bandwidth::Silverman, 1).is_err());
         assert!(resolve_bandwidth(&[1.0], Bandwidth::Silverman).is_err());
+    }
+
+    /// Seeded samples on both sides of [`BINNED_THRESHOLD`]: a heavy
+    /// tail; long tie runs with `-0.0` and `+0.0` mixed, in both orders;
+    /// subnormals among ordinary values.
+    fn sharing_cases() -> Vec<Vec<f64>> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut cases = Vec::new();
+        for n in [6, 7, 4096, 4097, 100_000] {
+            let uniform = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
+            cases.push((0..n).map(|_| (1.0 - uniform(next())).powf(-0.8)).collect());
+            let ties: Vec<f64> = (0..n)
+                .map(|_| [-0.0, 0.0, 1.0, 1.0, 2.5, 4.0][(next() % 6) as usize])
+                .collect();
+            cases.push(ties.iter().rev().copied().collect());
+            cases.push(ties);
+            cases.push(
+                (0..n)
+                    .map(|_| match next() % 3 {
+                        0 => f64::from_bits(next() >> 12),
+                        1 => -f64::from_bits(next() >> 12),
+                        _ => 1.0 + uniform(next()),
+                    })
+                    .collect(),
+            );
+        }
+        cases
+    }
+
+    /// The ascending copy by a stable comparator sort, not by the key
+    /// sort that [`kde`] uses.
+    fn comparator_sorted(xs: &[f64]) -> SortedSamples {
+        let mut v = xs.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        SortedSamples::from_sorted_vec(v).unwrap()
+    }
+
+    fn density_bits(d: &DensityEstimate) -> (Vec<u64>, Vec<u64>, u64) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (bits(&d.x), bits(&d.density), d.bandwidth.to_bits())
+    }
+
+    #[test]
+    fn kde_sorted_equals_kde_bit_for_bit() {
+        for xs in sharing_cases() {
+            let sorted = comparator_sorted(&xs);
+            for rule in [
+                Bandwidth::Silverman,
+                Bandwidth::Scott,
+                Bandwidth::Fixed(0.25),
+            ] {
+                let slice = kde(&xs, rule, 97);
+                let shared = kde_sorted(&xs, &sorted, rule, 97);
+                let label = format!("n = {}, {rule:?}", xs.len());
+                match (&slice, &shared) {
+                    (Ok(a), Ok(b)) => assert_eq!(density_bits(a), density_bits(b), "{label}"),
+                    _ => assert_eq!(slice, shared, "{label}"),
+                }
+                // The resolved bandwidth fixes the rest: a rule's density
+                // is the fixed-bandwidth density, which sorts nothing.
+                if let Ok(h) = resolve_bandwidth(&xs, rule) {
+                    let fixed = kde(&xs, Bandwidth::Fixed(h), 97).unwrap();
+                    assert_eq!(
+                        density_bits(&fixed),
+                        density_bits(&slice.unwrap()),
+                        "{label}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kde_sorted_refuses_a_copy_of_another_length() {
+        let xs = normal_sample(50, 0.0, 1.0);
+        for other in [&xs[1..], &[xs.clone(), vec![9.0]].concat()[..]] {
+            let wrong = SortedSamples::new(other).unwrap();
+            for rule in [
+                Bandwidth::Silverman,
+                Bandwidth::Scott,
+                Bandwidth::Fixed(0.5),
+            ] {
+                assert!(
+                    matches!(
+                        kde_sorted(&xs, &wrong, rule, 64),
+                        Err(StatsError::UnsupportedSampleSize { actual, .. }) if actual == other.len()
+                    ),
+                    "{rule:?}"
+                );
+            }
+        }
     }
 
     #[test]

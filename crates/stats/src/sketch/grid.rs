@@ -13,7 +13,7 @@ use crate::error::{StatsError, StatsResult};
 use crate::histogram::Histogram;
 use crate::{f64_from_hex, f64_to_hex};
 
-use super::{parse_u64, MergeableSummary};
+use super::{check_merge_counts, parse_count, MergeableSummary};
 
 /// The shared grid every worker must agree on: `bins` equal-width bins
 /// covering `[lo, hi)`.
@@ -181,6 +181,20 @@ impl GridSketch {
             n: self.counts.iter().sum::<u64>() as usize,
         }
     }
+
+    /// Refuses a merge of another geometry, or one whose summed count
+    /// would pass 2⁵³. Every bin count is at most `n` (a record whose
+    /// counts do not add up to `n` does not load), so no bin can pass it
+    /// either.
+    pub(crate) fn check_merge(&self, other: &Self) -> StatsResult<()> {
+        if self.lo.to_bits() != other.lo.to_bits()
+            || self.width.to_bits() != other.width.to_bits()
+            || self.counts.len() != other.counts.len()
+        {
+            return Err(StatsError::MismatchedSketch("grid geometry differs"));
+        }
+        check_merge_counts(self, other)
+    }
 }
 
 impl MergeableSummary for GridSketch {
@@ -203,12 +217,7 @@ impl MergeableSummary for GridSketch {
     }
 
     fn merge_from(&mut self, other: &Self) -> StatsResult<()> {
-        if self.lo.to_bits() != other.lo.to_bits()
-            || self.width.to_bits() != other.width.to_bits()
-            || self.counts.len() != other.counts.len()
-        {
-            return Err(StatsError::MismatchedSketch("grid geometry differs"));
-        }
+        self.check_merge(other)?;
         for (c, o) in self.counts.iter_mut().zip(&other.counts) {
             *c += o;
         }
@@ -249,21 +258,31 @@ impl MergeableSummary for GridSketch {
         let mut counts = Vec::new();
         if !parts[7].is_empty() {
             for c in parts[7].split(',') {
-                counts.push(parse_u64(c)?);
+                counts.push(parse_count(c)?);
             }
         }
         if counts.is_empty() {
             return Err(StatsError::MalformedSketch("grid record has no bins"));
         }
-        Ok(Self {
+        let grid = Self {
             lo: f64_from_hex(parts[1])?,
             width: f64_from_hex(parts[2])?,
-            n: parse_u64(parts[3])?,
-            non_finite: parse_u64(parts[4])?,
-            underflow: parse_u64(parts[5])?,
-            overflow: parse_u64(parts[6])?,
+            n: parse_count(parts[3])?,
+            non_finite: parse_count(parts[4])?,
+            underflow: parse_count(parts[5])?,
+            overflow: parse_count(parts[6])?,
             counts,
-        })
+        };
+        // Each finite push lands in exactly one of these.
+        let binned: u128 = [grid.underflow, grid.overflow]
+            .iter()
+            .chain(&grid.counts)
+            .map(|&c| u128::from(c))
+            .sum();
+        if binned != u128::from(grid.n) {
+            return Err(StatsError::MalformedSketch("bin counts do not add up to n"));
+        }
+        Ok(grid)
     }
 }
 

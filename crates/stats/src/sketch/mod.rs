@@ -83,7 +83,9 @@ pub trait MergeableSummary: Sized {
 
     /// Merges another partial into this one. Errors with
     /// [`StatsError::MismatchedSketch`] when the two partials were built
-    /// with incompatible configurations (different grid, δ or threshold).
+    /// with incompatible configurations (different grid, δ or threshold),
+    /// or when a summed count would pass 2⁵³; a refused merge leaves
+    /// `self` unchanged.
     fn merge_from(&mut self, other: &Self) -> StatsResult<()>;
 
     /// Number of finite observations absorbed so far.
@@ -106,12 +108,43 @@ pub trait MergeableSummary: Sized {
     fn to_record(&self) -> String;
 
     /// Decodes a record produced by [`MergeableSummary::to_record`].
+    /// Refuses a count above 2⁵³ with [`StatsError::MalformedSketch`].
     fn from_record(record: &str) -> StatsResult<Self>;
 }
 
 pub(crate) fn parse_u64(s: &str) -> StatsResult<u64> {
     s.parse()
         .map_err(|_| StatsError::MalformedSketch("integer field"))
+}
+
+/// The largest count a record may carry and a merge may make: 2⁵³, the
+/// largest integer an `f64` holds exactly (the moment updates divide by
+/// `n as f64`). A summary at the bound is 2⁶⁴ − 2⁵³ pushes away from
+/// overflowing a `u64` count.
+pub(crate) const MAX_COUNT: u64 = 1 << 53;
+
+/// Parses a count field of a record, refusing one above [`MAX_COUNT`].
+pub(crate) fn parse_count(s: &str) -> StatsResult<u64> {
+    let n = parse_u64(s)?;
+    if n > MAX_COUNT {
+        return Err(StatsError::MalformedSketch("count above 2^53"));
+    }
+    Ok(n)
+}
+
+/// Refuses a merge whose summed count would pass [`MAX_COUNT`].
+pub(crate) fn check_merged_count(a: u64, b: u64) -> StatsResult<()> {
+    match a.checked_add(b) {
+        Some(n) if n <= MAX_COUNT => Ok(()),
+        _ => Err(StatsError::MismatchedSketch("merged count above 2^53")),
+    }
+}
+
+/// [`check_merged_count`] on both counts of two summaries: the finite
+/// and the quarantined observations.
+pub(crate) fn check_merge_counts<S: MergeableSummary>(a: &S, b: &S) -> StatsResult<()> {
+    check_merged_count(a.count(), b.count())?;
+    check_merged_count(a.non_finite_count(), b.non_finite_count())
 }
 
 pub(crate) fn parse_usize(s: &str) -> StatsResult<usize> {
@@ -153,6 +186,17 @@ enum Repr {
     Exact(Vec<f64>),
     /// Above the threshold: t-digest over all finite samples so far.
     Digest(TDigest),
+}
+
+impl Repr {
+    /// The finite and quarantined counts of the order statistics. A
+    /// promotion keeps them, so a merge adds them whatever the regimes.
+    fn counts(&self) -> (u64, u64) {
+        match self {
+            Repr::Exact(values) => (values.len() as u64, 0),
+            Repr::Digest(d) => (d.count(), d.non_finite_count()),
+        }
+    }
 }
 
 /// Adaptive bounded-memory summary: exact below
@@ -373,16 +417,32 @@ impl MergeableSummary for StreamingSummary {
     }
 
     fn merge_from(&mut self, other: &Self) -> StatsResult<()> {
+        // Every part is checked before any changes, so a refused merge
+        // leaves `self` as it was.
         if self.threshold != other.threshold {
             return Err(StatsError::MismatchedSketch("stream threshold differs"));
         }
         if self.digest_delta != other.digest_delta {
             return Err(StatsError::MismatchedSketch("digest delta differs"));
         }
-        match (&mut self.grid, &other.grid) {
+        match (&self.grid, &other.grid) {
             (None, None) => {}
-            (Some(g), Some(og)) => g.merge_from(og)?,
+            (Some(g), Some(og)) => g.check_merge(og)?,
             _ => return Err(StatsError::MismatchedSketch("grid presence differs")),
+        }
+        check_merge_counts(&self.moments, &other.moments)?;
+        for repr in [&self.repr, &other.repr] {
+            if matches!(repr, Repr::Digest(d) if d.delta() != self.digest_delta) {
+                return Err(StatsError::MismatchedSketch("digest delta differs"));
+            }
+        }
+        let ((n, non_finite), (other_n, other_non_finite)) =
+            (self.repr.counts(), other.repr.counts());
+        check_merged_count(n, other_n)?;
+        check_merged_count(non_finite, other_non_finite)?;
+
+        if let (Some(g), Some(og)) = (&mut self.grid, &other.grid) {
+            g.merge_from(og)?;
         }
         self.moments.merge(&other.moments);
         match (&mut self.repr, &other.repr) {
@@ -522,6 +582,7 @@ impl MergeableSummary for OnlineMoments {
     }
 
     fn merge_from(&mut self, other: &Self) -> StatsResult<()> {
+        check_merge_counts(self, other)?;
         self.merge(other);
         Ok(())
     }
@@ -549,6 +610,7 @@ impl MergeableSummary for crate::summary::HigherMoments {
     }
 
     fn merge_from(&mut self, other: &Self) -> StatsResult<()> {
+        check_merge_counts(self, other)?;
         self.merge(other);
         Ok(())
     }
@@ -747,6 +809,17 @@ mod tests {
         let once = parsed.to_record();
         let again = T::from_record(&once).unwrap_or_else(|e| panic!("{once}: {e}"));
         assert_eq!(again.to_record(), once, "from {record}");
+        // Merged with itself, it doubles its counts or is refused and
+        // stays as it was.
+        let mut doubled = again;
+        match doubled.merge_from(&parsed) {
+            Ok(()) => assert_eq!(
+                (doubled.count(), doubled.non_finite_count()),
+                (2 * parsed.count(), 2 * parsed.non_finite_count()),
+                "from {record}"
+            ),
+            Err(_) => assert_eq!(doubled.to_record(), once, "from {record}"),
+        }
         true
     }
 
@@ -780,7 +853,17 @@ mod tests {
             "18446744073709551615",
             "-1",
         ]);
-        let count = pick(&["0", "1", "7", "18446744073709551615", "x"]);
+        let count = pick(&[
+            "0",
+            "1",
+            "7",
+            "4503599627370496",
+            "9007199254740991",
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+            "x",
+        ]);
         let hex = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..4) {
             0 => format!("{:016x}", rng.gen::<u64>()),
             1 => f64_to_hex(rng.gen_range(-1e3..1e3)),
@@ -847,10 +930,20 @@ mod tests {
                 format!("digest:{td}")
             };
             let delta = ["200", "10", "5", "4294967496"][rng.gen_range(0..4usize)];
+            let mom = [
+                "0",
+                "4503599627370496",
+                "9007199254740992",
+                "9007199254740993",
+            ];
             let ss = format!(
                 "ss1|thr={}|delta={delta}|mom={}|grid=-|repr={repr}",
                 rng.gen_range(0..3),
-                OnlineMoments::new().to_record()
+                OnlineMoments::new().to_record().replacen(
+                    ";0;",
+                    &format!(";{};", mom[rng.gen_range(0..4usize)]),
+                    1
+                )
             );
             streams += usize::from(round_trips::<StreamingSummary>(&ss));
         }
@@ -875,6 +968,172 @@ mod tests {
             assert!(
                 matches!(
                     StreamingSummary::from_record(&bad),
+                    Err(StatsError::MalformedSketch(_))
+                ),
+                "{bad}"
+            );
+        }
+    }
+
+    /// Record builders for a state pushes could reach: `n` samples equal
+    /// to 1.0 and `non_finite` quarantined ones.
+    fn om1(n: u64, non_finite: u64) -> String {
+        format!(
+            "om1;{n};{non_finite};3ff0000000000000;0000000000000000;\
+             3ff0000000000000;3ff0000000000000"
+        )
+    }
+
+    fn hm1(n: u64, non_finite: u64) -> String {
+        format!(
+            "hm1;{n};{non_finite};3ff0000000000000;0000000000000000;0000000000000000;\
+             0000000000000000;3ff0000000000000;3ff0000000000000;0000000000000000;{};1",
+            f64_to_hex(n as f64)
+        )
+    }
+
+    /// Two unit bins from 0.0; every sample sits in the second.
+    fn gs1(n: u64, non_finite: u64) -> String {
+        format!("gs1;0000000000000000;3ff0000000000000;{n};{non_finite};0;0;0,{n}")
+    }
+
+    const UNIT_GRID: GridSpec = GridSpec {
+        lo: 0.0,
+        hi: 2.0,
+        bins: 2,
+    };
+
+    fn td1(n: u64, non_finite: u64) -> String {
+        let centroid = if n == 0 {
+            String::new()
+        } else {
+            format!("3ff0000000000000:{}", f64_to_hex(n as f64))
+        };
+        format!("td1;100;{n};{non_finite};3ff0000000000000;3ff0000000000000;{centroid}")
+    }
+
+    /// Its digest holds only the finite samples, as a push leaves it.
+    fn ss1(mom: (u64, u64), grid: (u64, u64), digest: u64) -> String {
+        format!(
+            "ss1|thr=4096|delta=100|mom={}|grid={}|repr=digest:{}",
+            om1(mom.0, mom.1),
+            gs1(grid.0, grid.1),
+            td1(digest, 0)
+        )
+    }
+
+    fn stream_config() -> StreamConfig {
+        StreamConfig {
+            threshold: 4096,
+            digest_delta: 100,
+            grid: Some(UNIT_GRID),
+        }
+    }
+
+    /// Loads up to 2⁵³ in either count and refuses more; pushes once past
+    /// it; merges up to it, and refuses a merge past it from either side
+    /// without changing either summary.
+    fn holds_counts_to_2_pow_53<T: MergeableSummary>(
+        record: impl Fn(u64, u64) -> String,
+        fresh: impl Fn() -> T,
+    ) {
+        let load = |(n, non_finite): (u64, u64)| T::from_record(&record(n, non_finite));
+        let counts = |s: &T| (s.count(), s.non_finite_count());
+        for at in [(MAX_COUNT, 0), (0, MAX_COUNT)] {
+            assert_eq!(counts(&load(at).unwrap()), at, "{}", record(at.0, at.1));
+        }
+        for past in [(MAX_COUNT + 1, 0), (0, MAX_COUNT + 1), (u64::MAX, 0)] {
+            assert!(
+                matches!(load(past), Err(StatsError::MalformedSketch(_))),
+                "{}",
+                record(past.0, past.1)
+            );
+        }
+        let mut pushed = load((MAX_COUNT, MAX_COUNT)).unwrap();
+        pushed.push(1.0);
+        pushed.push(f64::NAN);
+        assert_eq!(counts(&pushed), (MAX_COUNT + 1, MAX_COUNT + 1));
+
+        let one = |x: f64| {
+            let mut s = fresh();
+            s.push(x);
+            s
+        };
+        for (x, below, at) in [
+            (1.0, (MAX_COUNT - 1, 0), (MAX_COUNT, 0)),
+            (f64::NAN, (0, MAX_COUNT - 1), (0, MAX_COUNT)),
+        ] {
+            let mut merged = load(below).unwrap();
+            merged.merge_from(&one(x)).unwrap();
+            assert_eq!(counts(&merged), at);
+            let (mut full, mut single) = (load(at).unwrap(), one(x));
+            let (full_before, single_before) = (full.to_record(), single.to_record());
+            assert!(matches!(
+                full.merge_from(&one(x)),
+                Err(StatsError::MismatchedSketch(_))
+            ));
+            assert!(matches!(
+                single.merge_from(&load(at).unwrap()),
+                Err(StatsError::MismatchedSketch(_))
+            ));
+            assert_eq!(full.to_record(), full_before);
+            assert_eq!(single.to_record(), single_before);
+        }
+    }
+
+    #[test]
+    fn sketch_counts_load_push_and_merge_up_to_2_pow_53() {
+        holds_counts_to_2_pow_53(om1, OnlineMoments::new);
+        holds_counts_to_2_pow_53(hm1, crate::summary::HigherMoments::new);
+        holds_counts_to_2_pow_53(gs1, || GridSketch::new(UNIT_GRID).unwrap());
+        holds_counts_to_2_pow_53(td1, || TDigest::new(100).unwrap());
+        holds_counts_to_2_pow_53(
+            |n, non_finite| ss1((n, non_finite), (n, non_finite), n),
+            || StreamingSummary::new(stream_config()).unwrap(),
+        );
+        // The record that used to load and then overflow the next merge
+        // (a panic in debug builds, a wrapped count in release builds).
+        assert!(matches!(
+            OnlineMoments::from_record(&om1(u64::MAX, 0)),
+            Err(StatsError::MalformedSketch(_))
+        ));
+    }
+
+    #[test]
+    fn sketch_stream_merge_checks_every_part_before_changing_any() {
+        let mut one = StreamingSummary::new(stream_config()).unwrap();
+        one.push(1.0);
+        // Only one part of each summary is at the bound, and each merge
+        // would change the parts before it in the old order.
+        for record in [
+            ss1((1, 0), (1, 0), MAX_COUNT),
+            ss1((1, 0), (MAX_COUNT, 0), 1),
+            ss1((MAX_COUNT, 0), (1, 0), 1),
+            ss1((1, 0), (1, 0), 1).replace("td1;100;", "td1;200;"),
+        ] {
+            let mut full = StreamingSummary::from_record(&record).unwrap();
+            assert!(full.merge_from(&one).is_err(), "{record}");
+            assert_eq!(full.to_record(), record, "{record}");
+            let mut single = one.clone();
+            assert!(single.merge_from(&full).is_err(), "{record}");
+            assert_eq!(single, one, "{record}");
+        }
+    }
+
+    #[test]
+    fn sketch_grid_records_whose_bins_do_not_add_up_are_refused() {
+        assert!(GridSketch::from_record(&gs1(3, 0)).is_ok());
+        for bad in [
+            "gs1;0000000000000000;3ff0000000000000;3;0;0;0;0,2",
+            "gs1;0000000000000000;3ff0000000000000;3;0;1;1;0,2",
+            // Bins that would overflow a u64 sum.
+            &format!("gs1;0000000000000000;3ff0000000000000;0;0;0;0;{}", {
+                vec![MAX_COUNT.to_string(); 2049].join(",")
+            }),
+        ] {
+            assert!(
+                matches!(
+                    GridSketch::from_record(bad),
                     Err(StatsError::MalformedSketch(_))
                 ),
                 "{bad}"

@@ -10,7 +10,7 @@ use crate::error::{StatsError, StatsResult};
 use crate::summary::{HigherMoments, HigherMomentsRaw, OnlineMoments, OnlineMomentsRaw};
 use crate::{f64_from_hex, f64_to_hex};
 
-use super::parse_u64;
+use super::parse_count;
 
 pub(super) fn online_moments_to_record(m: &OnlineMoments) -> String {
     let raw = m.to_raw();
@@ -31,8 +31,8 @@ pub(super) fn online_moments_from_record(record: &str) -> StatsResult<OnlineMome
         return Err(StatsError::MalformedSketch("expected 7-part om1 record"));
     }
     Ok(OnlineMoments::from_raw(OnlineMomentsRaw {
-        n: parse_u64(parts[1])?,
-        non_finite: parse_u64(parts[2])?,
+        n: parse_count(parts[1])?,
+        non_finite: parse_count(parts[2])?,
         mean: f64_from_hex(parts[3])?,
         m2: f64_from_hex(parts[4])?,
         min: f64_from_hex(parts[5])?,
@@ -69,8 +69,8 @@ pub(super) fn higher_moments_from_record(record: &str) -> StatsResult<HigherMome
         _ => return Err(StatsError::MalformedSketch("all_positive flag")),
     };
     Ok(HigherMoments::from_raw(HigherMomentsRaw {
-        n: parse_u64(parts[1])?,
-        non_finite: parse_u64(parts[2])?,
+        n: parse_count(parts[1])?,
+        non_finite: parse_count(parts[2])?,
         mean: f64_from_hex(parts[3])?,
         m2: f64_from_hex(parts[4])?,
         m3: f64_from_hex(parts[5])?,

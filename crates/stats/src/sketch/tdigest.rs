@@ -19,7 +19,7 @@ use crate::error::{StatsError, StatsResult};
 use crate::sort::{from_order_key, order_key, sort_keys};
 use crate::{f64_from_hex, f64_to_hex};
 
-use super::{parse_u64, MergeableSummary};
+use super::{check_merge_counts, parse_count, parse_u64, MergeableSummary};
 
 /// One weighted cluster of nearby samples.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -347,6 +347,7 @@ impl MergeableSummary for TDigest {
         if self.delta != other.delta {
             return Err(StatsError::MismatchedSketch("digest delta differs"));
         }
+        check_merge_counts(self, other)?;
         self.n += other.n;
         self.non_finite += other.non_finite;
         self.min = self.min.min(other.min);
@@ -395,8 +396,8 @@ impl MergeableSummary for TDigest {
         let delta = u32::try_from(parse_u64(parts[1])?)
             .map_err(|_| StatsError::MalformedSketch("delta out of range"))?;
         let mut digest = TDigest::new(delta)?;
-        digest.n = parse_u64(parts[2])?;
-        digest.non_finite = parse_u64(parts[3])?;
+        digest.n = parse_count(parts[2])?;
+        digest.non_finite = parse_count(parts[3])?;
         digest.min = f64_from_hex(parts[4])?;
         digest.max = f64_from_hex(parts[5])?;
         if !parts[6].is_empty() {

@@ -52,6 +52,29 @@ impl SortedSamples {
         Ok(Self { xs })
     }
 
+    /// Checks that `self` can stand for the sorted copy of `values` in a
+    /// sorted-input entry point such as [`crate::kde::kde_sorted`].
+    ///
+    /// `values` must be a valid sample (non-empty, all finite), and `self`
+    /// must hold as many values. A copy of another length is a typed
+    /// error, so a caller that pairs a sample with the wrong sort gets an
+    /// error, not a wrong interval. Debug builds also assert that `self`
+    /// is the ascending copy of `values` (`-0.0 == +0.0`).
+    pub fn check_copy_of(&self, values: &[f64]) -> StatsResult<()> {
+        validate_samples(values)?;
+        if values.len() != self.xs.len() {
+            return Err(StatsError::UnsupportedSampleSize {
+                constraint: "the sorted copy must hold one value per sample value",
+                actual: self.xs.len(),
+            });
+        }
+        debug_assert!(
+            self.xs == sorted_finite(values.to_vec()),
+            "the sorted copy holds other values than the sample"
+        );
+        Ok(())
+    }
+
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.xs.len()
@@ -366,6 +389,39 @@ mod tests {
         let f = s.tukey_fences(0.0).unwrap();
         let five = s.five_number();
         assert_eq!((f.lower, f.upper), (five.q1, five.q3));
+    }
+
+    #[test]
+    fn check_copy_of_accepts_the_copy_and_refuses_another_length() {
+        let xs = sample();
+        let sorted = SortedSamples::new(&xs).unwrap();
+        assert_eq!(sorted.check_copy_of(&xs), Ok(()));
+        // Signed zeros compare equal, so either order is the copy.
+        let zeros = SortedSamples::new(&[0.0, -0.0, 1.0]).unwrap();
+        assert_eq!(zeros.check_copy_of(&[-0.0, 0.0, 1.0]), Ok(()));
+        for other in [&xs[1..], &[xs.clone(), vec![1.0]].concat()[..]] {
+            assert_eq!(
+                sorted.check_copy_of(other),
+                Err(StatsError::UnsupportedSampleSize {
+                    constraint: "the sorted copy must hold one value per sample value",
+                    actual: xs.len(),
+                })
+            );
+        }
+        // The sample itself is checked first.
+        assert_eq!(sorted.check_copy_of(&[]), Err(StatsError::EmptySample));
+        assert_eq!(
+            sorted.check_copy_of(&[1.0, f64::NAN]),
+            Err(StatsError::NonFiniteSample)
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the sorted copy holds other values than the sample")]
+    fn check_copy_of_asserts_the_values_in_debug_builds() {
+        let sorted = SortedSamples::new(&[1.0, 2.0, 3.0]).unwrap();
+        let _ = sorted.check_copy_of(&[1.0, 2.0, 4.0]);
     }
 
     #[test]

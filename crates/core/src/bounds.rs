@@ -14,10 +14,8 @@
 //! performance — whose largest component is the likely bottleneck. The
 //! roofline model is the `k = 2` special case.
 
-use serde::{Deserialize, Serialize};
-
 /// A `p`-dependent overhead term, seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OverheadTerm {
     /// Constant overhead.
     Fixed(f64),
@@ -37,7 +35,7 @@ impl OverheadTerm {
 
 /// A piecewise parallel-overhead model: the first segment whose
 /// `max_p >= p` applies (the last segment catches everything above).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadModel {
     segments: Vec<(usize, OverheadTerm)>,
 }
@@ -87,7 +85,7 @@ impl OverheadModel {
 }
 
 /// A scaling bound for a code with single-process time `base_time_s`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScalingBound {
     /// Ideal linear scaling: `T(p) ≥ T(1)/p`.
     IdealLinear,
@@ -136,7 +134,7 @@ impl ScalingBound {
 }
 
 /// A machine-capability vector `Γ`: named peak feature rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapabilityVector {
     features: Vec<(String, f64)>,
 }
@@ -235,7 +233,7 @@ impl CapabilityVector {
 /// statistically sound microbenchmarks." This is that parametrization for
 /// the two network features (latency, bandwidth): a least-squares fit of
 /// measured transfer times against message sizes, with goodness of fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearCostModel {
     /// Fixed cost per operation (the latency term), in the time unit of
     /// the inputs.

@@ -6,8 +6,6 @@
 //! *which* statistic supports a claimed difference instead of eyeballing
 //! means.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::ci::{mean_ci, ConfidenceInterval};
 use scibench_stats::error::StatsResult;
 use scibench_stats::htest::{
@@ -17,7 +15,7 @@ use scibench_stats::quantreg::{two_sample, QuantileEffect};
 use scibench_stats::sorted::SortedSamples;
 
 /// The full comparison of two samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// Label of the base sample (A).
     pub label_a: String,

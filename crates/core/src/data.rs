@@ -9,10 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 /// A column-oriented measurement dataset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataSet {
     columns: Vec<String>,
     rows: Vec<Vec<f64>>,

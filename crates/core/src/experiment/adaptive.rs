@@ -14,12 +14,10 @@
 //! around an eager/rendezvous protocol switch) and sparse where it is
 //! straight.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::error::{StatsError, StatsResult};
 
 /// One measured level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredLevel {
     /// The factor value (e.g. message size).
     pub level: f64,
@@ -28,7 +26,7 @@ pub struct MeasuredLevel {
 }
 
 /// Result of an adaptive refinement run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Refinement {
     /// Measured levels, sorted ascending by level.
     pub measured: Vec<MeasuredLevel>,
@@ -64,7 +62,7 @@ impl Refinement {
 }
 
 /// Configuration of the refinement loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefinementConfig {
     /// Lowest level (inclusive).
     pub min_level: f64,

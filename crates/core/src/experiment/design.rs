@@ -8,13 +8,11 @@
 //! the §4.1.1 randomization defence against uncontrollable environment
 //! parameters ("Hunold et al. randomly change the execution order").
 
-use serde::{Deserialize, Serialize};
-
 use scibench_sim::rng::SimRng;
 
 /// One experimental factor with its levels, e.g. "processes" at
 /// `[2, 4, 8, ...]` or "system" at `["dora", "pilatus"]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Factor {
     /// Factor name.
     pub name: String,
@@ -48,7 +46,7 @@ impl Factor {
 
 /// One point of the design: a (factor → level) assignment, stored as
 /// parallel vectors in factor order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunPoint {
     /// The chosen level per factor, in design factor order.
     pub levels: Vec<String>,
@@ -62,7 +60,7 @@ impl RunPoint {
 }
 
 /// A factorial design over a set of factors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     factors: Vec<Factor>,
 }

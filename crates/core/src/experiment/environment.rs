@@ -8,10 +8,8 @@
 //! tells the rule auditor which classes an experimenter failed to
 //! document.
 
-use serde::{Deserialize, Serialize};
-
 /// The nine documentation classes of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DocumentationClass {
     /// Processor model / accelerator.
     Processor,
@@ -67,7 +65,7 @@ impl DocumentationClass {
 /// that the class does not affect the experiment ("a shared memory
 /// experiment does not need to describe the network" — which Table 1 also
 /// counts as documented).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClassDoc {
     /// The class is described by this text.
     Documented(String),
@@ -85,7 +83,7 @@ impl ClassDoc {
 }
 
 /// The full Rule-9 environment documentation of one experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvironmentDoc {
     entries: Vec<(DocumentationClass, ClassDoc)>,
 }

@@ -17,8 +17,6 @@
 //! Shapiro–Wilk diagnostic (Rule 6), and only blesses the parametric mean
 //! CI when the diagnostic does not reject normality.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::ci::{self, ConfidenceInterval};
 use scibench_stats::error::{StatsError, StatsResult};
 use scibench_stats::normality::{shapiro_wilk_thinned, ShapiroWilk};
@@ -28,7 +26,7 @@ use scibench_stats::sorted::SortedSamples;
 use scibench_stats::summary::{self, OnlineMoments};
 
 /// When to stop measuring.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StoppingRule {
     /// Exactly `n` samples (after warmup).
     FixedCount(usize),
@@ -194,7 +192,7 @@ impl StoppingRule {
 }
 
 /// A plan for measuring one operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementPlan {
     /// Name of the measured operation (for reports).
     pub name: String,
@@ -291,7 +289,7 @@ impl MeasurementPlan {
 }
 
 /// The raw result of running a measurement plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementOutcome {
     /// Operation name.
     pub name: String,
@@ -417,23 +415,19 @@ impl MeasurementOutcome {
 }
 
 /// A Rule 5/6-compliant summary of one measurement campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementSummary {
     /// Operation name.
     pub name: String,
     /// Number of *usable* (finite) samples the statistics are based on.
     pub n: usize,
     /// Number of samples recorded before sanitization (`n` plus drops).
-    #[serde(default)]
     pub samples_recorded: usize,
     /// Total non-finite samples dropped during sanitization (Rule 4).
-    #[serde(default)]
     pub samples_dropped: usize,
     /// NaN samples dropped (e.g. clock-jump-corrupted readings).
-    #[serde(default)]
     pub dropped_nan: usize,
     /// Infinite samples dropped (e.g. overflowed timer deltas).
-    #[serde(default)]
     pub dropped_infinite: usize,
     /// Rule 5: "report if the measurement values are deterministic".
     pub deterministic: bool,
@@ -460,7 +454,6 @@ pub struct MeasurementSummary {
     pub confidence: f64,
     /// Harness self-accounting (Rules 4-5): what observing this
     /// measurement cost. `None` when the run was not traced.
-    #[serde(default)]
     pub harness_overhead: Option<crate::obs::HarnessOverhead>,
 }
 

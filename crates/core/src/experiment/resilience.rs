@@ -32,8 +32,6 @@ use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use serde::{Deserialize, Serialize};
-
 use scibench_sim::fault::SimFault;
 use scibench_sim::rng::SimRng;
 use scibench_stats::error::StatsResult;
@@ -73,7 +71,7 @@ impl fmt::Display for MeasureFailure {
 impl std::error::Error for MeasureFailure {}
 
 /// Retry, backoff and budget knobs of the resilient runner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts per design point before it is abandoned (min 1).
     pub max_attempts: usize,
@@ -174,7 +172,7 @@ fn saturating_add_ns(acc: f64, charge: f64) -> f64 {
 }
 
 /// What finally happened to one design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PointFate {
     /// The point produced a usable outcome.
     Completed {
@@ -222,7 +220,7 @@ pub struct ResilientRun {
 }
 
 /// Rule-4 disclosure of how the campaign fared.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CampaignHealth {
     /// Design points in the campaign.
     pub points_total: usize,

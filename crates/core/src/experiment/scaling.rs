@@ -11,10 +11,8 @@
 //! domains carry the per-dimension growth flags. `describe()` renders the
 //! exact sentence a paper must contain.
 
-use serde::{Deserialize, Serialize};
-
 /// How the problem size relates to the process count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScalingMode {
     /// Constant total problem size.
     Strong,
@@ -23,7 +21,7 @@ pub enum ScalingMode {
 }
 
 /// The weak-scaling growth function (the thing papers forget to state).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WeakScalingFn {
     /// Total size = base · p (constant work per process).
     Linear,
@@ -46,7 +44,7 @@ pub enum WeakScalingFn {
 }
 
 /// A declared scaling study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingStudy {
     /// Strong or weak (with its function).
     pub mode: ScalingMode,

@@ -11,8 +11,6 @@
 //! [`Ratio`] has no `mean` at all — only
 //! [`Ratio::geometric_mean_last_resort`], whose name is the warning.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::error::StatsResult;
 use scibench_stats::summary;
 
@@ -29,7 +27,7 @@ use crate::units::Unit;
 /// assert_eq!(costs.mean().unwrap(), 50.0);           // arithmetic (Rule 3)
 /// assert_eq!(costs.aggregate_rate(100.0).unwrap(), 2.0); // Gflop/s
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cost {
     values: Vec<f64>,
     unit: Unit,
@@ -92,7 +90,7 @@ impl Cost {
 }
 
 /// A sample of rate measurements (cost per cost, e.g. flop/s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rate {
     values: Vec<f64>,
     unit: Unit,
@@ -142,7 +140,7 @@ impl Rate {
 }
 
 /// A sample of dimensionless ratios (speedups, fractions of peak).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ratio {
     values: Vec<f64>,
 }

@@ -14,8 +14,6 @@
 //!   [`crate::experiment::measurement::MeasurementSummary`] and rendered
 //!   in its text report.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_trace::OverheadReport;
 
 /// Lane (`tid`) of the orchestrating thread's events.
@@ -41,7 +39,7 @@ pub fn campaign_lane(design_idx: usize) -> u32 {
 /// Derived from the tracer's self-accounting report and scaled to the
 /// number of recorded samples, so a summary can state "observing this
 /// experiment cost ~X ns per sample, Y% of the payload time".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HarnessOverhead {
     /// Median cost of one clock read, nanoseconds.
     pub timer_read_ns: f64,

@@ -12,15 +12,13 @@
 //! accordingly; all the paper's cross-process summaries (max, median,
 //! pooled) are available explicitly as [`CrossProcessSummary`] variants.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::error::{StatsError, StatsResult};
 use scibench_stats::htest::{one_way_anova, AnovaResult};
 use scibench_stats::quantile::median;
 use scibench_stats::summary::arithmetic_mean;
 
 /// How to collapse per-process samples into one number per repetition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrossProcessSummary {
     /// Maximum across processes — worst-case completion (used by the
     /// paper for Figure 5 "to assess worst-case performance").
@@ -33,7 +31,7 @@ pub enum CrossProcessSummary {
 }
 
 /// Result of the Rule-10 cross-process analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessAnalysis {
     /// ANOVA over the per-process groups.
     pub anova: AnovaResult,

@@ -1,15 +1,13 @@
 //! Box plots (§5.2): quartile box, explicit whisker semantics, optional
 //! median notches, outliers.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::error::StatsResult;
 use scibench_stats::quantile::{FiveNumberSummary, QuantileMethod};
 use scibench_stats::sorted::SortedSamples;
 
 /// What the whiskers mean — §5.2: "the semantics of the whiskers must be
 /// specified".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WhiskerRule {
     /// Min and max observations.
     MinMax,
@@ -42,7 +40,7 @@ impl WhiskerRule {
 }
 
 /// The statistics behind one box.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxPlotStats {
     /// Optional label (e.g. the process rank or system name).
     pub label: String,

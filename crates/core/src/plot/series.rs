@@ -5,12 +5,10 @@
 //! must be told explicitly whether connecting is valid, and that flag
 //! travels with the data into every renderer.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::ci::ConfidenceInterval;
 
 /// One point of a series: an x position, a y estimate, and an optional CI.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// The x coordinate (e.g. process count).
     pub x: f64,
@@ -21,7 +19,7 @@ pub struct SeriesPoint {
 }
 
 /// A named series of points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub label: String,

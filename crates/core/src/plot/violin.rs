@@ -2,8 +2,6 @@
 //! observations \[and\] typically show the median as well as the quartiles"
 //! — more information than a box plot at the cost of horizontal space.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::error::StatsResult;
 use scibench_stats::kde::{kde_sorted, Bandwidth, DensityEstimate};
 use scibench_stats::quantile::FiveNumberSummary;
@@ -11,7 +9,7 @@ use scibench_stats::sorted::SortedSamples;
 use scibench_stats::summary::{arithmetic_mean, geometric_mean};
 
 /// The data behind one violin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViolinData {
     /// Label of the violin.
     pub label: String,

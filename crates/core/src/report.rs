@@ -7,8 +7,6 @@
 //! bounds models (Rule 11), parallel-measurement methodology (Rule 10)
 //! and attached plots (Rule 12). [`crate::rules::RuleAudit`] consumes it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bounds::ScalingBound;
 use crate::compare::Comparison;
 use crate::experiment::environment::EnvironmentDoc;
@@ -18,7 +16,7 @@ use crate::speedup::Speedup;
 use crate::units::Unit;
 
 /// One measured operation with its unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportEntry {
     /// The Rule 5/6-compliant summary.
     pub summary: MeasurementSummary,
@@ -28,7 +26,7 @@ pub struct ReportEntry {
 
 /// How parallel time was measured (Rule 10): all three methodology
 /// ingredients must be stated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelMethodology {
     /// Number of processes.
     pub processes: usize,
@@ -42,7 +40,7 @@ pub struct ParallelMethodology {
 }
 
 /// A reference to a figure/plot attached to the experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlotRef {
     /// Plot title.
     pub title: String,
@@ -53,7 +51,7 @@ pub struct PlotRef {
 }
 
 /// A complete experiment report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
     /// Experiment title.
     pub title: String,

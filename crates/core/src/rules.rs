@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::report::ExperimentReport;
 
 /// The twelve rules of Hoefler & Belli (SC '15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// Rule 1: speedup base case and its absolute performance.
     R1SpeedupBaseCase,
@@ -142,7 +140,7 @@ impl fmt::Display for Rule {
 }
 
 /// Audit verdict for one rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The report satisfies the rule.
     Pass,
@@ -155,7 +153,7 @@ pub enum Verdict {
 }
 
 /// One audited rule with its verdict and explanation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// The audited rule.
     pub rule: Rule,
@@ -175,7 +173,7 @@ pub struct Finding {
 /// assert!(!audit.passed());
 /// assert_eq!(audit.findings.len(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuleAudit {
     /// One finding per rule, in rule order.
     pub findings: Vec<Finding>,

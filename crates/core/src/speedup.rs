@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// What the speedup is measured against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaseCase {
     /// The parallel code run with a single process — often slower than
     /// the best serial implementation, and therefore flattering.
@@ -42,7 +40,7 @@ impl fmt::Display for BaseCase {
 /// // Rule 1: the rendered form names the base case and its absolute time.
 /// assert!(s.to_string().contains("best serial"));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Speedup {
     /// Execution time of the base case, seconds.
     pub base_time_s: f64,

@@ -14,10 +14,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Measurement units used in performance reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Unit {
     /// Seconds (time cost).
     Seconds,

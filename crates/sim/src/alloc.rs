@@ -6,13 +6,11 @@
 //! allocations for each experiment; all other experiments were repeated in
 //! the same allocation. Allocated nodes were chosen by the batch system."
 
-use serde::{Deserialize, Serialize};
-
 use crate::machine::MachineSpec;
 use crate::rng::SimRng;
 
 /// How the batch system places a job's processes onto nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationPolicy {
     /// Contiguous node ids starting at 0 (densest possible packing:
     /// minimizes hop distances).
@@ -29,7 +27,7 @@ pub enum AllocationPolicy {
 }
 
 /// A concrete job placement: `node_of[rank]` is the node of each process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Node id hosting each rank.
     pub node_of: Vec<usize>,

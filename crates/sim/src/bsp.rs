@@ -14,15 +14,13 @@
 //! application (e.g., load balancing)" noise source of §1), separate
 //! from system noise.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alloc::Allocation;
 use crate::collectives::allreduce;
 use crate::machine::MachineSpec;
 use crate::rng::SimRng;
 
 /// Configuration of a BSP application run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BspConfig {
     /// Number of iterations (supersteps).
     pub iterations: usize,
@@ -48,7 +46,7 @@ impl BspConfig {
 }
 
 /// Result of one BSP run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BspRun {
     /// Total wall time, nanoseconds.
     pub total_ns: f64,

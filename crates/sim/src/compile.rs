@@ -38,7 +38,7 @@ use crate::collectives::{
 };
 use crate::fault::{FaultContext, SimFault};
 use crate::machine::MachineSpec;
-use crate::network::NetworkModel;
+use crate::network::{faulty_transfer_ns, NetworkModel};
 use crate::noise::NoiseProfile;
 use crate::rng::SimRng;
 
@@ -219,12 +219,12 @@ impl CompiledSchedule {
         }
     }
 
-    /// Replays one sample on a machine with injected faults, mirroring
-    /// [`NetworkModel::transfer_faulty_ns`] message by message: crash
-    /// checks on both endpoint nodes, straggler slowdown, link-drop coins
-    /// from the context's dedicated stream, and clock advancement. A run
-    /// experiencing zero fault events is bit-identical to
-    /// [`CompiledSchedule::replay_into`].
+    /// Replays one sample on a machine with injected faults, applying the
+    /// fault rule of [`NetworkModel::transfer_faulty_ns`] (the same
+    /// function) message by message: crash checks on both endpoint nodes,
+    /// straggler slowdown, link-drop coins from the context's dedicated
+    /// stream, and clock advancement. A run experiencing zero fault events
+    /// is bit-identical to [`CompiledSchedule::replay_into`].
     pub fn replay_faulty_into<'a>(
         &self,
         ctx: &'a mut ReplayCtx,
@@ -234,32 +234,7 @@ impl CompiledSchedule {
         let (a, b) = ctx.buffers(self.ranks);
         let mut transfer = |i: usize, r: &mut SimRng| -> Result<f64, SimFault> {
             let (sn, dn) = (self.src_node[i] as usize, self.dst_node[i] as usize);
-            for node in [sn, dn] {
-                if let Some(fault) = fctx.crashed(node) {
-                    return Err(fault);
-                }
-            }
-            let mut t = self.noise.perturb(self.base_ns[i], r);
-            let schedule = fctx.schedule();
-            let slowdown = schedule.slowdown_of(sn).max(schedule.slowdown_of(dn));
-            t *= slowdown;
-            let max_retransmits = schedule.plan().max_retransmits;
-            let retransmit_penalty_ns = schedule.plan().retransmit_penalty_ns;
-            let mut drops = 0u32;
-            while fctx.link_drop_coin() {
-                drops += 1;
-                if drops > max_retransmits {
-                    return Err(SimFault::LinkFailed {
-                        src: sn,
-                        dst: dn,
-                        drops,
-                    });
-                }
-                // Resend: penalty plus another deterministic transfer.
-                t += retransmit_penalty_ns + self.base_ns[i] * slowdown;
-            }
-            fctx.advance(t);
-            Ok(t)
+            faulty_transfer_ns(&self.noise, sn, dn, self.base_ns[i], fctx, r)
         };
         match self.op {
             CollectiveOp::Reduce => {

@@ -8,12 +8,10 @@
 //! the paper proposes is implemented on top of these clocks in the core
 //! crate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 
 /// A process-local clock: `local(t) = offset + t · (1 + drift)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftingClock {
     /// Offset from global time at t = 0, nanoseconds.
     pub offset_ns: f64,
@@ -68,7 +66,7 @@ impl DriftingClock {
 }
 
 /// The local clocks of a whole process group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClockEnsemble {
     clocks: Vec<DriftingClock>,
 }

@@ -18,8 +18,6 @@
 //! a run whose operations happen to experience zero fault events produces
 //! **bit-identical** samples to the same run under [`FaultPlan::none`].
 
-use serde::{Deserialize, Serialize};
-
 use scibench_trace::{category, ArgValue, LocalTracer};
 
 use crate::rng::SimRng;
@@ -83,7 +81,7 @@ impl std::error::Error for SimFault {}
 
 /// Configuration of the faults injected into a machine. All probabilities
 /// are in `[0, 1]`; the default plan injects nothing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Probability that any given node crashes during the experiment.
     pub node_crash_prob: f64,
@@ -169,7 +167,7 @@ impl FaultPlan {
 }
 
 /// A clock jump scheduled on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockJump {
     /// Global simulation time of the jump, nanoseconds.
     pub at_ns: f64,

@@ -13,14 +13,12 @@
 //! how the paper ran the experiment — which contributes allocation-to-
 //! allocation variance.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alloc::{Allocation, AllocationPolicy};
 use crate::machine::MachineSpec;
 use crate::rng::SimRng;
 
 /// Configuration of an HPL campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HplConfig {
     /// Matrix order N.
     pub n: u64,
@@ -52,7 +50,7 @@ impl HplConfig {
 }
 
 /// Result of one simulated HPL run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HplRun {
     /// Wall-clock completion time in seconds.
     pub time_s: f64,

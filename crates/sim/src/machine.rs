@@ -7,15 +7,13 @@
 //! documentation block, so experiment reports can embed a full setup
 //! description mechanically.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::FaultPlan;
 use crate::noise::NoiseProfile;
 use crate::topology::Topology;
 
 /// Compute-node description (the paper's "Processor Model / RAM" rows of
 /// Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Marketing name of the CPU(s), e.g. "2x Intel Xeon E5-2690 v3".
     pub cpu_model: String,
@@ -32,7 +30,7 @@ pub struct NodeSpec {
 }
 
 /// Interconnect description (the paper's "NIC Model / Network" row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSpec {
     /// Interconnect family, e.g. "Cray Aries" or "InfiniBand FDR".
     pub name: String,
@@ -52,7 +50,7 @@ pub struct NetworkSpec {
 }
 
 /// A complete machine model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Human-readable system name.
     pub name: String,
@@ -68,7 +66,6 @@ pub struct MachineSpec {
     pub noise: NoiseProfile,
     /// Fault-injection plan for resilience experiments (empty by default —
     /// presets model healthy machines).
-    #[serde(default)]
     pub faults: FaultPlan,
     /// Software environment descriptor (compiler, MPI, batch system) —
     /// the Table 1 software rows.

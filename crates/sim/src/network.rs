@@ -96,28 +96,7 @@ impl<'m> NetworkModel<'m> {
         ctx: &mut FaultContext,
         rng: &mut SimRng,
     ) -> Result<f64, SimFault> {
-        for node in [src, dst] {
-            if let Some(fault) = ctx.crashed(node) {
-                return Err(fault);
-            }
-        }
-        let mut t = self.machine.noise.perturb(base_ns, rng);
-        let schedule = ctx.schedule();
-        let slowdown = schedule.slowdown_of(src).max(schedule.slowdown_of(dst));
-        t *= slowdown;
-        let max_retransmits = schedule.plan().max_retransmits;
-        let retransmit_penalty_ns = schedule.plan().retransmit_penalty_ns;
-        let mut drops = 0u32;
-        while ctx.link_drop_coin() {
-            drops += 1;
-            if drops > max_retransmits {
-                return Err(SimFault::LinkFailed { src, dst, drops });
-            }
-            // Resend: pay the penalty plus another (deterministic) transfer.
-            t += retransmit_penalty_ns + base_ns * slowdown;
-        }
-        ctx.advance(t);
-        Ok(t)
+        faulty_transfer_ns(&self.machine.noise, src, dst, base_ns, ctx, rng)
     }
 
     /// Noisy transfer time under an overridden noise profile, to isolate
@@ -132,6 +111,45 @@ impl<'m> NetworkModel<'m> {
     ) -> f64 {
         noise.perturb(self.base_transfer_ns(src, dst, bytes), rng)
     }
+}
+
+/// The fault rule of one transfer, shared by
+/// [`NetworkModel::transfer_faulty_from_base_ns`] and
+/// [`crate::compile::CompiledSchedule::replay_faulty_into`]: crash checks
+/// on both endpoint nodes, the noise draw from `rng`, the slower
+/// endpoint's straggler slowdown, one retransmit (penalty plus another
+/// slowed base transfer) per link-drop coin from the context's own stream,
+/// and the clock advance on success.
+pub(crate) fn faulty_transfer_ns(
+    noise: &NoiseProfile,
+    src: usize,
+    dst: usize,
+    base_ns: f64,
+    ctx: &mut FaultContext,
+    rng: &mut SimRng,
+) -> Result<f64, SimFault> {
+    for node in [src, dst] {
+        if let Some(fault) = ctx.crashed(node) {
+            return Err(fault);
+        }
+    }
+    let mut t = noise.perturb(base_ns, rng);
+    let schedule = ctx.schedule();
+    let slowdown = schedule.slowdown_of(src).max(schedule.slowdown_of(dst));
+    t *= slowdown;
+    let max_retransmits = schedule.plan().max_retransmits;
+    let retransmit_penalty_ns = schedule.plan().retransmit_penalty_ns;
+    let mut drops = 0u32;
+    while ctx.link_drop_coin() {
+        drops += 1;
+        if drops > max_retransmits {
+            return Err(SimFault::LinkFailed { src, dst, drops });
+        }
+        // Resend: pay the penalty plus another (deterministic) transfer.
+        t += retransmit_penalty_ns + base_ns * slowdown;
+    }
+    ctx.advance(t);
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -250,6 +268,34 @@ mod tests {
             .transfer_faulty_ns(0, 1, 64, &mut ctx, &mut rng)
             .unwrap();
         assert!((t - 3.0 * net.base_transfer_ns(0, 1, 64)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn straggler_slows_every_retransmit() {
+        use crate::fault::{FaultContext, FaultPlan};
+        let m = MachineSpec::test_machine(4);
+        let net = NetworkModel::new(&m);
+        let root = SimRng::new(3);
+        let plan = FaultPlan {
+            straggler_prob: 1.0,
+            straggler_slowdown: 3.0,
+            link_drop_prob: 0.5,
+            retransmit_penalty_ns: 100.0,
+            max_retransmits: 64,
+            ..FaultPlan::none()
+        };
+        let mut ctx = FaultContext::new(&plan, 4, &root);
+        let mut rng = root.fork("transfers");
+        let slowed = 3.0 * net.base_transfer_ns(0, 1, 64);
+        for _ in 0..50 {
+            let drops_before = ctx.link_drops();
+            let t = net
+                .transfer_faulty_ns(0, 1, 64, &mut ctx, &mut rng)
+                .unwrap();
+            let drops = (ctx.link_drops() - drops_before) as f64;
+            assert!((t - (slowed + drops * (100.0 + slowed))).abs() < 1e-6);
+        }
+        assert!(ctx.link_drops() > 0, "a 50% drop rate never fired");
     }
 
     #[test]

@@ -18,12 +18,10 @@
 //!    modelling network background traffic, responsible for the extreme
 //!    outliers (e.g. the 11.59 µs maximum in Figure 3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 
 /// Parameters of the composite noise model. All times in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseProfile {
     /// Scale of the baseline jitter: the duration is multiplied by
     /// `exp(σ·|Z|)` with `Z` standard normal — a *folded* log-normal

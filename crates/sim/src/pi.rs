@@ -15,13 +15,11 @@
 //! (the three pieces reflect Piz Daint's intra-socket / intra-group /
 //! inter-group communication tiers).
 
-use serde::{Deserialize, Serialize};
-
 use crate::machine::MachineSpec;
 use crate::rng::SimRng;
 
 /// Configuration of the π workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PiConfig {
     /// Total single-process runtime in seconds (paper: 20 ms).
     pub base_time_s: f64,

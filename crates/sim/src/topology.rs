@@ -8,10 +8,8 @@
 //! bandwidth) ... need to be specified" — the simulator models exactly
 //! those three quantities.
 
-use serde::{Deserialize, Serialize};
-
 /// A network topology with a deterministic node-to-node hop count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Full crossbar: every pair of distinct nodes is one hop apart.
     Crossbar,

@@ -14,8 +14,6 @@
 //! data and the "recompute the nonparametric CI every k measurements and
 //! stop when it is tight enough" loop for everything else.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::normal::z_critical;
 use crate::dist::student_t::t_critical;
 use crate::error::{StatsError, StatsResult};
@@ -25,7 +23,7 @@ use crate::summary::{arithmetic_mean, sample_std_dev, OnlineMoments};
 use crate::{sorted_copy, validate_samples};
 
 /// A two-sided confidence interval around a point estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// The point estimate (mean, median or quantile).
     pub estimate: f64,
@@ -95,7 +93,7 @@ pub fn mean_ci(xs: &[f64], confidence: f64) -> StatsResult<ConfidenceInterval> {
 }
 
 /// The rank bounds (1-based, inclusive) of a nonparametric CI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankBounds {
     /// 1-based rank of the lower CI bound.
     pub lower: usize,

@@ -7,8 +7,6 @@
 //! with a rejected normality test is the crate's operational definition of
 //! the "right-skewed, long-tailed" latency data of §3.1.2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StatsResult;
 use crate::quantile::FiveNumberSummary;
 use crate::sorted::SortedSamples;
@@ -16,7 +14,7 @@ use crate::summary::HigherMoments;
 use crate::validate_samples;
 
 /// Full descriptive summary of one sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Description {
     /// Number of observations.
     pub n: usize,

@@ -6,14 +6,12 @@
 //! Kolmogorov–Smirnov distance used to compare two systems' full latency
 //! profiles.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StatsResult;
 use crate::sorted::SortedSamples;
 use crate::{sorted_copy, validate_samples};
 
 /// An empirical CDF: a right-continuous step function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

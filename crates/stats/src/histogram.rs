@@ -1,13 +1,11 @@
 //! Histograms (§5.2: "Histograms show the complete distribution of data").
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::FiveNumberSummary;
 use crate::validate_samples;
 
 /// Bin-count selection rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinRule {
     /// Sturges' rule: `⌈log₂ n⌉ + 1` bins.
     Sturges,
@@ -18,7 +16,7 @@ pub enum BinRule {
 }
 
 /// A computed histogram with equal-width bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Left edge of each bin (ascending). `edges.len() == counts.len()+1`.
     pub edges: Vec<f64>,

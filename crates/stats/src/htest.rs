@@ -6,8 +6,6 @@
 //! Kruskal–Wallis one-way ANOVA on ranks for non-normal data (§3.2.2), and
 //! the effect size the paper recommends over bare p-values.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::{ChiSquared, ContinuousDistribution, FisherF, StudentT};
 use crate::error::{StatsError, StatsResult};
 use crate::sorted::SortedSamples;
@@ -15,7 +13,7 @@ use crate::summary::{arithmetic_mean, sample_variance};
 use crate::validate_samples;
 
 /// Outcome of a two-sided hypothesis test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestResult {
     /// The test statistic (t, F or H depending on the test).
     pub statistic: f64,
@@ -94,7 +92,7 @@ pub fn pooled_t_test(a: &[f64], b: &[f64]) -> StatsResult<TestResult> {
 }
 
 /// Decomposition of variance produced by a one-way ANOVA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnovaResult {
     /// The F ratio `egv / igv` (inter-group over intra-group variability).
     pub f: f64,
@@ -281,7 +279,7 @@ fn merged_rank_sums(groups: &[&SortedSamples]) -> (Vec<u128>, f64) {
 }
 
 /// One pairwise comparison from a post-hoc analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairwiseComparison {
     /// Index of the first group.
     pub i: usize,
@@ -349,7 +347,7 @@ pub fn cohens_d(a: &[f64], b: &[f64]) -> StatsResult<f64> {
 }
 
 /// Qualitative magnitude bucket for an effect size (after Cohen/Coe).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EffectMagnitude {
     /// |d| < 0.2 — likely irrelevant even if statistically significant.
     Negligible,

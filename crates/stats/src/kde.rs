@@ -5,8 +5,6 @@
 //! small samples and linear-binned convolution (O(n + g·w)) for the
 //! million-sample latency datasets the paper works with.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::FiveNumberSummary;
 use crate::sorted::SortedSamples;
@@ -14,7 +12,7 @@ use crate::summary::sample_std_dev;
 use crate::validate_samples;
 
 /// Bandwidth selection rules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Bandwidth {
     /// Silverman's rule of thumb:
     /// `h = 0.9·min(s, IQR/1.34)·n^(−1/5)` (R's `bw.nrd0`).
@@ -26,7 +24,7 @@ pub enum Bandwidth {
 }
 
 /// One evaluated density curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DensityEstimate {
     /// Grid positions (ascending, evenly spaced).
     pub x: Vec<f64>,

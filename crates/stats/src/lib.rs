@@ -19,8 +19,7 @@
 //!   estimation and histograms for reporting (§5.2).
 //!
 //! Everything is implemented from scratch on top of `std`; the only runtime
-//! dependency is `rand` (bootstrap resampling, thinning) and `serde`
-//! (serializable results).
+//! dependency is `rand` (bootstrap resampling, thinning).
 //!
 //! # Example
 //!

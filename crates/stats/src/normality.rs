@@ -12,15 +12,13 @@
 //! logarithmic transformation (for log-normal data) and batch means of
 //! length `k` (CLT normalization).
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::normal::{std_normal_cdf, std_normal_inv_cdf};
 use crate::error::{StatsError, StatsResult};
 use crate::summary::arithmetic_mean;
 use crate::{sorted_copy, validate_samples};
 
 /// Result of a Shapiro–Wilk normality test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapiroWilk {
     /// The W statistic in (0, 1]; values near 1 indicate normality.
     pub w: f64,

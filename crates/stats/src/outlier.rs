@@ -5,8 +5,6 @@
 //! Tukey's fences and **report the number of removed outliers**. The
 //! return type of [`tukey_filter`] makes that count impossible to lose.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::FiveNumberSummary;
 
@@ -25,7 +23,7 @@ pub(crate) fn validate_fence_constant(constant: f64) -> StatsResult<()> {
 
 /// Tukey's fences: `[Q1 − c·IQR, Q3 + c·IQR]` with the conventional
 /// constant `c = 1.5` (increase for a more conservative filter).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TukeyFences {
     /// Lower fence; observations below are outliers.
     pub lower: f64,
@@ -60,7 +58,7 @@ impl TukeyFences {
 /// Result of outlier removal; keeps the removal count front and center as
 /// the paper demands ("one should report the number of removed outliers
 /// for each experiment").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilteredSample {
     /// Observations within the fences, in input order.
     pub kept: Vec<f64>,

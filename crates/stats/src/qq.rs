@@ -6,15 +6,13 @@
 //! reference line through the first and third quartiles (what R's
 //! `qqline` draws), and a straightness score used by tests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::normal::std_normal_inv_cdf;
 use crate::error::StatsResult;
 use crate::quantile::{quantile_sorted, QuantileMethod};
 use crate::{sorted_copy, validate_samples};
 
 /// One point of a Q-Q plot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QqPoint {
     /// Theoretical standard-normal quantile.
     pub theoretical: f64,
@@ -23,7 +21,7 @@ pub struct QqPoint {
 }
 
 /// The reference line through the (25 %, 75 %) quantile pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QqLine {
     /// Slope of the reference line.
     pub slope: f64,
@@ -32,7 +30,7 @@ pub struct QqLine {
 }
 
 /// Full Q-Q plot data for a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QqPlot {
     /// Plot points ordered by theoretical quantile.
     pub points: Vec<QqPoint>,

@@ -7,13 +7,11 @@
 //! ever returns observed values (required for the nonparametric confidence
 //! intervals, which reason about order statistics).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{StatsError, StatsResult};
 use crate::{sorted_copy, validate_samples};
 
 /// How a quantile is computed from the order statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantileMethod {
     /// Linear interpolation between closest ranks (R type 7, default in R,
     /// NumPy and Julia). May return values not present in the sample.
@@ -99,7 +97,7 @@ pub fn mad_std_estimate(xs: &[f64]) -> StatsResult<f64> {
 }
 
 /// The five-number summary plus IQR used by box plots (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiveNumberSummary {
     /// Smallest observation.
     pub min: f64,

@@ -20,7 +20,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::bootstrap::mix_seed;
 use crate::ci::ConfidenceInterval;
@@ -32,7 +31,7 @@ use crate::validate_samples;
 
 /// The quantile-regression estimate at one quantile τ for the two-sample
 /// (one binary factor) design of Figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantileEffect {
     /// The quantile τ ∈ (0, 1).
     pub tau: f64,
@@ -150,7 +149,7 @@ fn bootstrap_quantile(sorted: &[f64], tau: f64, rng: &mut StdRng) -> f64 {
 }
 
 /// A fitted general quantile-regression model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantRegFit {
     /// The quantile τ that was fitted.
     pub tau: f64,

@@ -10,10 +10,8 @@
 //! usable, k samples dropped" instead of either crashing on the first NaN
 //! or quietly pretending the campaign was clean.
 
-use serde::{Deserialize, Serialize};
-
 /// The result of partitioning raw samples into usable and contaminated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sanitized {
     /// The finite samples, in their original order.
     pub clean: Vec<f64>,

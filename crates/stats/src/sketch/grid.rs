@@ -7,8 +7,6 @@
 //! bins (total, never silently dropped), and non-finite samples are
 //! quarantined like everywhere else in this crate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{StatsError, StatsResult};
 use crate::histogram::Histogram;
 use crate::{f64_from_hex, f64_to_hex};
@@ -17,7 +15,7 @@ use super::{check_merge_counts, parse_count, MergeableSummary};
 
 /// The shared grid every worker must agree on: `bins` equal-width bins
 /// covering `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     /// Left edge of the first bin.
     pub lo: f64,
@@ -29,7 +27,7 @@ pub struct GridSpec {
 }
 
 /// Mergeable fixed-grid histogram/ECDF sketch; see the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSketch {
     lo: f64,
     width: f64,

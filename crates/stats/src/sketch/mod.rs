@@ -52,8 +52,6 @@ pub use grid::{GridSketch, GridSpec};
 pub use partials::KeyedPartials;
 pub use tdigest::TDigest;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ci::{quantile_ci_ranks, ConfidenceInterval};
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::{quantile_sorted, FiveNumberSummary, QuantileMethod};
@@ -158,7 +156,7 @@ pub(crate) fn parse_usize(s: &str) -> StatsResult<usize> {
 /// — campaign code constructs one `StreamConfig` and hands copies to every
 /// worker, which is also what makes the merged result independent of the
 /// thread/shard layout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Exact-to-sketch switchover point (number of finite samples).
     pub threshold: usize,
@@ -180,7 +178,7 @@ impl Default for StreamConfig {
 
 /// Whether a [`StreamingSummary`] is still exact or has switched to
 /// sketches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Repr {
     /// Below the threshold: every finite sample, in insertion order.
     Exact(Vec<f64>),
@@ -206,7 +204,7 @@ impl Repr {
 /// only order statistics degrade to sketch precision after the switch.
 /// [`StreamingSummary::is_exact`] discloses which regime produced the
 /// numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingSummary {
     threshold: usize,
     digest_delta: u32,
@@ -1117,6 +1115,69 @@ mod tests {
             let mut single = one.clone();
             assert!(single.merge_from(&full).is_err(), "{record}");
             assert_eq!(single, one, "{record}");
+        }
+    }
+
+    #[test]
+    fn sketch_keyed_partials_keep_their_total_counts_within_2_pow_53() {
+        type Set = KeyedPartials<OnlineMoments>;
+        let kp1 = |parts: &[(u64, u64)]| {
+            parts
+                .iter()
+                .enumerate()
+                .fold("kp1".to_string(), |r, (key, p)| {
+                    format!("{r}#{key}={}", om1(p.0, p.1))
+                })
+        };
+        let half = MAX_COUNT / 2;
+        // 2,048 parts at 2⁵³ used to load and overflow `count()` (a panic
+        // in debug builds, a wrapped total in release builds).
+        for past in [
+            vec![(MAX_COUNT, 0); 2048],
+            vec![(half, 0), (half, 0), (1, 0)],
+            vec![(0, half), (0, half), (0, 1)],
+        ] {
+            assert!(
+                matches!(
+                    Set::from_record(&kp1(&past)),
+                    Err(StatsError::MalformedSketch(_))
+                ),
+                "{past:?}"
+            );
+        }
+        let one = |x: f64| {
+            let mut s = OnlineMoments::new();
+            s.push(x);
+            s
+        };
+        for (x, at) in [
+            (1.0, [(half, 0), (half, 0)]),
+            (f64::NAN, [(0, half), (0, half)]),
+        ] {
+            let mut full = Set::from_record(&kp1(&at)).unwrap();
+            let counts = |s: &Set| (s.count(), s.non_finite_count());
+            assert_eq!(counts(&full), (2 * at[0].0, 2 * at[0].1));
+            let before = full.clone();
+            // A new key and an existing key, whose part alone could merge.
+            for key in [7, 0] {
+                assert!(matches!(
+                    full.insert(key, one(x)),
+                    Err(StatsError::MismatchedSketch(_))
+                ));
+                assert_eq!(full, before);
+            }
+            let mut single = Set::new();
+            single.insert(0, one(x)).unwrap();
+            let single_before = single.clone();
+            assert!(matches!(
+                full.merge_from(&single),
+                Err(StatsError::MismatchedSketch(_))
+            ));
+            assert!(matches!(
+                single.merge_from(&full),
+                Err(StatsError::MismatchedSketch(_))
+            ));
+            assert_eq!((full, single), (before, single_before));
         }
     }
 

@@ -21,17 +21,25 @@
 //! the summary's own `merge_from`, which keeps the union lossless but is
 //! only schedule-independent when each key is produced by one writer —
 //! the contract the campaign runner upholds.
+//!
+//! A set keeps the bound every summary keeps: its finite and its
+//! quarantined counts, each summed over all parts, stay at most 2⁵³.
+//! Every operation that would pass it fails and changes nothing.
 
 use std::collections::BTreeMap;
 
 use crate::error::{StatsError, StatsResult};
 
-use super::MergeableSummary;
+use super::{check_merged_count, MergeableSummary};
 
 /// A set of mergeable summaries keyed by `u64` (design-point index).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KeyedPartials<S> {
     parts: BTreeMap<u64, S>,
+    /// Finite observations summed over `parts`, at most 2⁵³.
+    count: u64,
+    /// Quarantined observations summed over `parts`, at most 2⁵³.
+    non_finite: u64,
 }
 
 impl<S: MergeableSummary + Clone> KeyedPartials<S> {
@@ -39,7 +47,18 @@ impl<S: MergeableSummary + Clone> KeyedPartials<S> {
     pub fn new() -> Self {
         Self {
             parts: BTreeMap::new(),
+            count: 0,
+            non_finite: 0,
         }
+    }
+
+    /// Both totals once `count` finite and `non_finite` quarantined
+    /// observations join the set; refused with
+    /// [`StatsError::MismatchedSketch`] past 2⁵³.
+    fn totals_with(&self, count: u64, non_finite: u64) -> StatsResult<(u64, u64)> {
+        check_merged_count(self.count, count)?;
+        check_merged_count(self.non_finite, non_finite)?;
+        Ok((self.count + count, self.non_finite + non_finite))
     }
 
     /// Number of keyed partials.
@@ -63,23 +82,41 @@ impl<S: MergeableSummary + Clone> KeyedPartials<S> {
     }
 
     /// Inserts a partial. A duplicate key merges into the existing
-    /// summary via [`MergeableSummary::merge_from`].
+    /// summary via [`MergeableSummary::merge_from`]. Fails, leaving `self`
+    /// unchanged, when that merge fails or when a total count would pass
+    /// 2⁵³ ([`StatsError::MismatchedSketch`]).
     pub fn insert(&mut self, key: u64, summary: S) -> StatsResult<()> {
+        let (count, non_finite) = self.totals_with(summary.count(), summary.non_finite_count())?;
         match self.parts.get_mut(&key) {
-            Some(existing) => existing.merge_from(&summary),
+            Some(existing) => existing.merge_from(&summary)?,
             None => {
                 self.parts.insert(key, summary);
-                Ok(())
             }
         }
+        (self.count, self.non_finite) = (count, non_finite);
+        Ok(())
     }
 
     /// Unions another set into this one. Disjoint keys move over
-    /// unchanged (bit-preserving); overlapping keys merge.
+    /// unchanged (bit-preserving); overlapping keys merge. Every key is
+    /// merged into a copy first, so a refused merge of any key, or a total
+    /// count past 2⁵³, leaves `self` unchanged.
     pub fn merge_from(&mut self, other: &Self) -> StatsResult<()> {
-        for (key, summary) in &other.parts {
-            self.insert(*key, summary.clone())?;
+        let (count, non_finite) = self.totals_with(other.count, other.non_finite)?;
+        let mut merged = Vec::with_capacity(other.parts.len());
+        for (&key, summary) in &other.parts {
+            let part = match self.parts.get(&key) {
+                Some(existing) => {
+                    let mut part = existing.clone();
+                    part.merge_from(summary)?;
+                    part
+                }
+                None => summary.clone(),
+            };
+            merged.push((key, part));
         }
+        self.parts.extend(merged);
+        (self.count, self.non_finite) = (count, non_finite);
         Ok(())
     }
 
@@ -98,14 +135,15 @@ impl<S: MergeableSummary + Clone> KeyedPartials<S> {
         Ok(Some(acc))
     }
 
-    /// Total finite observations across all partials.
+    /// Total finite observations across all partials (at most 2⁵³).
     pub fn count(&self) -> u64 {
-        self.parts.values().map(|s| s.count()).sum()
+        self.count
     }
 
-    /// Total quarantined non-finite observations across all partials.
+    /// Total quarantined non-finite observations across all partials (at
+    /// most 2⁵³).
     pub fn non_finite_count(&self) -> u64 {
-        self.parts.values().map(|s| s.non_finite_count()).sum()
+        self.non_finite
     }
 
     /// Canonical record: `kp1` followed by one `key=record` section per
@@ -122,22 +160,27 @@ impl<S: MergeableSummary + Clone> KeyedPartials<S> {
     }
 
     /// Decodes a record produced by [`KeyedPartials::to_record`].
+    /// Refuses, with [`StatsError::MalformedSketch`], a record whose parts
+    /// sum to a count above 2⁵³.
     pub fn from_record(record: &str) -> StatsResult<Self> {
         let mut sections = record.split('#');
         if sections.next() != Some("kp1") {
             return Err(StatsError::MalformedSketch("expected kp1 tag"));
         }
-        let mut parts = BTreeMap::new();
+        let mut set = Self::new();
         for section in sections {
             let (key, body) = section
                 .split_once('=')
                 .ok_or(StatsError::MalformedSketch("missing '=' in kp1 section"))?;
             let key = super::parse_u64(key)?;
-            if parts.insert(key, S::from_record(body)?).is_some() {
+            if set.parts.contains_key(&key) {
                 return Err(StatsError::MalformedSketch("duplicate key in kp1"));
             }
+            // A new key fails to insert only on the total count.
+            set.insert(key, S::from_record(body)?)
+                .map_err(|_| StatsError::MalformedSketch("kp1 total count above 2^53"))?;
         }
-        Ok(Self { parts })
+        Ok(set)
     }
 }
 
@@ -213,6 +256,38 @@ mod tests {
         assert!(back.is_empty());
         assert!(back.finalize().unwrap().is_none());
         assert!(KeyedPartials::<StreamingSummary>::from_record("nope").is_err());
+    }
+
+    #[test]
+    fn refused_union_leaves_the_set_unchanged() {
+        let mut set: KeyedPartials<StreamingSummary> = KeyedPartials::new();
+        set.insert(0, summary_of(&[1.0, 2.0])).unwrap();
+        set.insert(5, summary_of(&[3.0])).unwrap();
+        let mut compatible = KeyedPartials::new();
+        compatible.insert(0, summary_of(&[4.0])).unwrap();
+        compatible.insert(3, summary_of(&[5.0, f64::NAN])).unwrap();
+        // Key 5 of `other` has another configuration, so it cannot merge;
+        // keys 0 and 3 come before it and could.
+        let mut other = compatible.clone();
+        let mut mismatched = StreamingSummary::new(StreamConfig {
+            threshold: 99,
+            ..StreamConfig::default()
+        })
+        .unwrap();
+        mismatched.push(6.0);
+        other.insert(5, mismatched).unwrap();
+        let before = set.clone();
+        assert!(matches!(
+            set.merge_from(&other),
+            Err(StatsError::MismatchedSketch(_))
+        ));
+        assert_eq!(set, before);
+        assert_eq!(set.to_record(), before.to_record());
+        assert_eq!((set.len(), set.count(), set.non_finite_count()), (2, 3, 0));
+        // Without key 5 the same union goes through.
+        set.merge_from(&compatible).unwrap();
+        assert_eq!((set.len(), set.count(), set.non_finite_count()), (3, 5, 1));
+        assert_eq!(set.get(0).unwrap().count(), 3);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 
 use std::borrow::Cow;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{StatsError, StatsResult};
 use crate::sort::{from_order_key, order_key, sort_keys};
 use crate::{f64_from_hex, f64_to_hex};
@@ -22,14 +20,14 @@ use crate::{f64_from_hex, f64_to_hex};
 use super::{check_merge_counts, parse_count, parse_u64, MergeableSummary};
 
 /// One weighted cluster of nearby samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Centroid {
     mean: f64,
     weight: f64,
 }
 
 /// Mergeable streaming quantile sketch; see the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TDigest {
     delta: u32,
     centroids: Vec<Centroid>,

@@ -13,8 +13,6 @@
 //! so downstream consumers (e.g. [`crate::quantile::quantile_sorted`])
 //! can rely on the invariant without re-checking.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ci::{quantile_ci_ranks, ConfidenceInterval};
 use crate::error::{StatsError, StatsResult};
 use crate::outlier::TukeyFences;
@@ -23,7 +21,7 @@ use crate::sort::sorted_finite;
 use crate::validate_samples;
 
 /// A validated, ascending copy of a sample: sort once, query many times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortedSamples {
     xs: Vec<f64>,
 }

@@ -6,8 +6,6 @@
 //! geometric mean*. All three means plus weighted variants, online (Welford)
 //! moments, standard deviation and the coefficient of variation live here.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{StatsError, StatsResult};
 use crate::validate_samples;
 
@@ -133,7 +131,7 @@ pub fn coefficient_of_variation(xs: &[f64]) -> StatsResult<f64> {
 /// accumulator internally inconsistent; now every statistic describes the
 /// same (finite) subsample and the contamination is separately disclosed
 /// (Rule 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineMoments {
     n: u64,
     mean: f64,
@@ -312,7 +310,7 @@ pub(crate) struct HigherMomentsRaw {
 ///
 /// Like [`OnlineMoments`], non-finite observations are quarantined in
 /// [`HigherMoments::non_finite_count`] instead of corrupting the moments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HigherMoments {
     n: u64,
     mean: f64,

@@ -1,9 +1,7 @@
 //! Data model of the literature survey.
 
-use serde::{Deserialize, Serialize};
-
 /// The three anonymized conferences of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Conference {
     /// "ConfA".
     A,
@@ -32,7 +30,7 @@ pub const YEARS: [u16; 4] = [2011, 2012, 2013, 2014];
 
 /// The nine experimental-design documentation classes (upper block of
 /// Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignCriterion {
     /// Processor model / accelerator.
     Processor,
@@ -101,7 +99,7 @@ impl DesignCriterion {
 }
 
 /// The four data-analysis rows (lower block of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnalysisCriterion {
     /// Uses a mean to summarize results.
     Mean,
@@ -144,7 +142,7 @@ impl AnalysisCriterion {
 }
 
 /// Grade of one paper on one criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Grade {
     /// The paper satisfies the criterion (✓ in Table 1).
     Satisfied,
@@ -155,7 +153,7 @@ pub enum Grade {
 }
 
 /// One surveyed paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaperRecord {
     /// Conference the paper appeared at.
     pub conference: Conference,
@@ -211,7 +209,7 @@ impl PaperRecord {
 }
 
 /// The full survey: a set of paper records with aggregate queries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Survey {
     /// All surveyed papers.
     pub papers: Vec<PaperRecord>,

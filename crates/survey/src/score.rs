@@ -1,14 +1,12 @@
 //! Per-paper scores and per-group distributions — the horizontal box
 //! plots in the "Experimental Design" header of Table 1.
 
-use serde::{Deserialize, Serialize};
-
 use scibench_stats::quantile::FiveNumberSummary;
 
 use crate::model::{Conference, Survey, YEARS};
 
 /// The score distribution of one conference-year group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupScores {
     /// Conference of the group.
     pub conference: Conference,

@@ -55,7 +55,8 @@ fn save(name: &str, text: &str) -> Result<String, String> {
 }
 
 fn csv(name: &str, dataset: &scibench::data::DataSet) -> Result<String, String> {
-    let path = output::write_csv(name, dataset).map_err(|e| format!("csv {name}: {e}"))?;
+    let path = output::write_csv(&output::figures_dir(), name, dataset)
+        .map_err(|e| format!("csv {name}: {e}"))?;
     Ok(format!("wrote {}", path.display()))
 }
 

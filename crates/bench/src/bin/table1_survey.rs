@@ -18,9 +18,9 @@ fn main() -> ExitCode {
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let t = table1::compute();
     println!("{}", t.render());
-    let path = output::write_csv("table1_scores", &t.dataset())?;
+    let path = output::write_csv(&output::figures_dir(), "table1_scores", &t.dataset())?;
     println!("score distributions: {}", path.display());
-    let raw = output::write_csv("table1_raw", &t.raw_dataset())?;
+    let raw = output::write_csv(&output::figures_dir(), "table1_raw", &t.raw_dataset())?;
     println!("raw per-paper grades: {}", raw.display());
     Ok(())
 }

@@ -6,7 +6,7 @@
 //! many of the 1M measurements overlap"; the mean CI is tiny and
 //! misleading because neither distribution is normal.
 
-use scibench::compare::{compare_two_sorted, Comparison};
+use scibench::compare::{compare_samples, Comparison};
 use scibench::data::DataSet;
 use scibench::plot::ascii::render_density;
 use scibench_sim::machine::MachineSpec;
@@ -14,16 +14,17 @@ use scibench_sim::pingpong::{pingpong_latencies_us, PingPongConfig};
 use scibench_sim::rng::SimRng;
 use scibench_stats::ci::{mean_ci, ConfidenceInterval};
 use scibench_stats::error::StatsResult;
-use scibench_stats::kde::{kde_sorted, Bandwidth, DensityEstimate};
-use scibench_stats::sorted::SortedSamples;
+use scibench_stats::kde::{Bandwidth, DensityEstimate};
+use scibench_stats::Sample;
 
 /// One system's annotated distribution.
 #[derive(Debug, Clone)]
 pub struct SystemPanel {
     /// System name.
     pub name: String,
-    /// Latency samples (µs).
-    pub latencies_us: Vec<f64>,
+    /// Latency samples (µs), with the one sort of the panel: read by the
+    /// density, both median CIs, the rank test and the report's summary.
+    pub latencies_us: Sample<'static>,
     /// Density estimate.
     pub density: DensityEstimate,
     /// Smallest observation.
@@ -35,10 +36,6 @@ pub struct SystemPanel {
     pub mean_ci: ConfidenceInterval,
     /// 99 % CI of the median (nonparametric).
     pub median_ci: ConfidenceInterval,
-    /// The ascending copy of `latencies_us`: the one sort of the panel,
-    /// read by the density, both median CIs, the rank test and the
-    /// report's summary.
-    sorted: SortedSamples,
 }
 
 /// Regenerated Figure 3 data.
@@ -60,18 +57,16 @@ fn panel(
 ) -> StatsResult<SystemPanel> {
     let mut cfg = PingPongConfig::paper_64b(samples);
     cfg.warmup_iterations = 0;
-    let latencies = pingpong_latencies_us(machine, &cfg, rng);
-    let sorted = SortedSamples::new(&latencies)?;
-    let density = kde_sorted(&latencies, &sorted, Bandwidth::Silverman, 512)?;
+    let latencies = Sample::from_vec(pingpong_latencies_us(machine, &cfg, rng))?;
+    let xs = latencies.values();
     Ok(SystemPanel {
         name: name.to_owned(),
-        min: latencies.iter().cloned().fold(f64::INFINITY, f64::min),
-        max: latencies.iter().cloned().fold(0.0, f64::max),
-        mean_ci: mean_ci(&latencies, 0.99)?,
-        median_ci: sorted.median_ci(0.99)?,
-        density,
+        min: xs.iter().cloned().fold(f64::INFINITY, f64::min),
+        max: xs.iter().cloned().fold(0.0, f64::max),
+        mean_ci: mean_ci(xs, 0.99)?,
+        median_ci: latencies.sorted().median_ci(0.99)?,
+        density: latencies.kde(Bandwidth::Silverman, 512)?,
         latencies_us: latencies,
-        sorted,
     })
 }
 
@@ -87,11 +82,11 @@ pub fn compute(samples: usize, seed: u64) -> StatsResult<Fig3> {
         samples,
         &mut rng_pilatus,
     )?;
-    let comparison = compare_two_sorted(
+    let comparison = compare_samples(
         &dora.name,
-        (&dora.latencies_us, &dora.sorted),
+        &dora.latencies_us,
         &pilatus.name,
-        (&pilatus.latencies_us, &pilatus.sorted),
+        &pilatus.latencies_us,
         0.95,
         &[],
         seed ^ 0xF163,
@@ -108,20 +103,15 @@ impl Fig3 {
     /// library auditing its own reproduction.
     pub fn report(&self) -> scibench::report::ExperimentReport {
         use scibench::experiment::environment::DocumentationClass;
-        use scibench::experiment::measurement::MeasurementOutcome;
+        use scibench::experiment::measurement::MeasurementSummary;
         use scibench::parallel::CrossProcessSummary;
         use scibench::report::{ExperimentReport, ParallelMethodology};
         use scibench::units::Unit;
 
         let summarize = |panel: &SystemPanel| {
-            MeasurementOutcome {
-                name: format!("64B ping-pong ({})", panel.name),
-                warmup_samples: vec![],
-                samples: panel.latencies_us.clone(),
-                converged: true,
-            }
-            .summarize_sorted(0.99, &panel.sorted)
-            .expect("panel summary")
+            let name = format!("64B ping-pong ({})", panel.name);
+            MeasurementSummary::from_sample(&name, &panel.latencies_us, true, 0.99)
+                .expect("panel summary")
         };
         let env = scibench::experiment::environment::EnvironmentDoc::from_machine(
             &MachineSpec::piz_dora(),

@@ -14,6 +14,7 @@ use scibench_sim::rng::SimRng;
 use scibench_stats::ci::{mean_ci, ConfidenceInterval};
 use scibench_stats::error::StatsResult;
 use scibench_stats::quantreg::{two_sample, QuantileEffect};
+use scibench_stats::Sample;
 
 /// Regenerated Figure 4 data.
 #[derive(Debug, Clone)]
@@ -39,11 +40,12 @@ pub fn compute(samples: usize, seed: u64) -> StatsResult<Fig4> {
         &cfg,
         &mut root.fork("fig4-pilatus"),
     );
+    let (dora, pilatus) = (Sample::from_vec(dora)?, Sample::from_vec(pilatus)?);
 
     let taus: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     let effects = two_sample(&dora, &pilatus, &taus, 0.95, 400, seed ^ 0xF164)?;
-    let dora_mean = mean_ci(&dora, 0.95)?;
-    let pilatus_mean = mean_ci(&pilatus, 0.95)?;
+    let dora_mean = mean_ci(dora.values(), 0.95)?;
+    let pilatus_mean = mean_ci(pilatus.values(), 0.95)?;
     Ok(Fig4 {
         taus,
         effects,

@@ -15,7 +15,7 @@ use scibench_sim::pingpong::{pingpong_latencies_us, PingPongConfig};
 use scibench_sim::rng::SimRng;
 use scibench_stats::ci::ConfidenceInterval;
 use scibench_stats::error::StatsResult;
-use scibench_stats::sorted::SortedSamples;
+use scibench_stats::Sample;
 
 /// Regenerated Figure 7(c) data.
 #[derive(Debug, Clone)]
@@ -38,11 +38,11 @@ pub fn compute(samples: usize, seed: u64) -> StatsResult<Fig7c> {
     let mut rng = SimRng::new(seed).fork("fig7c");
     let latencies = pingpong_latencies_us(&machine, &cfg, &mut rng);
     // One sort serves the box, the violin and the median CI.
-    let sorted = SortedSamples::new(&latencies)?;
-    let boxplot =
-        BoxPlotStats::from_sorted("ping-pong 64B", &latencies, &sorted, WhiskerRule::TukeyIqr)?;
-    let violin = ViolinData::from_sorted("ping-pong 64B", &latencies, &sorted, 256)?;
-    let median_ci = sorted.median_ci(0.95)?;
+    let sample = Sample::new(&latencies)?;
+    let boxplot = BoxPlotStats::from_sample("ping-pong 64B", &sample, WhiskerRule::TukeyIqr)?;
+    let violin = ViolinData::from_sample("ping-pong 64B", &sample, 256)?;
+    let median_ci = sample.sorted().median_ci(0.95)?;
+    drop(sample);
     Ok(Fig7c {
         latencies_us: latencies,
         boxplot,

@@ -9,10 +9,10 @@
 use scibench_stats::ci::{mean_ci, ConfidenceInterval};
 use scibench_stats::error::StatsResult;
 use scibench_stats::htest::{
-    cohens_d, effect_magnitude, kruskal_wallis_sorted, welch_t_test, EffectMagnitude, TestResult,
+    cohens_d, effect_magnitude, kruskal_wallis, welch_t_test, EffectMagnitude, TestResult,
 };
 use scibench_stats::quantreg::{two_sample, QuantileEffect};
-use scibench_stats::sorted::SortedSamples;
+use scibench_stats::Sample;
 
 /// The full comparison of two samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,11 +105,8 @@ impl Comparison {
     }
 }
 
-/// Compares two samples with the full §3.2 battery.
-///
-/// `taus` selects the quantiles for quantile regression (empty = skip);
-/// `seed` drives the bootstrap CIs of the quantile differences. Sorts
-/// each sample once and calls [`compare_two_sorted`].
+/// Compares two samples with the full §3.2 battery; see
+/// [`compare_samples`].
 pub fn compare_two(
     label_a: &str,
     a: &[f64],
@@ -119,43 +116,40 @@ pub fn compare_two(
     taus: &[f64],
     seed: u64,
 ) -> StatsResult<Comparison> {
-    let sorted_a = SortedSamples::new(a)?;
-    let sorted_b = SortedSamples::new(b)?;
-    compare_two_sorted(
+    compare_samples(
         label_a,
-        (a, &sorted_a),
+        &Sample::new(a)?,
         label_b,
-        (b, &sorted_b),
+        &Sample::new(b)?,
         confidence,
         taus,
         seed,
     )
 }
 
-/// [`compare_two`] on samples whose ascending copies the caller holds
-/// already: each sample comes with its sorted copy, which serves the
-/// median CIs and the rank test. The means, the t-test, the effect size
-/// and the quantile regression read the samples in their own order.
-/// Bit-identical to [`compare_two`]; errors when a sorted copy is not as
-/// long as its sample (see [`SortedSamples::check_copy_of`]).
-pub fn compare_two_sorted(
+/// Compares two samples with the full §3.2 battery.
+///
+/// `taus` selects the quantiles for quantile regression (empty = skip);
+/// `seed` drives the bootstrap CIs of the quantile differences. The median
+/// CIs, the rank test and the quantile regression read each sample's one
+/// sort; the means, the t-test and the effect size read the values in
+/// their own order.
+pub fn compare_samples(
     label_a: &str,
-    (a, sorted_a): (&[f64], &SortedSamples),
+    a: &Sample<'_>,
     label_b: &str,
-    (b, sorted_b): (&[f64], &SortedSamples),
+    b: &Sample<'_>,
     confidence: f64,
     taus: &[f64],
     seed: u64,
 ) -> StatsResult<Comparison> {
-    sorted_a.check_copy_of(a)?;
-    sorted_b.check_copy_of(b)?;
-    let mean_ci_a = mean_ci(a, confidence)?;
-    let mean_ci_b = mean_ci(b, confidence)?;
-    let median_ci_a = sorted_a.median_ci(confidence)?;
-    let median_ci_b = sorted_b.median_ci(confidence)?;
-    let t_test = welch_t_test(a, b)?;
-    let kw = kruskal_wallis_sorted(&[sorted_a, sorted_b])?;
-    let d = cohens_d(b, a)?;
+    let mean_ci_a = mean_ci(a.values(), confidence)?;
+    let mean_ci_b = mean_ci(b.values(), confidence)?;
+    let median_ci_a = a.sorted().median_ci(confidence)?;
+    let median_ci_b = b.sorted().median_ci(confidence)?;
+    let t_test = welch_t_test(a.values(), b.values())?;
+    let kw = kruskal_wallis(&[a, b])?;
+    let d = cohens_d(b.values(), a.values())?;
     let quantile_effects = if taus.is_empty() {
         Vec::new()
     } else {
@@ -280,14 +274,14 @@ mod tests {
     }
 
     #[test]
-    fn sorted_statistics_equal_the_per_call_functions() {
-        use crate::test_samples::{comparator_sorted, sharing_cases};
+    fn sample_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::sharing_cases;
         use scibench_stats::ci::median_ci;
-        use scibench_stats::htest::kruskal_wallis;
 
         let ci_bits = |ci: &ConfidenceInterval| {
             [ci.estimate, ci.lower, ci.upper, ci.confidence].map(f64::to_bits)
         };
+        let test_bits = |t: &TestResult| [t.statistic, t.p_value, t.df.0, t.df.1].map(f64::to_bits);
         // Integer steps tie heavily; the zeros mix both signs.
         let ties = |n: usize, shift: usize| -> Vec<f64> {
             (0..n)
@@ -308,17 +302,11 @@ mod tests {
         cases.extend(shared.chunks(2).map(|p| (p[0].clone(), p[1].clone())));
         for (i, (a, b)) in cases.iter().enumerate() {
             let taus: &[f64] = if a.len() < 1000 { &[0.25, 0.5] } else { &[] };
+            // One pair of samples serves both confidence levels.
+            let (sample_a, sample_b) = (Sample::new(a).unwrap(), Sample::new(b).unwrap());
             for confidence in [0.95, 0.99] {
                 let slice = compare_two("A", a, "B", b, confidence, taus, 5);
-                let shared = compare_two_sorted(
-                    "A",
-                    (a, &comparator_sorted(a)),
-                    "B",
-                    (b, &comparator_sorted(b)),
-                    confidence,
-                    taus,
-                    5,
-                );
+                let shared = compare_samples("A", &sample_a, "B", &sample_b, confidence, taus, 5);
                 let c = match (slice, shared) {
                     (Ok(c), Ok(d)) => {
                         assert_eq!(c, d);
@@ -331,6 +319,7 @@ mod tests {
                         continue;
                     }
                 };
+                // The order statistics come from the sorts.
                 assert_eq!(
                     ci_bits(&c.median_ci_a),
                     ci_bits(&median_ci(a, confidence).unwrap())
@@ -339,14 +328,28 @@ mod tests {
                     ci_bits(&c.median_ci_b),
                     ci_bits(&median_ci(b, confidence).unwrap())
                 );
+                let fresh = |xs| Sample::new(xs).unwrap();
+                let (fresh_a, fresh_b) = (fresh(a), fresh(b));
+                let kw = kruskal_wallis(&[&fresh_a, &fresh_b]).unwrap();
+                assert_eq!(test_bits(&c.kruskal_wallis), test_bits(&kw));
+                if !taus.is_empty() {
+                    let effects = two_sample(&fresh_a, &fresh_b, taus, confidence, 400, 5).unwrap();
+                    assert_eq!(c.quantile_effects, effects);
+                }
+                // The sums read the values in input order.
                 assert_eq!(
                     ci_bits(&c.mean_ci_a),
                     ci_bits(&mean_ci(a, confidence).unwrap())
                 );
-                let kw = kruskal_wallis(&[a, b]).unwrap();
-                assert_eq!(c.kruskal_wallis.statistic.to_bits(), kw.statistic.to_bits());
-                assert_eq!(c.kruskal_wallis.p_value.to_bits(), kw.p_value.to_bits());
-                assert_eq!(c.kruskal_wallis.df, kw.df);
+                assert_eq!(
+                    ci_bits(&c.mean_ci_b),
+                    ci_bits(&mean_ci(b, confidence).unwrap())
+                );
+                assert_eq!(
+                    test_bits(&c.t_test),
+                    test_bits(&welch_t_test(a, b).unwrap())
+                );
+                assert_eq!(c.effect_size.to_bits(), cohens_d(b, a).unwrap().to_bits());
             }
         }
         // Too few samples for a median CI: the same error as the per-call
@@ -356,24 +359,5 @@ mod tests {
             compare_two("A", &short, "B", &cases[0].1, 0.95, &[], 5).unwrap_err(),
             median_ci(&short, 0.95).unwrap_err()
         );
-    }
-
-    #[test]
-    fn compare_two_sorted_refuses_a_copy_of_another_length() {
-        let (a, b) = (sample(60, 1.0, 0.1), sample(50, 1.1, 0.1));
-        let (sorted_a, sorted_b) = (
-            SortedSamples::new(&a).unwrap(),
-            SortedSamples::new(&b).unwrap(),
-        );
-        let wrong = SortedSamples::new(&a[1..]).unwrap();
-        for (pair_a, pair_b) in [
-            ((&a[..], &wrong), (&b[..], &sorted_b)),
-            ((&a[..], &sorted_a), (&b[..], &sorted_a)),
-        ] {
-            assert!(matches!(
-                compare_two_sorted("A", pair_a, "B", pair_b, 0.95, &[], 1),
-                Err(scibench_stats::error::StatsError::UnsupportedSampleSize { .. })
-            ));
-        }
     }
 }

@@ -21,9 +21,10 @@ use scibench_stats::ci::{self, ConfidenceInterval};
 use scibench_stats::error::{StatsError, StatsResult};
 use scibench_stats::normality::{shapiro_wilk_thinned, ShapiroWilk};
 use scibench_stats::quantile::FiveNumberSummary;
-use scibench_stats::sanitize::{sanitize, Sanitized};
+use scibench_stats::sanitize::sanitize;
 use scibench_stats::sorted::SortedSamples;
 use scibench_stats::summary::{self, OnlineMoments};
+use scibench_stats::Sample;
 
 /// When to stop measuring.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,7 +112,7 @@ impl SampleSink for Vec<f64> {
             }
             None => cache.insert(SortedSamples::new(self)?),
         };
-        let check = ci::nonparametric_stop_check_sorted(sorted, confidence, rel_error)?;
+        let check = ci::nonparametric_stop_check(sorted, confidence, rel_error)?;
         Ok(check.is_some_and(|(_ci, tight)| tight))
     }
 }
@@ -314,102 +315,26 @@ impl MeasurementOutcome {
     /// all-contaminated outcome still fails with a typed error because
     /// there is nothing left to summarize.
     ///
-    /// Sorts the surviving samples once and calls the body of
-    /// [`MeasurementOutcome::summarize_sorted`].
+    /// Summarizes the finite samples, borrowed as a [`Sample`], with
+    /// [`MeasurementSummary::from_sample`], then discloses the drops.
     pub fn summarize(&self, confidence: f64) -> StatsResult<MeasurementSummary> {
-        let sanitized = self.sanitized()?;
-        let sorted = SortedSamples::new(&sanitized.clean)?;
-        self.summary(&sanitized, &sorted, confidence)
-    }
-
-    /// [`MeasurementOutcome::summarize`] with the ascending copy of the
-    /// finite samples supplied by the caller; bit-identical to it.
-    ///
-    /// `sorted` serves the five-number summary and the median CI; the
-    /// mean, the standard deviation, the Shapiro–Wilk thinning and the
-    /// mean CI read the finite samples in recorded order. Errors when
-    /// `sorted` is not as long as the number of finite samples (see
-    /// [`SortedSamples::check_copy_of`]).
-    pub fn summarize_sorted(
-        &self,
-        confidence: f64,
-        sorted: &SortedSamples,
-    ) -> StatsResult<MeasurementSummary> {
-        let sanitized = self.sanitized()?;
-        sorted.check_copy_of(&sanitized.clean)?;
-        self.summary(&sanitized, sorted, confidence)
-    }
-
-    /// The samples split into finite and dropped ones; an error when
-    /// every sample was dropped.
-    fn sanitized(&self) -> StatsResult<Sanitized> {
         let sanitized = sanitize(&self.samples);
         if sanitized.clean.is_empty() && sanitized.contaminated() {
             return Err(StatsError::NonFiniteSample);
         }
-        Ok(sanitized)
-    }
-
-    /// The body of both summaries: `sorted` is the ascending copy of
-    /// `sanitized.clean`.
-    fn summary(
-        &self,
-        sanitized: &Sanitized,
-        sorted: &SortedSamples,
-        confidence: f64,
-    ) -> StatsResult<MeasurementSummary> {
-        let xs = &sanitized.clean;
-        let five = sorted.five_number();
-        let mean = summary::arithmetic_mean(xs)?;
-        let deterministic = five.max == five.min;
-
-        let (std_dev, cov) = if xs.len() >= 2 && !deterministic {
-            let s = summary::sample_std_dev(xs)?;
-            (Some(s), if mean != 0.0 { Some(s / mean) } else { None })
-        } else {
-            (None, None)
-        };
-
-        // Rule 6: diagnostic checking before using normal statistics.
-        let normality = if deterministic || xs.len() < 3 {
-            None
-        } else {
-            shapiro_wilk_thinned(xs, 2000).ok()
-        };
-        let normal_ok = normality
-            .as_ref()
-            .map(|sw| !sw.rejects_normality(0.05))
-            .unwrap_or(false);
-
-        let mean_ci = if deterministic {
-            None
-        } else {
-            ci::mean_ci(xs, confidence).ok()
-        };
-        let median_ci = sorted.median_ci(confidence).ok();
-
+        let sample = Sample::new(&sanitized.clean)?;
+        let summary =
+            MeasurementSummary::from_sample(&self.name, &sample, self.converged, confidence)?;
         Ok(MeasurementSummary {
-            name: self.name.clone(),
-            n: xs.len(),
             samples_recorded: sanitized.recorded(),
             samples_dropped: sanitized.dropped(),
             dropped_nan: sanitized.dropped_nan,
             dropped_infinite: sanitized.dropped_infinite,
-            deterministic,
-            converged: self.converged,
-            mean,
-            std_dev,
-            cov,
-            five_number: five,
-            normality,
             // Contamination degrades the summary to nonparametric-only:
             // the mean of a partially-dropped sample is biased in an
             // unknown direction, so its CI must not be blessed.
-            mean_ci_valid: normal_ok && !sanitized.contaminated(),
-            mean_ci,
-            median_ci,
-            confidence,
-            harness_overhead: None,
+            mean_ci_valid: summary.mean_ci_valid && !sanitized.contaminated(),
+            ..summary
         })
     }
 }
@@ -458,6 +383,71 @@ pub struct MeasurementSummary {
 }
 
 impl MeasurementSummary {
+    /// Summarizes a sample of finite measurements per Rules 5 and 6.
+    ///
+    /// The five-number summary and the median CI come from the sample's
+    /// sort; the mean, the standard deviation, the Shapiro–Wilk thinning
+    /// and the mean CI read the values in recorded order. Nothing was
+    /// dropped, so the mean CI is blessed whenever the diagnostic does not
+    /// reject normality.
+    pub fn from_sample(
+        name: &str,
+        sample: &Sample<'_>,
+        converged: bool,
+        confidence: f64,
+    ) -> StatsResult<Self> {
+        let xs = sample.values();
+        let five = sample.sorted().five_number();
+        let mean = summary::arithmetic_mean(xs)?;
+        let deterministic = five.max == five.min;
+
+        let (std_dev, cov) = if xs.len() >= 2 && !deterministic {
+            let s = summary::sample_std_dev(xs)?;
+            (Some(s), if mean != 0.0 { Some(s / mean) } else { None })
+        } else {
+            (None, None)
+        };
+
+        // Rule 6: diagnostic checking before using normal statistics.
+        let normality = if deterministic || xs.len() < 3 {
+            None
+        } else {
+            shapiro_wilk_thinned(xs, 2000).ok()
+        };
+        let normal_ok = normality
+            .as_ref()
+            .map(|sw| !sw.rejects_normality(0.05))
+            .unwrap_or(false);
+
+        let mean_ci = if deterministic {
+            None
+        } else {
+            ci::mean_ci(xs, confidence).ok()
+        };
+        let median_ci = sample.sorted().median_ci(confidence).ok();
+
+        Ok(Self {
+            name: name.to_owned(),
+            n: xs.len(),
+            samples_recorded: xs.len(),
+            samples_dropped: 0,
+            dropped_nan: 0,
+            dropped_infinite: 0,
+            deterministic,
+            converged,
+            mean,
+            std_dev,
+            cov,
+            five_number: five,
+            normality,
+            mean_ci_valid: normal_ok,
+            mean_ci,
+            median_ci,
+            confidence,
+            harness_overhead: None,
+        })
+    }
+
     /// Attaches the harness-overhead disclosure (builder style), so
     /// traced campaigns can surface the Rule 4/5 self-accounting in
     /// their reports.
@@ -847,8 +837,8 @@ mod tests {
     }
 
     #[test]
-    fn summarize_sorted_equals_summarize_bit_for_bit() {
-        use crate::test_samples::{comparator_sorted, sharing_cases};
+    fn sample_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::sharing_cases;
         use scibench_stats::quantile::FiveNumberSummary;
 
         for clean in sharing_cases() {
@@ -861,7 +851,14 @@ mod tests {
             ] {
                 contaminated.insert(at, bad);
             }
-            for samples in [clean.clone(), contaminated] {
+            let shared = MeasurementSummary::from_sample(
+                "shared",
+                &Sample::new(&clean).unwrap(),
+                true,
+                0.95,
+            )
+            .unwrap();
+            for (samples, dropped) in [(clean.clone(), 0), (contaminated, 3)] {
                 let out = MeasurementOutcome {
                     name: "shared".to_owned(),
                     warmup_samples: Vec::new(),
@@ -869,10 +866,12 @@ mod tests {
                     converged: true,
                 };
                 let slice = out.summarize(0.95).unwrap();
-                let shared = out
-                    .summarize_sorted(0.95, &comparator_sorted(&clean))
-                    .unwrap();
-                assert_eq!(slice, shared);
+                // The drops are disclosed, and withhold the mean CI.
+                assert_eq!(
+                    (slice.samples_recorded, slice.samples_dropped),
+                    (n + dropped, dropped)
+                );
+                assert_eq!(slice.mean_ci_valid, shared.mean_ci_valid && dropped == 0);
                 assert_eq!(summary_bits(&slice), summary_bits(&shared));
                 let five = FiveNumberSummary::from_samples(&clean).unwrap();
                 assert_eq!(slice.five_number, five);
@@ -906,30 +905,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn summarize_sorted_refuses_a_copy_of_another_length() {
-        let mut g = Gen::new(12);
-        let clean: Vec<f64> = (0..40).map(|_| g.next_latency()).collect();
-        let mut samples = clean.clone();
-        samples.push(f64::NAN);
-        let out = MeasurementOutcome {
-            name: "wrong".to_owned(),
-            warmup_samples: Vec::new(),
-            samples,
-            converged: true,
-        };
-        // Too short, and as long as the samples with their NaN: both
-        // differ from the 40 finite samples the summary reads.
-        for other in [&clean[1..], &[clean.clone(), vec![1.0]].concat()[..]] {
-            let wrong = SortedSamples::new(other).unwrap();
-            assert!(matches!(
-                out.summarize_sorted(0.95, &wrong),
-                Err(StatsError::UnsupportedSampleSize { .. })
-            ));
-        }
-        let right = SortedSamples::new(&clean).unwrap();
-        assert_eq!(out.summarize_sorted(0.95, &right), out.summarize(0.95));
     }
 }

@@ -3,7 +3,7 @@
 
 use scibench_stats::error::StatsResult;
 use scibench_stats::quantile::{FiveNumberSummary, QuantileMethod};
-use scibench_stats::sorted::SortedSamples;
+use scibench_stats::Sample;
 
 /// What the whiskers mean — §5.2: "the semantics of the whiskers must be
 /// specified".
@@ -62,29 +62,20 @@ pub struct BoxPlotStats {
 }
 
 impl BoxPlotStats {
+    /// Computes box statistics for a sample; see
+    /// [`BoxPlotStats::from_sample`].
+    pub fn from_samples(label: &str, xs: &[f64], rule: WhiskerRule) -> StatsResult<Self> {
+        Self::from_sample(label, &Sample::new(xs)?, rule)
+    }
+
     /// Computes box statistics for a sample.
     ///
     /// Notches are the 95 % nonparametric CI of the median when enough
-    /// samples exist. Sorts `xs` once and calls
-    /// [`BoxPlotStats::from_sorted`].
-    pub fn from_samples(label: &str, xs: &[f64], rule: WhiskerRule) -> StatsResult<Self> {
-        Self::from_sorted(label, xs, &SortedSamples::new(xs)?, rule)
-    }
-
-    /// [`BoxPlotStats::from_samples`] with the ascending copy of `xs`
-    /// supplied by the caller; bit-identical to it.
-    ///
-    /// `sorted` serves the quartiles, the percentile whiskers and the
-    /// notch; the mean, the Tukey whisker scans and the outlier list read
-    /// `xs` in its own order. Errors when `sorted` is not as long as `xs`
-    /// (see [`SortedSamples::check_copy_of`]).
-    pub fn from_sorted(
-        label: &str,
-        xs: &[f64],
-        sorted: &SortedSamples,
-        rule: WhiskerRule,
-    ) -> StatsResult<Self> {
-        sorted.check_copy_of(xs)?;
+    /// samples exist. The quartiles, the percentile whiskers and the notch
+    /// come from the sample's sort; the mean, the Tukey whisker scans and
+    /// the outlier list read the values in their own order.
+    pub fn from_sample(label: &str, sample: &Sample<'_>, rule: WhiskerRule) -> StatsResult<Self> {
+        let (xs, sorted) = (sample.values(), sample.sorted());
         let five = sorted.five_number();
         let mean = scibench_stats::summary::arithmetic_mean(xs)?;
         let (lo, hi) = match rule {
@@ -243,8 +234,8 @@ mod tests {
     }
 
     #[test]
-    fn sorted_statistics_equal_the_per_call_functions() {
-        use crate::test_samples::{comparator_sorted, sharing_cases};
+    fn sample_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::sharing_cases;
         use scibench_stats::ci::median_ci;
         use scibench_stats::quantile::quantile;
         use scibench_stats::summary::arithmetic_mean;
@@ -273,12 +264,13 @@ mod tests {
         for xs in fixed.into_iter().chain(shared.iter().map(Vec::as_slice)) {
             let five = FiveNumberSummary::from_samples(xs).unwrap();
             let notch = median_ci(xs, 0.95).ok().map(|ci| (ci.lower, ci.upper));
-            let sorted = comparator_sorted(xs);
+            // One sample serves every rule.
+            let sample = Sample::new(xs).unwrap();
             for rule in rules {
-                let b = BoxPlotStats::from_samples("x", xs, rule).unwrap();
-                let from_sorted = BoxPlotStats::from_sorted("x", xs, &sorted, rule).unwrap();
-                assert_eq!(b, from_sorted);
-                assert_eq!(box_bits(&b), box_bits(&from_sorted));
+                let b = BoxPlotStats::from_sample("x", &sample, rule).unwrap();
+                let slice = BoxPlotStats::from_samples("x", xs, rule).unwrap();
+                assert_eq!(b, slice);
+                assert_eq!(box_bits(&b), box_bits(&slice));
                 // The order-dependent parts read the slice: the mean's sum
                 // and the outliers, listed in input order.
                 assert_eq!(b.mean.to_bits(), arithmetic_mean(xs).unwrap().to_bits());
@@ -305,20 +297,6 @@ mod tests {
                     assert_eq!(b.whisker_low.to_bits(), lo.min(five.q1).to_bits());
                     assert_eq!(b.whisker_high.to_bits(), hi.max(five.q3).to_bits());
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn from_sorted_refuses_a_copy_of_another_length() {
-        let xs = sample();
-        for other in [&xs[1..], &[xs.clone(), vec![7.0]].concat()[..]] {
-            let wrong = SortedSamples::new(other).unwrap();
-            for rule in [WhiskerRule::MinMax, WhiskerRule::TukeyIqr] {
-                assert!(matches!(
-                    BoxPlotStats::from_sorted("x", &xs, &wrong, rule),
-                    Err(scibench_stats::error::StatsError::UnsupportedSampleSize { .. })
-                ));
             }
         }
     }

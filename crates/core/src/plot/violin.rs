@@ -3,10 +3,10 @@
 //! — more information than a box plot at the cost of horizontal space.
 
 use scibench_stats::error::StatsResult;
-use scibench_stats::kde::{kde_sorted, Bandwidth, DensityEstimate};
+use scibench_stats::kde::{Bandwidth, DensityEstimate};
 use scibench_stats::quantile::FiveNumberSummary;
-use scibench_stats::sorted::SortedSamples;
 use scibench_stats::summary::{arithmetic_mean, geometric_mean};
+use scibench_stats::Sample;
 
 /// The data behind one violin.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,29 +24,19 @@ pub struct ViolinData {
 }
 
 impl ViolinData {
-    /// Computes a violin from raw samples on `grid_size` density points.
-    /// Sorts `xs` once and calls [`ViolinData::from_sorted`].
+    /// Computes a violin from raw samples; see [`ViolinData::from_sample`].
     pub fn from_samples(label: &str, xs: &[f64], grid_size: usize) -> StatsResult<Self> {
-        Self::from_sorted(label, xs, &SortedSamples::new(xs)?, grid_size)
+        Self::from_sample(label, &Sample::new(xs)?, grid_size)
     }
 
-    /// [`ViolinData::from_samples`] with the ascending copy of `xs`
-    /// supplied by the caller; bit-identical to it.
-    ///
-    /// `sorted` serves the bandwidth's IQR and the quartiles; the density
-    /// binning and the means read `xs` in its own order. Errors when
-    /// `sorted` is not as long as `xs` (see
-    /// [`SortedSamples::check_copy_of`], which [`kde_sorted`] applies).
-    pub fn from_sorted(
-        label: &str,
-        xs: &[f64],
-        sorted: &SortedSamples,
-        grid_size: usize,
-    ) -> StatsResult<Self> {
-        let density = kde_sorted(xs, sorted, Bandwidth::Silverman, grid_size)?;
-        let five_number = sorted.five_number();
-        let mean = arithmetic_mean(xs)?;
-        let geometric_mean = geometric_mean(xs).ok();
+    /// Computes a violin on `grid_size` density points. The bandwidth's
+    /// IQR and the quartiles come from the sample's sort; the density
+    /// binning and the means read the values in their own order.
+    pub fn from_sample(label: &str, sample: &Sample<'_>, grid_size: usize) -> StatsResult<Self> {
+        let density = sample.kde(Bandwidth::Silverman, grid_size)?;
+        let five_number = sample.sorted().five_number();
+        let mean = arithmetic_mean(sample.values())?;
+        let geometric_mean = geometric_mean(sample.values()).ok();
         Ok(Self {
             label: label.to_owned(),
             density,
@@ -117,8 +107,8 @@ mod tests {
     }
 
     #[test]
-    fn from_sorted_equals_from_samples_bit_for_bit() {
-        use crate::test_samples::{bits, comparator_sorted, sharing_cases};
+    fn sample_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::{bits, sharing_cases};
         use scibench_stats::kde::kde;
 
         let violin_bits = |v: &ViolinData| {
@@ -139,7 +129,7 @@ mod tests {
         };
         for xs in sharing_cases() {
             let slice = ViolinData::from_samples("x", &xs, 64);
-            let shared = ViolinData::from_sorted("x", &xs, &comparator_sorted(&xs), 64);
+            let shared = ViolinData::from_sample("x", &Sample::new(&xs).unwrap(), 64);
             match (slice, shared) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a, b);
@@ -156,18 +146,6 @@ mod tests {
                 }
                 (a, b) => assert_eq!(a, b, "n = {}", xs.len()),
             }
-        }
-    }
-
-    #[test]
-    fn from_sorted_refuses_a_copy_of_another_length() {
-        let xs = latencies();
-        for other in [&xs[1..], &[xs.clone(), vec![1.8]].concat()[..]] {
-            let wrong = SortedSamples::new(other).unwrap();
-            assert!(matches!(
-                ViolinData::from_sorted("x", &xs, &wrong, 64),
-                Err(scibench_stats::error::StatsError::UnsupportedSampleSize { .. })
-            ));
         }
     }
 }

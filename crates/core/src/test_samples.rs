@@ -1,8 +1,7 @@
-//! Seeded samples for the tests that hold each sorted-input entry point
-//! (`compare_two_sorted`, `summarize_sorted`, `BoxPlotStats::from_sorted`,
-//! `ViolinData::from_sorted`) to its slice wrapper, bit for bit.
-
-use scibench_stats::sorted::SortedSamples;
+//! Seeded samples for the tests that hold each statistic on a
+//! [`scibench_stats::Sample`] (`compare_samples`,
+//! `MeasurementSummary::from_sample`, `BoxPlotStats::from_sample`,
+//! `ViolinData::from_sample`) to the per-call functions, bit for bit.
 
 /// Each size on both sides of the KDE's binning threshold (4096), in four
 /// shapes: a heavy tail; long tie runs with `-0.0` and `+0.0` mixed, in
@@ -35,14 +34,6 @@ pub(crate) fn sharing_cases() -> Vec<Vec<f64>> {
         );
     }
     cases
-}
-
-/// The ascending copy of `xs` by a stable comparator sort, not by the key
-/// sort the slice wrappers use.
-pub(crate) fn comparator_sorted(xs: &[f64]) -> SortedSamples {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("test samples hold no NaN"));
-    SortedSamples::from_sorted_vec(v).expect("test samples are finite and non-empty")
 }
 
 /// The bit patterns of `xs`.

@@ -334,38 +334,14 @@ pub fn mean_ci_from_moments(
 /// Checks whether a sample already satisfies the nonparametric stopping
 /// criterion of §4.2.2: the `1−α` CI of the median is within `±e·median`.
 ///
+/// Reads the CI from `sorted`, the ascending copy of the sample, which the
+/// adaptive-median loop keeps up to date by merging each new batch in
+/// O(n + b) instead of re-sorting all n samples per check.
+///
 /// Returns `Ok(None)` when the CI cannot be computed yet (too few samples)
 /// and `Ok(Some(ci))` with the interval once it can; callers stop when
 /// `ci.relative_half_width() <= rel_error`.
 pub fn nonparametric_stop_check(
-    xs: &[f64],
-    confidence: f64,
-    rel_error: f64,
-) -> StatsResult<Option<(ConfidenceInterval, bool)>> {
-    validate_confidence(confidence)?;
-    if !(rel_error > 0.0 && rel_error < 1.0) {
-        return Err(StatsError::InvalidProbability {
-            name: "rel_error",
-            value: rel_error,
-        });
-    }
-    match median_ci(xs, confidence) {
-        Ok(ci) => {
-            let tight = ci
-                .relative_half_width()
-                .map(|r| r <= rel_error)
-                .unwrap_or(false);
-            Ok(Some((ci, tight)))
-        }
-        Err(StatsError::TooFewSamples { .. }) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// [`nonparametric_stop_check`] from an incrementally maintained
-/// [`SortedSamples`] cache — the adaptive-median loop merges each new
-/// batch in O(n + b) instead of re-sorting all n samples per check.
-pub fn nonparametric_stop_check_sorted(
     sorted: &SortedSamples,
     confidence: f64,
     rel_error: f64,
@@ -566,17 +542,21 @@ mod tests {
 
     #[test]
     fn nonparametric_stop_check_flow() {
+        let check = |xs: &[f64], rel_error| {
+            nonparametric_stop_check(&SortedSamples::new(xs).unwrap(), 0.95, rel_error)
+        };
         // Too few samples: None.
-        let r = nonparametric_stop_check(&[1.0, 2.0, 3.0], 0.95, 0.05).unwrap();
-        assert!(r.is_none());
+        assert!(check(&[1.0, 2.0, 3.0], 0.05).unwrap().is_none());
         // Tight data: stops.
         let xs: Vec<f64> = (0..200).map(|i| 100.0 + (i % 5) as f64 * 0.01).collect();
-        let (_ci, tight) = nonparametric_stop_check(&xs, 0.95, 0.05).unwrap().unwrap();
+        let (_ci, tight) = check(&xs, 0.05).unwrap().unwrap();
         assert!(tight);
         // Very loose data with few samples: not tight.
         let xs: Vec<f64> = (0..8).map(|i| (i as f64 + 1.0) * 37.0).collect();
-        let (_ci, tight) = nonparametric_stop_check(&xs, 0.95, 0.01).unwrap().unwrap();
+        let (_ci, tight) = check(&xs, 0.01).unwrap().unwrap();
         assert!(!tight);
+        assert!(check(&xs, 0.0).is_err());
+        assert!(check(&xs, 1.0).is_err());
     }
 
     #[test]
@@ -633,18 +613,33 @@ mod tests {
     }
 
     #[test]
-    fn sorted_stop_check_matches_slice_stop_check() {
+    fn stop_check_reads_the_median_ci_of_the_sort() {
         let xs: Vec<f64> = (0..150)
             .map(|i| 100.0 + ((i as f64) * 0.77).sin())
             .collect();
         let sorted = SortedSamples::new(&xs).unwrap();
-        let a = nonparametric_stop_check(&xs, 0.95, 0.05).unwrap();
-        let b = nonparametric_stop_check_sorted(&sorted, 0.95, 0.05).unwrap();
-        assert_eq!(a, b);
-        let few = SortedSamples::new(&[1.0, 2.0, 3.0]).unwrap();
-        assert!(nonparametric_stop_check_sorted(&few, 0.95, 0.05)
-            .unwrap()
-            .is_none());
+        let ci = median_ci(&xs, 0.95).unwrap();
+        for rel_error in [1e-4, 0.05] {
+            let tight = ci.relative_half_width().unwrap() <= rel_error;
+            assert_eq!(
+                nonparametric_stop_check(&sorted, 0.95, rel_error).unwrap(),
+                Some((ci, tight))
+            );
+        }
+    }
+
+    #[test]
+    fn stop_check_refuses_an_invalid_confidence_or_rel_error() {
+        let sorted = SortedSamples::new(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]).unwrap();
+        let refused = |c, e| match nonparametric_stop_check(&sorted, c, e) {
+            Err(StatsError::InvalidProbability { name, .. }) => name,
+            other => panic!("({c}, {e}) gave {other:?}"),
+        };
+        for bad in [0.0, 1.0, -0.5, f64::NAN] {
+            assert_eq!(refused(bad, 0.05), "confidence");
+            assert_eq!(refused(0.95, bad), "rel_error");
+        }
+        assert_eq!(refused(f64::NAN, f64::NAN), "confidence");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::StatsResult;
 use crate::quantile::FiveNumberSummary;
-use crate::sorted::SortedSamples;
+use crate::sorted::Sample;
 use crate::summary::HigherMoments;
 use crate::validate_samples;
 
@@ -52,46 +52,34 @@ pub fn excess_kurtosis(xs: &[f64]) -> StatsResult<Option<f64>> {
     Ok(m.excess_kurtosis())
 }
 
-/// Computes the full description of a sample: one streaming pass over the
-/// data ([`HigherMoments`]: all three means, variance, skewness and
-/// kurtosis) plus one sort ([`SortedSamples`]: the five-number summary) —
-/// the multi-call formulation needed six passes and a separate sort.
+/// Computes the full description of a sample; see [`Sample::describe`].
 pub fn describe(xs: &[f64]) -> StatsResult<Description> {
-    let sorted = SortedSamples::new(xs)?;
-    let m: HigherMoments = xs.iter().copied().collect();
-    let mean = m.mean().expect("validated non-empty");
-    let std_dev = m.std_dev();
-    let cov = std_dev.and_then(|s| (mean != 0.0).then(|| s / mean));
-    Ok(Description {
-        n: xs.len(),
-        mean,
-        geometric_mean: m.geometric_mean(),
-        harmonic_mean: m.harmonic_mean(),
-        five_number: sorted.five_number(),
-        std_dev,
-        cov,
-        skewness: m.skewness(),
-        excess_kurtosis: m.excess_kurtosis(),
-    })
+    Ok(Sample::new(xs)?.describe())
 }
 
-/// [`describe`] from an already-sorted cache: zero additional sorts.
-pub fn describe_sorted(sorted: &SortedSamples) -> StatsResult<Description> {
-    let m: HigherMoments = sorted.as_slice().iter().copied().collect();
-    let mean = m.mean().expect("SortedSamples is non-empty");
-    let std_dev = m.std_dev();
-    let cov = std_dev.and_then(|s| (mean != 0.0).then(|| s / mean));
-    Ok(Description {
-        n: sorted.len(),
-        mean,
-        geometric_mean: m.geometric_mean(),
-        harmonic_mean: m.harmonic_mean(),
-        five_number: sorted.five_number(),
-        std_dev,
-        cov,
-        skewness: m.skewness(),
-        excess_kurtosis: m.excess_kurtosis(),
-    })
+impl Sample<'_> {
+    /// The full description of this sample: one streaming pass over the
+    /// values in input order ([`HigherMoments`]: all three means,
+    /// variance, skewness and kurtosis) plus the five-number summary of
+    /// [`Sample::sorted`].
+    pub fn describe(&self) -> Description {
+        let xs = self.values();
+        let m: HigherMoments = xs.iter().copied().collect();
+        let mean = m.mean().expect("a sample is non-empty");
+        let std_dev = m.std_dev();
+        let cov = std_dev.and_then(|s| (mean != 0.0).then(|| s / mean));
+        Description {
+            n: xs.len(),
+            mean,
+            geometric_mean: m.geometric_mean(),
+            harmonic_mean: m.harmonic_mean(),
+            five_number: self.sorted().five_number(),
+            std_dev,
+            cov,
+            skewness: m.skewness(),
+            excess_kurtosis: m.excess_kurtosis(),
+        }
+    }
 }
 
 impl Description {
@@ -181,19 +169,18 @@ mod tests {
     }
 
     #[test]
-    fn describe_sorted_matches_describe() {
+    fn sample_statistics_equal_the_per_call_functions() {
         let xs: Vec<f64> = (0..300)
             .map(|i| ((i as f64 * 0.917).cos() + 3.0) * 2.0)
             .collect();
-        let via_slice = describe(&xs).unwrap();
-        let sorted = crate::sorted::SortedSamples::new(&xs).unwrap();
-        let via_cache = describe_sorted(&sorted).unwrap();
-        // Only the moment accumulation order differs (sorted vs input
-        // order), so the results agree to floating-point noise.
-        assert_eq!(via_slice.n, via_cache.n);
-        assert_eq!(via_slice.five_number, via_cache.five_number);
-        assert!((via_slice.mean - via_cache.mean).abs() < 1e-10);
-        assert!((via_slice.skewness.unwrap() - via_cache.skewness.unwrap()).abs() < 1e-8);
+        let d = describe(&xs).unwrap();
+        assert_eq!(d, Sample::new(&xs).unwrap().describe());
+        assert_eq!(d.five_number, FiveNumberSummary::from_samples(&xs).unwrap());
+        // The moments sum the values in input order, bit for bit.
+        let m: HigherMoments = xs.iter().copied().collect();
+        assert_eq!(d.mean.to_bits(), m.mean().unwrap().to_bits());
+        assert_eq!(d.std_dev.map(f64::to_bits), m.std_dev().map(f64::to_bits));
+        assert_eq!(d.skewness.map(f64::to_bits), m.skewness().map(f64::to_bits));
     }
 
     #[test]

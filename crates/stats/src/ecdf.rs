@@ -8,7 +8,6 @@
 
 use crate::error::StatsResult;
 use crate::sorted::SortedSamples;
-use crate::{sorted_copy, validate_samples};
 
 /// An empirical CDF: a right-continuous step function.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,18 +16,16 @@ pub struct Ecdf {
 }
 
 impl Ecdf {
-    /// Builds the ECDF of a sample.
+    /// Builds the ECDF of a sample. [`SortedSamples::ecdf`] builds it
+    /// from a sort already made, such as [`crate::Sample::sorted`].
     pub fn from_samples(xs: &[f64]) -> StatsResult<Self> {
-        validate_samples(xs)?;
-        Ok(Self {
-            sorted: sorted_copy(xs),
-        })
+        SortedSamples::new(xs).map(Self::new)
     }
 
-    /// Builds the ECDF from an already-sorted cache, skipping the sort.
-    pub fn from_sorted(sorted: &SortedSamples) -> Self {
+    /// The ECDF of the sample whose ascending copy `sorted` is.
+    pub(crate) fn new(sorted: SortedSamples) -> Self {
         Self {
-            sorted: sorted.as_slice().to_vec(),
+            sorted: sorted.into_vec(),
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::dist::{ChiSquared, ContinuousDistribution, FisherF, StudentT};
 use crate::error::{StatsError, StatsResult};
-use crate::sorted::SortedSamples;
+use crate::sorted::{Sample, SortedSamples};
 use crate::summary::{arithmetic_mean, sample_variance};
 use crate::validate_samples;
 
@@ -175,33 +175,17 @@ pub fn one_way_anova(groups: &[&[f64]]) -> StatsResult<AnovaResult> {
 /// Kruskal–Wallis one-way ANOVA on ranks (§3.2.2): nonparametric test for
 /// equality of medians across `k ≥ 2` groups, with tie correction.
 ///
-/// Sorts each group once and calls [`kruskal_wallis_sorted`].
-pub fn kruskal_wallis(groups: &[&[f64]]) -> StatsResult<TestResult> {
+/// Ranks in one merge of the groups' sorts ([`Sample::sorted`]): each run
+/// of tied values gets its mid-rank, each group's rank sum is kept exactly
+/// as an integer sum of twice the mid-rank, and the tie sum `Σ (t³ − t)`
+/// is added up in ascending order.
+pub fn kruskal_wallis(groups: &[&Sample<'_>]) -> StatsResult<TestResult> {
     if groups.len() < 2 {
         return Err(StatsError::InvalidGroups(
             "Kruskal-Wallis needs at least two groups",
         ));
     }
-    let sorted = groups
-        .iter()
-        .map(|g| SortedSamples::new(g))
-        .collect::<StatsResult<Vec<_>>>()?;
-    let refs: Vec<&SortedSamples> = sorted.iter().collect();
-    kruskal_wallis_sorted(&refs)
-}
-
-/// [`kruskal_wallis`] on groups that are already sorted.
-///
-/// Ranks in one merge of the sorted groups: each run of tied values gets
-/// its mid-rank, each group's rank sum is kept exactly as an integer sum
-/// of twice the mid-rank, and the tie sum `Σ (t³ − t)` is added up in
-/// ascending order.
-pub fn kruskal_wallis_sorted(groups: &[&SortedSamples]) -> StatsResult<TestResult> {
-    if groups.len() < 2 {
-        return Err(StatsError::InvalidGroups(
-            "Kruskal-Wallis needs at least two groups",
-        ));
-    }
+    let groups: Vec<&SortedSamples> = groups.iter().map(|g| g.sorted()).collect();
     let total_n: usize = groups.iter().map(|g| g.len()).sum();
     if total_n < 3 {
         return Err(StatsError::TooFewSamples {
@@ -209,7 +193,7 @@ pub fn kruskal_wallis_sorted(groups: &[&SortedSamples]) -> StatsResult<TestResul
             actual: total_n,
         });
     }
-    let (twice_rank_sums, tie_sum) = merged_rank_sums(groups);
+    let (twice_rank_sums, tie_sum) = merged_rank_sums(&groups);
     let nf = total_n as f64;
 
     let mut h = 0.0;
@@ -473,13 +457,22 @@ mod tests {
         assert_eq!(effect_magnitude(e), EffectMagnitude::Large);
     }
 
+    /// [`kruskal_wallis`] of slices.
+    fn kruskal_wallis_slices(groups: &[&[f64]]) -> StatsResult<TestResult> {
+        let samples = groups
+            .iter()
+            .map(|g| Sample::new(g))
+            .collect::<StatsResult<Vec<_>>>()?;
+        kruskal_wallis(&samples.iter().collect::<Vec<_>>())
+    }
+
     #[test]
     fn kruskal_wallis_reference_example() {
         // Worked example (no ties): three groups.
         let a = [1.0, 2.0, 3.0];
         let b = [4.0, 5.0, 6.0];
         let c = [7.0, 8.0, 9.0];
-        let r = kruskal_wallis(&[&a, &b, &c]).unwrap();
+        let r = kruskal_wallis_slices(&[&a, &b, &c]).unwrap();
         // Rank sums: 6, 15, 24 → H = 12/(9*10) * (36/3+225/3+576/3) - 3*10
         // = (12/90)*279 - 30 = 7.2
         assert!((r.statistic - 7.2).abs() < 1e-9, "H = {}", r.statistic);
@@ -489,7 +482,7 @@ mod tests {
     #[test]
     fn kruskal_wallis_identical_groups() {
         let a = shifted(30, 2.0);
-        let r = kruskal_wallis(&[&a, &a]).unwrap();
+        let r = kruskal_wallis_slices(&[&a, &a]).unwrap();
         assert!(!r.significant_at(0.05));
         assert!(r.statistic < 1e-9);
     }
@@ -498,7 +491,7 @@ mod tests {
     fn kruskal_wallis_shifted_medians() {
         let a = shifted(100, 1.0);
         let b: Vec<f64> = a.iter().map(|x| x + 0.8).collect();
-        let r = kruskal_wallis(&[&a, &b]).unwrap();
+        let r = kruskal_wallis_slices(&[&a, &b]).unwrap();
         assert!(r.significant_at(0.01), "p = {}", r.p_value);
     }
 
@@ -508,7 +501,7 @@ mod tests {
         let mut a = shifted(50, 1.0);
         let b: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
         a[0] = 1e9;
-        let r = kruskal_wallis(&[&a, &b]).unwrap();
+        let r = kruskal_wallis_slices(&[&a, &b]).unwrap();
         assert!(r.significant_at(0.05));
     }
 
@@ -516,7 +509,7 @@ mod tests {
     fn kruskal_wallis_handles_ties() {
         let a = [1.0, 1.0, 2.0, 2.0];
         let b = [2.0, 3.0, 3.0, 4.0];
-        let r = kruskal_wallis(&[&a, &b]).unwrap();
+        let r = kruskal_wallis_slices(&[&a, &b]).unwrap();
         assert!(r.statistic > 0.0);
         assert!((0.0..=1.0).contains(&r.p_value));
     }
@@ -574,7 +567,24 @@ mod tests {
         assert!(welch_t_test(&[1.0], &[1.0, 2.0]).is_err());
         assert!(welch_t_test(&[1.0, 1.0], &[1.0, 1.0]).is_err()); // zero variance
         assert!(one_way_anova(&[&[1.0, 2.0]]).is_err());
-        assert!(kruskal_wallis(&[&[1.0, 2.0]]).is_err());
+        assert!(kruskal_wallis_slices(&[&[1.0, 2.0]]).is_err());
         assert!(cohens_d(&[1.0, 1.0], &[1.0, 1.0]).is_err());
+    }
+
+    #[test]
+    fn kruskal_wallis_reports_each_degenerate_input_by_kind() {
+        let (one, flat) = (&[1.0][..], &[4.0, 4.0, 4.0][..]);
+        let err = |groups: &[&[f64]]| kruskal_wallis_slices(groups).unwrap_err();
+        assert!(matches!(err(&[]), StatsError::InvalidGroups(_)));
+        assert!(matches!(err(&[flat]), StatsError::InvalidGroups(_)));
+        let too_few = StatsError::TooFewSamples {
+            required: 3,
+            actual: 2,
+        };
+        assert_eq!(err(&[one, one]), too_few);
+        assert_eq!(err(&[flat, flat]), StatsError::ZeroVariance);
+        // A bad lone group is refused as its `Sample` is built, first.
+        assert_eq!(err(&[&[]]), StatsError::EmptySample);
+        assert_eq!(err(&[&[f64::NAN]]), StatsError::NonFiniteSample);
     }
 }

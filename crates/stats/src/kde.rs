@@ -6,10 +6,8 @@
 //! million-sample latency datasets the paper works with.
 
 use crate::error::{StatsError, StatsResult};
-use crate::quantile::FiveNumberSummary;
-use crate::sorted::SortedSamples;
+use crate::sorted::Sample;
 use crate::summary::sample_std_dev;
-use crate::validate_samples;
 
 /// Bandwidth selection rules.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,13 +84,12 @@ impl DensityEstimate {
 /// Only [`Bandwidth::Silverman`] reads an order statistic (the IQR), so
 /// only it sorts a copy of `xs`.
 pub fn resolve_bandwidth(xs: &[f64], rule: Bandwidth) -> StatsResult<f64> {
-    bandwidth(xs, rule, None)
+    bandwidth(&Sample::new(xs)?, rule)
 }
 
-/// [`resolve_bandwidth`], reading Silverman's IQR from `sorted`, the
-/// ascending copy of `xs`, when the caller has one.
-fn bandwidth(xs: &[f64], rule: Bandwidth, sorted: Option<&SortedSamples>) -> StatsResult<f64> {
-    validate_samples(xs)?;
+/// [`resolve_bandwidth`] on a sample: Silverman's IQR comes from its sort.
+fn bandwidth(sample: &Sample<'_>, rule: Bandwidth) -> StatsResult<f64> {
+    let xs = sample.values();
     match rule {
         Bandwidth::Fixed(h) => {
             if !(h.is_finite() && h > 0.0) {
@@ -114,10 +111,7 @@ fn bandwidth(xs: &[f64], rule: Bandwidth, sorted: Option<&SortedSamples>) -> Sta
             let n = xs.len() as f64;
             let h = match rule {
                 Bandwidth::Silverman => {
-                    let iqr = match sorted {
-                        Some(sorted) => sorted.five_number().iqr(),
-                        None => FiveNumberSummary::from_samples(xs)?.iqr(),
-                    };
+                    let iqr = sample.sorted().five_number().iqr();
                     let spread = if iqr > 0.0 { s.min(iqr / 1.34) } else { s };
                     0.9 * spread * n.powf(-0.2)
                 }
@@ -143,60 +137,44 @@ const BINNED_THRESHOLD: usize = 4096;
 /// resolution and fast enough for the paper's 10⁶-sample figures.
 ///
 /// [`Bandwidth::Silverman`] sorts a copy of `xs` for its IQR; a caller
-/// that holds one already passes it to [`kde_sorted`] instead.
+/// that holds a [`Sample`] calls [`Sample::kde`] to read it from the
+/// sample's one sort.
 pub fn kde(xs: &[f64], rule: Bandwidth, grid_size: usize) -> StatsResult<DensityEstimate> {
-    density(xs, rule, grid_size, None)
+    Sample::new(xs)?.kde(rule, grid_size)
 }
 
-/// [`kde`], reading Silverman's IQR from `sorted`, the ascending copy of
-/// `xs`, instead of sorting again; bit-identical to [`kde`].
-///
-/// The grid, the binning and the standard deviation still read `xs` in
-/// its own order. Errors when `sorted` is not as long as `xs` (see
-/// [`SortedSamples::check_copy_of`]).
-pub fn kde_sorted(
-    xs: &[f64],
-    sorted: &SortedSamples,
-    rule: Bandwidth,
-    grid_size: usize,
-) -> StatsResult<DensityEstimate> {
-    sorted.check_copy_of(xs)?;
-    density(xs, rule, grid_size, Some(sorted))
-}
+impl Sample<'_> {
+    /// [`kde()`] of this sample. Silverman's IQR comes from
+    /// [`Sample::sorted`]; the grid, the binning and the standard
+    /// deviation read the values in their own order.
+    pub fn kde(&self, rule: Bandwidth, grid_size: usize) -> StatsResult<DensityEstimate> {
+        if grid_size < 2 {
+            return Err(StatsError::InvalidParameter {
+                name: "grid_size",
+                value: grid_size as f64,
+            });
+        }
+        let h = bandwidth(self, rule)?;
+        let xs = self.values();
+        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let lo = min - 3.0 * h;
+        let hi = max + 3.0 * h;
+        let step = (hi - lo) / (grid_size - 1) as f64;
+        let grid: Vec<f64> = (0..grid_size).map(|i| lo + i as f64 * step).collect();
 
-/// The body of [`kde`] and [`kde_sorted`]; `sorted` as in [`bandwidth`].
-fn density(
-    xs: &[f64],
-    rule: Bandwidth,
-    grid_size: usize,
-    sorted: Option<&SortedSamples>,
-) -> StatsResult<DensityEstimate> {
-    validate_samples(xs)?;
-    if grid_size < 2 {
-        return Err(StatsError::InvalidParameter {
-            name: "grid_size",
-            value: grid_size as f64,
-        });
+        let density = if xs.len() <= BINNED_THRESHOLD {
+            kde_exact(xs, &grid, h)
+        } else {
+            kde_binned(xs, &grid, lo, step, h)
+        };
+
+        Ok(DensityEstimate {
+            x: grid,
+            density,
+            bandwidth: h,
+        })
     }
-    let h = bandwidth(xs, rule, sorted)?;
-    let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let lo = min - 3.0 * h;
-    let hi = max + 3.0 * h;
-    let step = (hi - lo) / (grid_size - 1) as f64;
-    let grid: Vec<f64> = (0..grid_size).map(|i| lo + i as f64 * step).collect();
-
-    let density = if xs.len() <= BINNED_THRESHOLD {
-        kde_exact(xs, &grid, h)
-    } else {
-        kde_binned(xs, &grid, lo, step, h)
-    };
-
-    Ok(DensityEstimate {
-        x: grid,
-        density,
-        bandwidth: h,
-    })
 }
 
 /// Exact Gaussian KDE: O(n · g).
@@ -265,6 +243,7 @@ fn kde_binned(xs: &[f64], grid: &[f64], lo: f64, step: f64, h: f64) -> Vec<f64> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantile::FiveNumberSummary;
 
     fn normal_sample(n: usize, mu: f64, sigma: f64) -> Vec<f64> {
         (0..n)
@@ -394,66 +373,49 @@ mod tests {
         cases
     }
 
-    /// The ascending copy by a stable comparator sort, not by the key
-    /// sort that [`kde`] uses.
-    fn comparator_sorted(xs: &[f64]) -> SortedSamples {
-        let mut v = xs.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        SortedSamples::from_sorted_vec(v).unwrap()
-    }
-
     fn density_bits(d: &DensityEstimate) -> (Vec<u64>, Vec<u64>, u64) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         (bits(&d.x), bits(&d.density), d.bandwidth.to_bits())
     }
 
     #[test]
-    fn kde_sorted_equals_kde_bit_for_bit() {
+    fn sample_statistics_equal_the_per_call_functions() {
         for xs in sharing_cases() {
-            let sorted = comparator_sorted(&xs);
-            for rule in [
-                Bandwidth::Silverman,
-                Bandwidth::Scott,
-                Bandwidth::Fixed(0.25),
+            // One sample serves every rule.
+            let sample = Sample::new(&xs).unwrap();
+            let n = xs.len() as f64;
+            let s = sample_std_dev(&xs).unwrap();
+            let iqr = FiveNumberSummary::from_samples(&xs).unwrap().iqr();
+            let spread = if iqr > 0.0 { s.min(iqr / 1.34) } else { s };
+            for (rule, h) in [
+                (Bandwidth::Silverman, 0.9 * spread * n.powf(-0.2)),
+                (Bandwidth::Scott, 1.06 * s * n.powf(-0.2)),
+                (Bandwidth::Fixed(0.25), 0.25),
             ] {
-                let slice = kde(&xs, rule, 97);
-                let shared = kde_sorted(&xs, &sorted, rule, 97);
                 let label = format!("n = {}, {rule:?}", xs.len());
-                match (&slice, &shared) {
-                    (Ok(a), Ok(b)) => assert_eq!(density_bits(a), density_bits(b), "{label}"),
-                    _ => assert_eq!(slice, shared, "{label}"),
-                }
-                // The resolved bandwidth fixes the rest: a rule's density
-                // is the fixed-bandwidth density, which sorts nothing.
-                if let Ok(h) = resolve_bandwidth(&xs, rule) {
-                    let fixed = kde(&xs, Bandwidth::Fixed(h), 97).unwrap();
-                    assert_eq!(
-                        density_bits(&fixed),
-                        density_bits(&slice.unwrap()),
-                        "{label}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kde_sorted_refuses_a_copy_of_another_length() {
-        let xs = normal_sample(50, 0.0, 1.0);
-        for other in [&xs[1..], &[xs.clone(), vec![9.0]].concat()[..]] {
-            let wrong = SortedSamples::new(other).unwrap();
-            for rule in [
-                Bandwidth::Silverman,
-                Bandwidth::Scott,
-                Bandwidth::Fixed(0.5),
-            ] {
-                assert!(
-                    matches!(
-                        kde_sorted(&xs, &wrong, rule, 64),
-                        Err(StatsError::UnsupportedSampleSize { actual, .. }) if actual == other.len()
-                    ),
-                    "{rule:?}"
-                );
+                let d = sample.kde(rule, 97).unwrap();
+                // The bandwidth reads the standard deviation of the values
+                // in input order and the IQR of the sort.
+                assert_eq!(d.bandwidth.to_bits(), h.to_bits(), "{label}");
+                // The grid and the binning read the values in input order.
+                let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+                let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let (lo, hi) = (min - 3.0 * h, max + 3.0 * h);
+                let density = if xs.len() <= BINNED_THRESHOLD {
+                    kde_exact(&xs, &d.x, h)
+                } else {
+                    kde_binned(&xs, &d.x, lo, (hi - lo) / 96.0, h)
+                };
+                let want = DensityEstimate {
+                    x: (0..97)
+                        .map(|i| lo + i as f64 * ((hi - lo) / 96.0))
+                        .collect(),
+                    density,
+                    bandwidth: h,
+                };
+                assert_eq!(density_bits(&want), density_bits(&d), "{label}");
+                let slice = kde(&xs, rule, 97).unwrap();
+                assert_eq!(density_bits(&slice), density_bits(&d), "{label}");
             }
         }
     }

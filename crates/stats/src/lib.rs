@@ -63,6 +63,7 @@ pub mod special;
 pub mod summary;
 
 pub use error::{StatsError, StatsResult};
+pub use sorted::Sample;
 
 /// Checks that a slice of samples is non-empty and free of NaN/∞ values.
 ///

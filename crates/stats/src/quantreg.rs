@@ -26,7 +26,7 @@ use crate::ci::ConfidenceInterval;
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::{quantile_sorted, QuantileMethod};
 use crate::sort::sorted_finite;
-use crate::sorted::SortedSamples;
+use crate::sorted::Sample;
 use crate::validate_samples;
 
 /// The quantile-regression estimate at one quantile τ for the two-sample
@@ -54,16 +54,18 @@ impl QuantileEffect {
 /// `base` is the intercept group (Piz Dora in Figure 4) and `other` the
 /// comparison group (Pilatus). `boot_reps` bootstrap resamples are drawn
 /// with the deterministic `seed` for the difference CIs.
+///
+/// Every tau reads each group's one sort ([`Sample::sorted`]): the
+/// intercept CI, the point estimates and the bootstrap draws all work on
+/// order statistics.
 pub fn two_sample(
-    base: &[f64],
-    other: &[f64],
+    base: &Sample<'_>,
+    other: &Sample<'_>,
     taus: &[f64],
     confidence: f64,
     boot_reps: usize,
     seed: u64,
 ) -> StatsResult<Vec<QuantileEffect>> {
-    validate_samples(base)?;
-    validate_samples(other)?;
     if taus.is_empty() {
         return Err(StatsError::EmptySample);
     }
@@ -82,11 +84,7 @@ pub fn two_sample(
         });
     }
 
-    // Sort each group exactly once; every tau reads the shared cache
-    // (intercept CI, point estimates and bootstrap draws all work on
-    // order statistics).
-    let base_cache = SortedSamples::new(base)?;
-    let other_cache = SortedSamples::new(other)?;
+    let (base_cache, other_cache) = (base.sorted(), other.sorted());
 
     // Bootstrap quantile differences per tau. To keep this O(reps) rather
     // than O(reps · n log n) we exploit that the quantile of a bootstrap
@@ -343,6 +341,10 @@ mod tests {
     use super::*;
     use crate::quantile::quantile;
 
+    fn sample(xs: &[f64]) -> Sample<'_> {
+        Sample::new(xs).unwrap()
+    }
+
     fn skewed_sample(n: usize, shift: f64) -> Vec<f64> {
         (0..n)
             .map(|i| {
@@ -357,7 +359,7 @@ mod tests {
         let a = skewed_sample(2000, 1.5);
         let b = skewed_sample(2000, 1.7);
         let taus = [0.1, 0.5, 0.9];
-        let effects = two_sample(&a, &b, &taus, 0.95, 200, 42).unwrap();
+        let effects = two_sample(&sample(&a), &sample(&b), &taus, 0.95, 200, 42).unwrap();
         for (e, &tau) in effects.iter().zip(&taus) {
             let qa = quantile(&a, tau, QuantileMethod::Interpolated).unwrap();
             let qb = quantile(&b, tau, QuantileMethod::Interpolated).unwrap();
@@ -370,7 +372,8 @@ mod tests {
     fn two_sample_detects_constant_shift() {
         let a = skewed_sample(3000, 1.5);
         let b: Vec<f64> = a.iter().map(|x| x + 0.1).collect();
-        let effects = two_sample(&a, &b, &[0.25, 0.5, 0.75], 0.95, 400, 7).unwrap();
+        let effects =
+            two_sample(&sample(&a), &sample(&b), &[0.25, 0.5, 0.75], 0.95, 400, 7).unwrap();
         for e in &effects {
             assert!(e.difference_significant(), "tau {} not significant", e.tau);
             assert!((e.difference.estimate - 0.1).abs() < 1e-9);
@@ -381,7 +384,7 @@ mod tests {
     #[test]
     fn two_sample_no_difference_is_insignificant() {
         let a = skewed_sample(2000, 1.5);
-        let effects = two_sample(&a, &a, &[0.5], 0.95, 400, 3).unwrap();
+        let effects = two_sample(&sample(&a), &sample(&a), &[0.5], 0.95, 400, 3).unwrap();
         assert!(!effects[0].difference_significant());
         assert!(effects[0].difference.estimate.abs() < 1e-12);
     }
@@ -403,7 +406,7 @@ mod tests {
                 1.7 + 0.20 * crate::dist::normal::std_normal_inv_cdf(u)
             })
             .collect();
-        let effects = two_sample(&a, &b, &[0.1, 0.9], 0.95, 300, 11).unwrap();
+        let effects = two_sample(&sample(&a), &sample(&b), &[0.1, 0.9], 0.95, 300, 11).unwrap();
         assert!(effects[0].difference.estimate < 0.0); // B faster at P10
         assert!(effects[1].difference.estimate > 0.0); // B slower at P90
     }
@@ -502,7 +505,15 @@ mod tests {
     #[test]
     fn quantile_effects_monotone_intercepts() {
         let a = skewed_sample(1000, 0.0);
-        let effects = two_sample(&a, &a, &[0.1, 0.3, 0.5, 0.7, 0.9], 0.95, 100, 1).unwrap();
+        let effects = two_sample(
+            &sample(&a),
+            &sample(&a),
+            &[0.1, 0.3, 0.5, 0.7, 0.9],
+            0.95,
+            100,
+            1,
+        )
+        .unwrap();
         for w in effects.windows(2) {
             assert!(w[0].intercept.estimate <= w[1].intercept.estimate);
         }
@@ -511,9 +522,9 @@ mod tests {
     #[test]
     fn invalid_inputs_rejected() {
         let a = [1.0, 2.0, 3.0];
-        assert!(two_sample(&a, &a, &[], 0.95, 100, 0).is_err());
-        assert!(two_sample(&a, &a, &[1.5], 0.95, 100, 0).is_err());
-        assert!(two_sample(&a, &a, &[0.5], 0.95, 5, 0).is_err());
+        assert!(two_sample(&sample(&a), &sample(&a), &[], 0.95, 100, 0).is_err());
+        assert!(two_sample(&sample(&a), &sample(&a), &[1.5], 0.95, 100, 0).is_err());
+        assert!(two_sample(&sample(&a), &sample(&a), &[0.5], 0.95, 5, 0).is_err());
         assert!(fit(&[1.0, 2.0], 2, &[1.0, 2.0], 0.5).is_err()); // shape mismatch
         assert!(fit(&[1.0, 1.0], 1, &[1.0, 2.0], 1.5).is_err());
     }

@@ -56,7 +56,7 @@ impl GridSketch {
             });
         }
         let width = (spec.hi - spec.lo) / spec.bins as f64;
-        if !(width.is_finite() && width > 0.0) {
+        if !valid_geometry(spec.lo, width) {
             return Err(StatsError::InvalidParameter {
                 name: "bin width",
                 value: width,
@@ -195,6 +195,13 @@ impl GridSketch {
     }
 }
 
+/// Whether bins of `width` from `lo` make a grid: `lo` is finite, and
+/// `width` is finite and positive. [`GridSketch::new`] builds only such
+/// grids, and [`MergeableSummary::from_record`] loads only such grids.
+fn valid_geometry(lo: f64, width: f64) -> bool {
+    lo.is_finite() && width.is_finite() && width > 0.0
+}
+
 impl MergeableSummary for GridSketch {
     fn push(&mut self, x: f64) {
         if !x.is_finite() {
@@ -271,6 +278,11 @@ impl MergeableSummary for GridSketch {
             overflow: parse_count(parts[6])?,
             counts,
         };
+        if !valid_geometry(grid.lo, grid.width) {
+            return Err(StatsError::MalformedSketch(
+                "grid lo or bin width out of range",
+            ));
+        }
         // Each finite push lands in exactly one of these.
         let binned: u128 = [grid.underflow, grid.overflow]
             .iter()
@@ -417,6 +429,18 @@ mod tests {
         let empty = GridSketch::new(spec()).unwrap();
         assert!(matches!(empty.ecdf(1.0), Err(StatsError::EmptySample)));
         assert!(matches!(empty.quantile(0.5), Err(StatsError::EmptySample)));
+    }
+
+    #[test]
+    fn new_refuses_a_bin_width_that_is_zero_or_infinite() {
+        let width = |lo, hi, bins| match GridSketch::new(GridSpec { lo, hi, bins }) {
+            Err(StatsError::InvalidParameter { name, .. }) => Err(name),
+            other => Ok(other.unwrap().width()),
+        };
+        // Half the least subnormal rounds to 0; the widest range overflows.
+        assert_eq!(width(0.0, f64::from_bits(1), 2), Err("bin width"));
+        assert_eq!(width(-f64::MAX, f64::MAX, 1), Err("bin width"));
+        assert_eq!(width(0.0, f64::from_bits(2), 2), Ok(f64::from_bits(1)));
     }
 
     #[test]

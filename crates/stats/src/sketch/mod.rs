@@ -949,6 +949,25 @@ mod tests {
             digests > 50 && streams > 50,
             "{digests} digests, {streams} streams accepted"
         );
+        // Every grid record that loads reads quantiles on its grid.
+        fuzz_record::<GridSketch>(&summaries[2].grid().unwrap().to_record(), &mut rng, 2);
+        let mut grids = 0;
+        for record in (0..500)
+            .map(|_| random_gs1(&mut rng))
+            .chain(GRIDS_NEW_REFUSES.map(String::from))
+        {
+            let Ok(grid) = GridSketch::from_record(&record) else {
+                continue;
+            };
+            assert!(round_trips::<GridSketch>(&record), "{record}");
+            grids += 1;
+            for p in [0.0, 0.5, 1.0] {
+                if let Ok(q) = grid.quantile(p) {
+                    assert!(q.is_finite() && q >= grid.lo(), "{record}: q({p}) = {q}");
+                }
+            }
+        }
+        assert!(grids > 50, "{grids} grids accepted");
     }
 
     #[test]
@@ -1179,6 +1198,53 @@ mod tests {
             ));
             assert_eq!((full, single), (before, single_before));
         }
+    }
+
+    /// One sample in one bin, over geometry [`GridSketch::new`] refuses: a
+    /// NaN `lo`, then `lo` = 1 with a bin width of 0, −1 and NaN.
+    const GRIDS_NEW_REFUSES: [&str; 4] = [
+        "gs1;7ff8000000000000;3ff0000000000000;1;0;0;0;1",
+        "gs1;3ff0000000000000;0000000000000000;1;0;0;0;1",
+        "gs1;3ff0000000000000;bff0000000000000;1;0;0;0;1",
+        "gs1;3ff0000000000000;7ff8000000000000;1;0;0;0;1",
+    ];
+
+    #[test]
+    fn sketch_grid_records_with_geometry_new_refuses_are_refused() {
+        for bad in GRIDS_NEW_REFUSES {
+            assert!(
+                matches!(
+                    GridSketch::from_record(bad),
+                    Err(StatsError::MalformedSketch(_))
+                ),
+                "{bad}"
+            );
+        }
+        let good = "gs1;3ff0000000000000;3ff0000000000000;1;0;0;0;1";
+        assert_eq!(
+            GridSketch::from_record(good).unwrap().quantile(0.5),
+            Ok(1.5)
+        );
+    }
+
+    /// A random gs1 record: a geometry drawn from values that make a grid
+    /// and values that do not, over bins whose counts add up.
+    fn random_gs1(rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+        let lo = [0.0, -1.5, 1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let width = [1.0, 0.25, 0.0, -0.0, -1.0, f64::NAN, f64::INFINITY];
+        let bins: Vec<u64> = (0..rng.gen_range(1..4))
+            .map(|_| rng.gen_range(0..3))
+            .collect();
+        let (under, over) = (rng.gen_range(0..2u64), rng.gen_range(0..2u64));
+        let n = under + over + bins.iter().sum::<u64>();
+        let bins: Vec<String> = bins.iter().map(u64::to_string).collect();
+        format!(
+            "gs1;{};{};{n};0;{under};{over};{}",
+            f64_to_hex(lo[rng.gen_range(0..lo.len())]),
+            f64_to_hex(width[rng.gen_range(0..width.len())]),
+            bins.join(",")
+        )
     }
 
     #[test]

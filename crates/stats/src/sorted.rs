@@ -5,13 +5,19 @@
 //! the raw slice. [`SortedSamples`] sorts exactly once and hands the
 //! sorted view to all of them, turning a summary that needed four
 //! `O(n log n)` sorts into one sort plus `O(1)`/`O(log n)` queries.
+//! [`Sample`] pairs a sample's values with the one sort of those values,
+//! for the statistics that read both.
 //!
 //! # Invariants
 //!
 //! A constructed `SortedSamples` always holds a non-empty, ascending,
 //! all-finite sample. Every constructor and mutator validates its input,
 //! so downstream consumers (e.g. [`crate::quantile::quantile_sorted`])
-//! can rely on the invariant without re-checking.
+//! can rely on the invariant without re-checking. A `Sample` holds
+//! non-empty, all-finite values, and its sort is always of those values.
+
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use crate::ci::{quantile_ci_ranks, ConfidenceInterval};
 use crate::error::{StatsError, StatsResult};
@@ -19,6 +25,53 @@ use crate::outlier::TukeyFences;
 use crate::quantile::{quantile_sorted, FiveNumberSummary, QuantileMethod};
 use crate::sort::sorted_finite;
 use crate::validate_samples;
+
+/// A sample checked once (non-empty, all finite): its values in their own
+/// order, and their ascending copy, sorted by the first call to
+/// [`Sample::sorted`] and kept for every later one.
+///
+/// A statistic that takes a `Sample` reads its order statistics
+/// (quartiles, quantile CIs, ranks) from the sort and every sum, fold and
+/// scan from the values in input order, so it gives the bits of the same
+/// statistic on the slice. The sort cannot belong to another sample.
+#[derive(Debug, Clone)]
+pub struct Sample<'a> {
+    values: Cow<'a, [f64]>,
+    sorted: OnceLock<SortedSamples>,
+}
+
+impl<'a> Sample<'a> {
+    /// Borrows `xs`. Errors on empty or non-finite input.
+    pub fn new(xs: &'a [f64]) -> StatsResult<Self> {
+        Self::checked(Cow::Borrowed(xs))
+    }
+
+    /// Takes `xs` without copying it. Errors on empty or non-finite input.
+    pub fn from_vec(xs: Vec<f64>) -> StatsResult<Self> {
+        Self::checked(Cow::Owned(xs))
+    }
+
+    fn checked(values: Cow<'a, [f64]>) -> StatsResult<Self> {
+        validate_samples(&values)?;
+        Ok(Self {
+            values,
+            sorted: OnceLock::new(),
+        })
+    }
+
+    /// The values in their own order.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The ascending copy of the values: sorted on the first call, shared
+    /// by every later one.
+    pub fn sorted(&self) -> &SortedSamples {
+        self.sorted.get_or_init(|| SortedSamples {
+            xs: sorted_finite(self.values.to_vec()),
+        })
+    }
+}
 
 /// A validated, ascending copy of a sample: sort once, query many times.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,39 +91,6 @@ impl SortedSamples {
         Ok(Self {
             xs: sorted_finite(xs),
         })
-    }
-
-    /// Wraps data that is already ascending; errors if it is not (or is
-    /// empty / non-finite). Useful when the producer sorted already.
-    pub fn from_sorted_vec(xs: Vec<f64>) -> StatsResult<Self> {
-        validate_samples(&xs)?;
-        if xs.windows(2).any(|w| w[0] > w[1]) {
-            return Err(StatsError::InvalidGroups("input is not ascending"));
-        }
-        Ok(Self { xs })
-    }
-
-    /// Checks that `self` can stand for the sorted copy of `values` in a
-    /// sorted-input entry point such as [`crate::kde::kde_sorted`].
-    ///
-    /// `values` must be a valid sample (non-empty, all finite), and `self`
-    /// must hold as many values. A copy of another length is a typed
-    /// error, so a caller that pairs a sample with the wrong sort gets an
-    /// error, not a wrong interval. Debug builds also assert that `self`
-    /// is the ascending copy of `values` (`-0.0 == +0.0`).
-    pub fn check_copy_of(&self, values: &[f64]) -> StatsResult<()> {
-        validate_samples(values)?;
-        if values.len() != self.xs.len() {
-            return Err(StatsError::UnsupportedSampleSize {
-                constraint: "the sorted copy must hold one value per sample value",
-                actual: self.xs.len(),
-            });
-        }
-        debug_assert!(
-            self.xs == sorted_finite(values.to_vec()),
-            "the sorted copy holds other values than the sample"
-        );
-        Ok(())
     }
 
     /// Number of observations.
@@ -145,7 +165,7 @@ impl SortedSamples {
 
     /// The empirical CDF, without re-sorting.
     pub fn ecdf(&self) -> crate::ecdf::Ecdf {
-        crate::ecdf::Ecdf::from_sorted(self)
+        crate::ecdf::Ecdf::new(self.clone())
     }
 
     /// Tukey's fences `[Q1 − c·IQR, Q3 + c·IQR]`, without re-sorting.
@@ -314,8 +334,6 @@ mod tests {
     fn constructors_validate() {
         assert!(SortedSamples::new(&[]).is_err());
         assert!(SortedSamples::new(&[1.0, f64::NAN]).is_err());
-        assert!(SortedSamples::from_sorted_vec(vec![2.0, 1.0]).is_err());
-        assert!(SortedSamples::from_sorted_vec(vec![1.0, 2.0]).is_ok());
     }
 
     #[test]
@@ -390,36 +408,59 @@ mod tests {
     }
 
     #[test]
-    fn check_copy_of_accepts_the_copy_and_refuses_another_length() {
-        let xs = sample();
-        let sorted = SortedSamples::new(&xs).unwrap();
-        assert_eq!(sorted.check_copy_of(&xs), Ok(()));
-        // Signed zeros compare equal, so either order is the copy.
-        let zeros = SortedSamples::new(&[0.0, -0.0, 1.0]).unwrap();
-        assert_eq!(zeros.check_copy_of(&[-0.0, 0.0, 1.0]), Ok(()));
-        for other in [&xs[1..], &[xs.clone(), vec![1.0]].concat()[..]] {
+    fn sample_sorts_once_and_keeps_its_values_in_input_order() {
+        let xs = [3.0, -0.0, 1.0, 0.0, -2.5, 0.0, -0.0];
+        for sample in [
+            Sample::new(&xs).unwrap(),
+            Sample::from_vec(xs.to_vec()).unwrap(),
+        ] {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(sample.values()), bits(&xs));
+            let first = sample.sorted();
+            assert!(std::ptr::eq(first, sample.sorted()));
             assert_eq!(
-                sorted.check_copy_of(other),
-                Err(StatsError::UnsupportedSampleSize {
-                    constraint: "the sorted copy must hold one value per sample value",
-                    actual: xs.len(),
-                })
+                first.as_slice().as_ptr(),
+                sample.sorted().as_slice().as_ptr()
             );
+            assert_eq!(
+                bits(first.as_slice()),
+                bits(SortedSamples::new(&xs).unwrap().as_slice())
+            );
+            // Sorting leaves the values as they were.
+            assert_eq!(bits(sample.values()), bits(&xs));
         }
-        // The sample itself is checked first.
-        assert_eq!(sorted.check_copy_of(&[]), Err(StatsError::EmptySample));
-        assert_eq!(
-            sorted.check_copy_of(&[1.0, f64::NAN]),
-            Err(StatsError::NonFiniteSample)
-        );
+        // A borrowed sample reads the caller's slice, not a copy.
+        assert_eq!(Sample::new(&xs).unwrap().values().as_ptr(), xs.as_ptr());
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "the sorted copy holds other values than the sample")]
-    fn check_copy_of_asserts_the_values_in_debug_builds() {
-        let sorted = SortedSamples::new(&[1.0, 2.0, 3.0]).unwrap();
-        let _ = sorted.check_copy_of(&[1.0, 2.0, 4.0]);
+    fn sample_from_vec_keeps_the_callers_allocation() {
+        let xs = sample();
+        let at = xs.as_ptr();
+        let s = Sample::from_vec(xs).unwrap();
+        // The sort is a copy: the values keep their allocation and order.
+        assert_ne!(s.sorted().as_slice().as_ptr(), at);
+        assert_eq!(s.values().as_ptr(), at);
+        assert_eq!(s.values(), sample().as_slice());
+    }
+
+    #[test]
+    fn sample_checks_its_values_when_built() {
+        assert_eq!(Sample::new(&[]).unwrap_err(), StatsError::EmptySample);
+        assert_eq!(
+            Sample::from_vec(Vec::new()).unwrap_err(),
+            StatsError::EmptySample
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                Sample::new(&[1.0, bad]).unwrap_err(),
+                StatsError::NonFiniteSample
+            );
+            assert_eq!(
+                Sample::from_vec(vec![bad, 1.0]).unwrap_err(),
+                StatsError::NonFiniteSample
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Per-paper scores and per-group distributions — the horizontal box
 //! plots in the "Experimental Design" header of Table 1.
 
+use scibench_stats::htest::kruskal_wallis;
 use scibench_stats::quantile::FiveNumberSummary;
+use scibench_stats::Sample;
 
 use crate::model::{Conference, Survey, YEARS};
 
@@ -85,7 +87,7 @@ pub fn year_trend_test(
     survey: &Survey,
     conference: Conference,
 ) -> Option<scibench_stats::htest::TestResult> {
-    let mut year_scores: Vec<Vec<f64>> = Vec::with_capacity(YEARS.len());
+    let mut year_scores = Vec::with_capacity(YEARS.len());
     for &year in &YEARS {
         let scores: Vec<f64> = survey
             .group(conference, year)
@@ -93,13 +95,10 @@ pub fn year_trend_test(
             .filter(|p| p.applicable)
             .map(|p| p.design_score() as f64)
             .collect();
-        if scores.is_empty() {
-            return None;
-        }
-        year_scores.push(scores);
+        // An empty year is not a sample.
+        year_scores.push(Sample::from_vec(scores).ok()?);
     }
-    let refs: Vec<&[f64]> = year_scores.iter().map(Vec::as_slice).collect();
-    scibench_stats::htest::kruskal_wallis(&refs).ok()
+    kruskal_wallis(&year_scores.iter().collect::<Vec<_>>()).ok()
 }
 
 /// Mean design score over all applicable papers — the headline "state of

@@ -10,14 +10,22 @@ use scibench_sim::pingpong::{pingpong_latencies_us, PingPongConfig};
 use scibench_sim::rng::SimRng;
 use scibench_stats::ci::{mean_ci, median_ci};
 use scibench_stats::dist::{ChiSquared, ContinuousDistribution};
-use scibench_stats::htest::{kruskal_wallis, kruskal_wallis_sorted, one_way_anova, TestResult};
+use scibench_stats::htest::{one_way_anova, TestResult};
 use scibench_stats::normality::shapiro_wilk_thinned;
 use scibench_stats::outlier::tukey_filter;
 use scibench_stats::quantile::{quantile, QuantileMethod};
 use scibench_stats::rank::{average_ranks, tie_correction};
-use scibench_stats::sorted::SortedSamples;
 use scibench_stats::summary::{arithmetic_mean, coefficient_of_variation};
-use scibench_stats::{StatsError, StatsResult};
+use scibench_stats::{Sample, StatsError, StatsResult};
+
+/// Kruskal–Wallis of slices, each checked as a [`Sample`] first.
+fn kruskal_wallis_slices(groups: &[&[f64]]) -> StatsResult<TestResult> {
+    let samples = groups
+        .iter()
+        .map(|g| Sample::new(g))
+        .collect::<StatsResult<Vec<_>>>()?;
+    scibench_stats::htest::kruskal_wallis(&samples.iter().collect::<Vec<_>>())
+}
 
 fn dora_latencies(n: usize, seed: u64) -> Vec<f64> {
     let mut cfg = PingPongConfig::paper_64b(n);
@@ -81,11 +89,11 @@ fn kruskal_wallis_separates_systems_anova_ranks() {
     let mut cfg = PingPongConfig::paper_64b(5_000);
     cfg.warmup_iterations = 0;
     let pilatus = pingpong_latencies_us(&MachineSpec::pilatus(), &cfg, &mut SimRng::new(4));
-    let kw = kruskal_wallis(&[&dora, &pilatus]).unwrap();
+    let kw = kruskal_wallis_slices(&[&dora, &pilatus]).unwrap();
     assert!(kw.significant_at(0.001));
     // Same system twice: no significance.
     let dora2 = dora_latencies(5_000, 5);
-    let kw_null = kruskal_wallis(&[&dora, &dora2]).unwrap();
+    let kw_null = kruskal_wallis_slices(&[&dora, &dora2]).unwrap();
     assert!(!kw_null.significant_at(0.01), "p = {}", kw_null.p_value);
 }
 
@@ -143,15 +151,7 @@ fn assert_matches_pooled(groups: &[&[f64]], case: &str) {
         r.map(|t| [t.statistic, t.p_value, t.df.0, t.df.1].map(f64::to_bits))
     };
     let want = bits(pooled_kruskal_wallis(groups));
-    assert_eq!(bits(kruskal_wallis(groups)), want, "{case}");
-    if let Ok(sorted) = groups
-        .iter()
-        .map(|g| SortedSamples::new(g))
-        .collect::<StatsResult<Vec<_>>>()
-    {
-        let refs: Vec<&SortedSamples> = sorted.iter().collect();
-        assert_eq!(bits(kruskal_wallis_sorted(&refs)), want, "{case} (sorted)");
-    }
+    assert_eq!(bits(kruskal_wallis_slices(groups)), want, "{case}");
 }
 
 #[test]
@@ -208,7 +208,7 @@ fn kruskal_wallis_keeps_its_error_variants() {
         (&[&[0.0, -0.0], &[-0.0, 0.0]], StatsError::ZeroVariance),
     ];
     for (groups, want) in cases {
-        assert_eq!(kruskal_wallis(groups).unwrap_err(), want);
+        assert_eq!(kruskal_wallis_slices(groups).unwrap_err(), want);
         assert_matches_pooled(groups, &format!("{want:?}"));
     }
 }

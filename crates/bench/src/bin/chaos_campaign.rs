@@ -19,9 +19,10 @@
 //! * `supervise --journal-dir <dir> --shards N [--slow-us N]
 //!   [--poison-idx I] [--strikes K] [--heartbeat-ms H]` — supervised
 //!   process-shard execution of the same campaign;
-//! * `selftest` — the whole chaos dance (kill -9 + resume bit-identity,
-//!   shard counts 1/2/4, supervisor kill + resume, poisoned-point
-//!   quarantine) with a non-zero exit on any violation.
+//! * `selftest` — the whole chaos dance (reference digest equal to
+//!   [`REFERENCE_DIGEST`], kill -9 + resume bit-identity, shard counts
+//!   1/2/4, supervisor kill + resume, poisoned-point quarantine) with a
+//!   non-zero exit on any violation.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -43,6 +44,10 @@ use scibench_sim::rng::SimRng;
 const CHAOS_SEED: u64 = 0xC0FF_EE01;
 const CODE_VERSION: &str = concat!("chaos-campaign-", env!("CARGO_PKG_VERSION"));
 const CONFIG_FINGERPRINT: &str = "chaos-demo-machine-v1";
+
+/// Digest of the demo campaign's in-process result at any thread count.
+/// A change that moves any bit of the campaign moves this digest.
+const REFERENCE_DIGEST: u64 = 0xc699_31b4_b3e7_32e3;
 
 fn chaos_design() -> Design {
     Design::new(vec![
@@ -372,6 +377,10 @@ fn cmd_selftest() -> Result<(), String> {
     let reference = reference_result(1)?;
     let want = result_digest(&reference);
     println!("reference digest={want:016x}");
+    check(
+        want == REFERENCE_DIGEST,
+        &format!("reference digest equals the pinned {REFERENCE_DIGEST:016x}"),
+    )?;
 
     // 1. kill -9 a journaled run mid-campaign, then resume: the merged
     //    result must be bit-identical to the uninterrupted reference.
@@ -537,6 +546,23 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("chaos_campaign: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reference_digest_is_pinned_at_one_and_two_threads() {
+        for threads in [1, 2] {
+            let result = reference_result(threads).unwrap();
+            assert_eq!(
+                result_digest(&result),
+                REFERENCE_DIGEST,
+                "threads = {threads}"
+            );
         }
     }
 }

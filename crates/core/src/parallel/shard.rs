@@ -34,8 +34,8 @@
 //! one [`ResilientCampaignResult`] — bit-identical to a single-process
 //! run for every point that completed, since each point's RNG stream is
 //! a pure function of `(seed, design index)` — and discloses every
-//! recovery in [`CampaignHealth`] (`workers_respawned`,
-//! `points_poisoned`) per Rule 4.
+//! recovery in [`CampaignHealth`](crate::experiment::resilience::CampaignHealth)
+//! (`workers_respawned`, `points_poisoned`) per Rule 4.
 
 use std::collections::HashMap;
 use std::fmt;

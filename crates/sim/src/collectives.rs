@@ -15,23 +15,10 @@
 //! times across processes") prescribes ANOVA across the ranks before
 //! summarizing.
 
-use std::convert::Infallible;
-
-use scibench_trace::{category, ArgValue, LocalTracer};
-
 use crate::alloc::Allocation;
-use crate::fault::{FaultContext, SimFault};
 use crate::machine::MachineSpec;
 use crate::network::NetworkModel;
 use crate::rng::SimRng;
-
-/// Unwraps a `Result` whose error type is uninhabited.
-fn unwrap_infallible<T>(r: Result<T, Infallible>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => match e {},
-    }
-}
 
 /// Per-rank completion times of one collective invocation, nanoseconds
 /// from the (synchronized) start of the operation.
@@ -93,36 +80,20 @@ pub fn reduce(
     rng: &mut SimRng,
 ) -> CollectiveOutcome {
     let net = NetworkModel::new(machine);
-    unwrap_infallible(reduce_impl(machine, alloc, bytes, &mut |src, dst| {
-        Ok(net.transfer_ns(alloc.node_of[src], alloc.node_of[dst], bytes, rng))
-    }))
-}
-
-/// [`reduce`] on a machine with injected faults: any transfer hitting a
-/// crashed node or a dead link aborts the whole collective (as a real
-/// `MPI_Reduce` would).
-pub fn reduce_faulty(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    bytes: usize,
-    ctx: &mut FaultContext,
-    rng: &mut SimRng,
-) -> Result<CollectiveOutcome, SimFault> {
-    let net = NetworkModel::new(machine);
     reduce_impl(machine, alloc, bytes, &mut |src, dst| {
-        net.transfer_faulty_ns(alloc.node_of[src], alloc.node_of[dst], bytes, ctx, rng)
+        net.transfer_ns(alloc.node_of[src], alloc.node_of[dst], bytes, rng)
     })
 }
 
-/// Shared reduce algorithm over an arbitrary (possibly fallible)
-/// rank-to-rank transfer function. Also the single source of truth for
-/// the *message order* that [`crate::compile`] records and replays.
-pub(crate) fn reduce_impl<E>(
+/// The reduce algorithm over a rank-to-rank transfer function. Also the
+/// single source of truth for the *message order* that [`crate::compile`]
+/// records and replays.
+pub(crate) fn reduce_impl(
     machine: &MachineSpec,
     alloc: &Allocation,
     bytes: usize,
-    transfer: &mut dyn FnMut(usize, usize) -> Result<f64, E>,
-) -> Result<CollectiveOutcome, E> {
+    transfer: &mut dyn FnMut(usize, usize) -> f64,
+) -> CollectiveOutcome {
     let p = alloc.ranks();
     assert!(p >= 1, "reduce requires at least one rank");
     let pof2 = pow2_floor(p);
@@ -140,7 +111,7 @@ pub(crate) fn reduce_impl<E>(
         let mut fold_end = 0.0f64;
         for r in pof2..p {
             let dst = r - pof2;
-            let t = transfer(r, dst)?;
+            let t = transfer(r, dst);
             done[r] = ready[r] + send_exit_ns(machine);
             ready[dst] = ready[dst].max(ready[r] + t) + reduction_op_ns(bytes);
             fold_end = fold_end.max(ready[dst]);
@@ -157,7 +128,7 @@ pub(crate) fn reduce_impl<E>(
             if r & mask != 0 && done[r].is_nan() {
                 // Sender: transmit to r - mask and leave.
                 let dst = r - mask;
-                let t = transfer(r, dst)?;
+                let t = transfer(r, dst);
                 done[r] = ready[r] + send_exit_ns(machine);
                 // The receiver can merge once both its value and the
                 // message are there.
@@ -173,56 +144,9 @@ pub(crate) fn reduce_impl<E>(
             done[r] = ready[r];
         }
     }
-    Ok(CollectiveOutcome {
+    CollectiveOutcome {
         per_rank_done_ns: done,
-    })
-}
-
-/// [`reduce`] with phase tracing: wraps the simulation in one
-/// [`category::SIM`] `"reduce"` span and records one instant per
-/// algorithmic phase — a `"fold-phase"` instant when the rank count is not
-/// a power of two (the extra phase behind the paper's §4.2 observation)
-/// and a `"tree-phase"` instant with the binomial-tree round count.
-///
-/// Tracing reads the wall clock but never touches `rng`, so the returned
-/// outcome is bit-identical to plain [`reduce`] on the same rng state, and
-/// the event *count* is a pure function of the rank count.
-pub fn reduce_traced(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    bytes: usize,
-    rng: &mut SimRng,
-    lane: &mut LocalTracer<'_>,
-) -> CollectiveOutcome {
-    let span = lane.begin();
-    let p = alloc.ranks();
-    let pof2 = pow2_floor(p);
-    if lane.is_on() {
-        if pof2 < p {
-            lane.instant(
-                category::SIM,
-                "fold-phase",
-                &[("remainder_ranks", ArgValue::U64((p - pof2) as u64))],
-            );
-        }
-        lane.instant(
-            category::SIM,
-            "tree-phase",
-            &[("rounds", ArgValue::U64(pof2.trailing_zeros() as u64))],
-        );
     }
-    let out = reduce(machine, alloc, bytes, rng);
-    lane.end(
-        span,
-        category::SIM,
-        "reduce",
-        &[
-            ("ranks", ArgValue::U64(p as u64)),
-            ("bytes", ArgValue::U64(bytes as u64)),
-            ("sim_ns", ArgValue::F64(out.max_ns().unwrap_or(0.0))),
-        ],
-    );
-    out
 }
 
 /// Simulates one binomial-tree `MPI_Bcast` from root 0 with payload
@@ -234,31 +158,16 @@ pub fn broadcast(
     rng: &mut SimRng,
 ) -> CollectiveOutcome {
     let net = NetworkModel::new(machine);
-    unwrap_infallible(broadcast_impl(alloc, &mut |src, dst| {
-        Ok(net.transfer_ns(alloc.node_of[src], alloc.node_of[dst], bytes, rng))
-    }))
-}
-
-/// [`broadcast`] on a machine with injected faults.
-pub fn broadcast_faulty(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    bytes: usize,
-    ctx: &mut FaultContext,
-    rng: &mut SimRng,
-) -> Result<CollectiveOutcome, SimFault> {
-    let net = NetworkModel::new(machine);
     broadcast_impl(alloc, &mut |src, dst| {
-        net.transfer_faulty_ns(alloc.node_of[src], alloc.node_of[dst], bytes, ctx, rng)
+        net.transfer_ns(alloc.node_of[src], alloc.node_of[dst], bytes, rng)
     })
 }
 
-/// Shared broadcast algorithm over an arbitrary transfer function. Also
-/// the source of the message order recorded by [`crate::compile`].
-pub(crate) fn broadcast_impl<E>(
+/// The binomial broadcast algorithm over a rank-to-rank transfer function.
+fn broadcast_impl(
     alloc: &Allocation,
-    transfer: &mut dyn FnMut(usize, usize) -> Result<f64, E>,
-) -> Result<CollectiveOutcome, E> {
+    transfer: &mut dyn FnMut(usize, usize) -> f64,
+) -> CollectiveOutcome {
     let p = alloc.ranks();
     assert!(p >= 1, "broadcast requires at least one rank");
     let mut have = vec![f64::NAN; p];
@@ -276,50 +185,16 @@ pub(crate) fn broadcast_impl<E>(
             if !have[r].is_nan() && r & (mask - 1) == 0 && r & mask == 0 {
                 let dst = r + mask;
                 if dst < p && have[dst].is_nan() {
-                    let t = transfer(r, dst)?;
+                    let t = transfer(r, dst);
                     have[dst] = have[r] + t;
                 }
             }
         }
         mask >>= 1;
     }
-    Ok(CollectiveOutcome {
+    CollectiveOutcome {
         per_rank_done_ns: have,
-    })
-}
-
-/// [`broadcast`] with phase tracing: one [`category::SIM`] `"broadcast"`
-/// span plus a `"tree-phase"` instant with the round count
-/// (⌈log₂ p⌉). Same determinism contract as [`reduce_traced`].
-pub fn broadcast_traced(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    bytes: usize,
-    rng: &mut SimRng,
-    lane: &mut LocalTracer<'_>,
-) -> CollectiveOutcome {
-    let span = lane.begin();
-    let p = alloc.ranks();
-    if lane.is_on() {
-        let rounds = (usize::BITS - p.saturating_sub(1).leading_zeros()) as u64;
-        lane.instant(
-            category::SIM,
-            "tree-phase",
-            &[("rounds", ArgValue::U64(rounds))],
-        );
     }
-    let out = broadcast(machine, alloc, bytes, rng);
-    lane.end(
-        span,
-        category::SIM,
-        "broadcast",
-        &[
-            ("ranks", ArgValue::U64(p as u64)),
-            ("bytes", ArgValue::U64(bytes as u64)),
-            ("sim_ns", ArgValue::F64(out.max_ns().unwrap_or(0.0))),
-        ],
-    );
-    out
 }
 
 /// Simulates one `MPI_Allreduce` as reduce-to-root followed by a
@@ -333,27 +208,9 @@ pub fn allreduce(
 ) -> CollectiveOutcome {
     let red = reduce(machine, alloc, bytes, rng);
     let bcast = broadcast(machine, alloc, bytes, rng);
-    combine_allreduce(red, bcast)
-}
-
-/// [`allreduce`] on a machine with injected faults: fails if either the
-/// reduce or the broadcast phase hits a fault.
-pub fn allreduce_faulty(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    bytes: usize,
-    ctx: &mut FaultContext,
-    rng: &mut SimRng,
-) -> Result<CollectiveOutcome, SimFault> {
-    let red = reduce_faulty(machine, alloc, bytes, ctx, rng)?;
-    let bcast = broadcast_faulty(machine, alloc, bytes, ctx, rng)?;
-    Ok(combine_allreduce(red, bcast))
-}
-
-/// Merges the reduce and broadcast phases of an allreduce: every rank
-/// finishes when the broadcast (starting at the root's reduce completion)
-/// reaches it — never earlier than its own reduce participation ended.
-fn combine_allreduce(red: CollectiveOutcome, bcast: CollectiveOutcome) -> CollectiveOutcome {
+    // Every rank finishes when the broadcast (starting at the root's reduce
+    // completion) reaches it — never earlier than its own reduce
+    // participation ended.
     let root_done = red.per_rank_done_ns[0];
     let per_rank_done_ns = red
         .per_rank_done_ns
@@ -364,58 +221,6 @@ fn combine_allreduce(red: CollectiveOutcome, bcast: CollectiveOutcome) -> Collec
     CollectiveOutcome { per_rank_done_ns }
 }
 
-/// Simulates one `MPI_Gather` to root 0: every non-root rank sends its
-/// `bytes` directly to the root, which receives sequentially (the linear
-/// algorithm used for small communicators / large payloads).
-pub fn gather(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    bytes: usize,
-    rng: &mut SimRng,
-) -> CollectiveOutcome {
-    let net = NetworkModel::new(machine);
-    unwrap_infallible(gather_impl(machine, alloc, &mut |src, dst| {
-        Ok(net.transfer_ns(alloc.node_of[src], alloc.node_of[dst], bytes, rng))
-    }))
-}
-
-/// [`gather`] on a machine with injected faults.
-pub fn gather_faulty(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    bytes: usize,
-    ctx: &mut FaultContext,
-    rng: &mut SimRng,
-) -> Result<CollectiveOutcome, SimFault> {
-    let net = NetworkModel::new(machine);
-    gather_impl(machine, alloc, &mut |src, dst| {
-        net.transfer_faulty_ns(alloc.node_of[src], alloc.node_of[dst], bytes, ctx, rng)
-    })
-}
-
-/// Shared gather algorithm over an arbitrary transfer function.
-fn gather_impl<E>(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    transfer: &mut dyn FnMut(usize, usize) -> Result<f64, E>,
-) -> Result<CollectiveOutcome, E> {
-    let p = alloc.ranks();
-    assert!(p >= 1, "gather requires at least one rank");
-    let mut done = vec![0.0f64; p];
-    let mut root_busy_until = 0.0f64;
-    for (r, done_r) in done.iter_mut().enumerate().skip(1) {
-        let arrival = transfer(r, 0)?;
-        *done_r = send_exit_ns(machine);
-        // The root processes arrivals one at a time.
-        let recv_cost = machine.network.injection_ns * 0.25;
-        root_busy_until = root_busy_until.max(arrival) + recv_cost;
-    }
-    done[0] = root_busy_until;
-    Ok(CollectiveOutcome {
-        per_rank_done_ns: done,
-    })
-}
-
 /// Simulates one dissemination `MPI_Barrier`.
 ///
 /// Round k: rank r signals `(r + 2^k) mod p` and waits for the signal from
@@ -423,64 +228,18 @@ fn gather_impl<E>(
 /// heard from every other.
 pub fn barrier(machine: &MachineSpec, alloc: &Allocation, rng: &mut SimRng) -> CollectiveOutcome {
     let net = NetworkModel::new(machine);
-    unwrap_infallible(barrier_impl(alloc, &mut |src, dst| {
-        Ok(net.transfer_ns(alloc.node_of[src], alloc.node_of[dst], 1, rng))
-    }))
-}
-
-/// [`barrier`] with phase tracing: one [`category::SIM`] `"barrier"` span
-/// plus a `"dissemination-phase"` instant with the round count
-/// (⌈log₂ p⌉). Same determinism contract as [`reduce_traced`].
-pub fn barrier_traced(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    rng: &mut SimRng,
-    lane: &mut LocalTracer<'_>,
-) -> CollectiveOutcome {
-    let span = lane.begin();
-    let p = alloc.ranks();
-    if lane.is_on() {
-        let rounds = (usize::BITS - p.saturating_sub(1).leading_zeros()) as u64;
-        lane.instant(
-            category::SIM,
-            "dissemination-phase",
-            &[("rounds", ArgValue::U64(rounds))],
-        );
-    }
-    let out = barrier(machine, alloc, rng);
-    lane.end(
-        span,
-        category::SIM,
-        "barrier",
-        &[
-            ("ranks", ArgValue::U64(p as u64)),
-            ("sim_ns", ArgValue::F64(out.max_ns().unwrap_or(0.0))),
-        ],
-    );
-    out
-}
-
-/// [`barrier`] on a machine with injected faults: a barrier cannot
-/// complete once any participant is unreachable.
-pub fn barrier_faulty(
-    machine: &MachineSpec,
-    alloc: &Allocation,
-    ctx: &mut FaultContext,
-    rng: &mut SimRng,
-) -> Result<CollectiveOutcome, SimFault> {
-    let net = NetworkModel::new(machine);
     barrier_impl(alloc, &mut |src, dst| {
-        net.transfer_faulty_ns(alloc.node_of[src], alloc.node_of[dst], 1, ctx, rng)
+        net.transfer_ns(alloc.node_of[src], alloc.node_of[dst], 1, rng)
     })
 }
 
-/// Shared dissemination-barrier algorithm over an arbitrary transfer
+/// The dissemination-barrier algorithm over a rank-to-rank transfer
 /// function. Also the source of the message order recorded by
 /// [`crate::compile`].
-pub(crate) fn barrier_impl<E>(
+pub(crate) fn barrier_impl(
     alloc: &Allocation,
-    transfer: &mut dyn FnMut(usize, usize) -> Result<f64, E>,
-) -> Result<CollectiveOutcome, E> {
+    transfer: &mut dyn FnMut(usize, usize) -> f64,
+) -> CollectiveOutcome {
     let p = alloc.ranks();
     assert!(p >= 1, "barrier requires at least one rank");
     // Double-buffered rounds: every slot of `next` is overwritten each
@@ -492,15 +251,15 @@ pub(crate) fn barrier_impl<E>(
     while step < p {
         for r in 0..p {
             let from = (r + p - step % p) % p;
-            let t = transfer(from, r)?;
+            let t = transfer(from, r);
             next[r] = ready[r].max(ready[from] + t);
         }
         std::mem::swap(&mut ready, &mut next);
         step <<= 1;
     }
-    Ok(CollectiveOutcome {
+    CollectiveOutcome {
         per_rank_done_ns: ready,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -670,33 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_root_serializes_receives() {
-        let (m, a, mut rng) = quiet_setup(16);
-        let g = gather(&m, &a, 1024, &mut rng);
-        // Root pays per-sender processing: scales linearly, beyond any
-        // single transfer.
-        let net = NetworkModel::new(&m);
-        let one = net.base_transfer_ns(1, 0, 1024);
-        assert!(g.per_rank_done_ns[0] > one);
-        assert!(
-            g.per_rank_done_ns[0] >= 15.0 * m.network.injection_ns * 0.25,
-            "root time {}",
-            g.per_rank_done_ns[0]
-        );
-        // Senders exit immediately.
-        for r in 1..16 {
-            assert!(g.per_rank_done_ns[r] < one);
-        }
-    }
-
-    #[test]
-    fn gather_single_rank_trivial() {
-        let (m, a, mut rng) = quiet_setup(1);
-        let g = gather(&m, &a, 8, &mut rng);
-        assert_eq!(g.per_rank_done_ns, vec![0.0]);
-    }
-
-    #[test]
     fn noisy_reduce_varies_between_runs() {
         let m = MachineSpec::piz_daint();
         let mut rng = SimRng::new(9);
@@ -709,125 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_reduce_without_faults_matches_plain() {
-        use crate::fault::{FaultContext, FaultPlan};
-        let m = MachineSpec::piz_daint();
-        let root = SimRng::new(13);
-        let mut rng_plain = root.fork("collective");
-        let mut rng_faulty = root.fork("collective");
-        let a = Allocation::one_rank_per_node(&m, 32, AllocationPolicy::Packed, &mut rng_plain);
-        let a2 = Allocation::one_rank_per_node(&m, 32, AllocationPolicy::Packed, &mut rng_faulty);
-        let plain = reduce(&m, &a, 8, &mut rng_plain);
-        let mut ctx = FaultContext::new(&FaultPlan::none(), m.nodes, &root);
-        let faulty = reduce_faulty(&m, &a2, 8, &mut ctx, &mut rng_faulty).unwrap();
-        assert_eq!(plain, faulty);
-    }
-
-    #[test]
-    fn crashed_root_fails_the_collective() {
-        use crate::fault::{FaultContext, FaultPlan, SimFault};
-        let (m, a, mut rng) = quiet_setup(8);
-        let plan = FaultPlan {
-            node_crash_prob: 1.0,
-            crash_window_ns: 0.0,
-            ..FaultPlan::none()
-        };
-        let mut ctx = FaultContext::new(&plan, m.nodes, &SimRng::new(3));
-        // The crash is at t = 0, so the first transfer already fails.
-        let out = reduce_faulty(&m, &a, 8, &mut ctx, &mut rng);
-        assert!(matches!(out, Err(SimFault::NodeCrashed { .. })));
-    }
-
-    #[test]
-    fn straggler_inflates_collective_completion() {
-        use crate::fault::{FaultContext, FaultPlan};
-        let (m, a, mut rng) = quiet_setup(16);
-        let healthy = reduce(&m, &a, 8, &mut rng);
-        let plan = FaultPlan {
-            straggler_prob: 1.0,
-            straggler_slowdown: 4.0,
-            ..FaultPlan::none()
-        };
-        let (m2, a2, mut rng2) = quiet_setup(16);
-        let mut ctx = FaultContext::new(&plan, m2.nodes, &SimRng::new(3));
-        let slowed = reduce_faulty(&m2, &a2, 8, &mut ctx, &mut rng2).unwrap();
-        assert!(
-            slowed.max_ns().unwrap() > healthy.max_ns().unwrap() * 2.0,
-            "healthy {} slowed {}",
-            healthy.max_ns().unwrap(),
-            slowed.max_ns().unwrap()
-        );
-    }
-
-    #[test]
-    fn all_faulty_variants_succeed_on_healthy_plan() {
-        use crate::fault::{FaultContext, FaultPlan};
-        let (m, a, mut rng) = quiet_setup(9);
-        let root = SimRng::new(17);
-        let mut ctx = FaultContext::new(&FaultPlan::none(), m.nodes, &root);
-        assert!(reduce_faulty(&m, &a, 8, &mut ctx, &mut rng).is_ok());
-        assert!(broadcast_faulty(&m, &a, 8, &mut ctx, &mut rng).is_ok());
-        assert!(allreduce_faulty(&m, &a, 8, &mut ctx, &mut rng).is_ok());
-        assert!(gather_faulty(&m, &a, 8, &mut ctx, &mut rng).is_ok());
-        assert!(barrier_faulty(&m, &a, &mut ctx, &mut rng).is_ok());
-    }
-
-    #[test]
-    fn traced_collectives_match_untraced_bit_for_bit() {
-        use scibench_trace::Tracer;
-        let m = MachineSpec::piz_daint();
-        let root = SimRng::new(23);
-        let mut rng_plain = root.fork("collective");
-        let mut rng_traced = root.fork("collective");
-        let a = Allocation::one_rank_per_node(&m, 13, AllocationPolicy::Packed, &mut rng_plain);
-        let a2 = Allocation::one_rank_per_node(&m, 13, AllocationPolicy::Packed, &mut rng_traced);
-        let plain = reduce(&m, &a, 8, &mut rng_plain);
-        let tracer = Tracer::new();
-        let mut lane = tracer.lane(0);
-        let traced = reduce_traced(&m, &a2, 8, &mut rng_traced, &mut lane);
-        assert_eq!(plain, traced);
-        // 13 ranks: fold phase (non-power-of-two) + tree phase + span.
-        lane.flush();
-        let trace = tracer.drain();
-        assert_eq!(trace.count(scibench_trace::category::SIM), 3);
-    }
-
-    #[test]
-    fn traced_collectives_record_nothing_when_disabled() {
-        use scibench_trace::Tracer;
-        let (m, a, mut rng) = quiet_setup(8);
-        let tracer = Tracer::disabled();
-        let mut lane = tracer.lane(0);
-        let out = reduce_traced(&m, &a, 8, &mut rng, &mut lane);
-        let (m2, a2, mut rng2) = quiet_setup(8);
-        let _ = broadcast_traced(&m2, &a2, 8, &mut rng2, &mut lane);
-        let _ = barrier_traced(&m2, &a2, &mut rng2, &mut lane);
-        assert_eq!(out.ranks(), 8);
-        lane.flush();
-        assert!(tracer.drain().is_empty());
-    }
-
-    #[test]
-    fn traced_phase_counts_are_deterministic() {
-        use scibench_trace::{category, Tracer};
-        // Power-of-two reduce: no fold phase → exactly 2 SIM events; the
-        // barrier and broadcast each add 2 (span + phase instant).
-        let tracer = Tracer::new();
-        {
-            let (m, a, mut rng) = quiet_setup(16);
-            let mut lane = tracer.lane(0);
-            let _ = reduce_traced(&m, &a, 8, &mut rng, &mut lane);
-            let _ = broadcast_traced(&m, &a, 8, &mut rng, &mut lane);
-            let _ = barrier_traced(&m, &a, &mut rng, &mut lane);
-        }
-        let trace = tracer.drain();
-        assert_eq!(trace.count(category::SIM), 6);
-        let (spans, instants, _) = trace.kind_counts();
-        assert_eq!(spans, 3);
-        assert_eq!(instants, 3);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let m = MachineSpec::piz_daint();
         let run = |seed: u64| {
@@ -837,5 +450,113 @@ mod tests {
         };
         assert_eq!(run(4), run(4));
         assert_ne!(run(4), run(5));
+    }
+
+    #[test]
+    fn noisy_broadcast_barrier_and_allreduce_are_deterministic_given_seed() {
+        let m = MachineSpec::piz_daint();
+        let run = |seed: u64| {
+            let mut rng = SimRng::new(seed);
+            let a = Allocation::one_rank_per_node(&m, 24, AllocationPolicy::Random, &mut rng);
+            let b = broadcast(&m, &a, 8, &mut rng);
+            [b, barrier(&m, &a, &mut rng), allreduce(&m, &a, 8, &mut rng)]
+        };
+        assert_eq!(run(4), run(4));
+        assert_ne!(run(4), run(5));
+    }
+
+    #[test]
+    fn empty_outcome_has_no_extremes() {
+        let out = CollectiveOutcome {
+            per_rank_done_ns: Vec::new(),
+        };
+        assert_eq!((out.ranks(), out.max_ns(), out.min_ns()), (0, None, None));
+    }
+
+    #[test]
+    fn single_rank_broadcast_barrier_and_allreduce_are_instant() {
+        let (m, a, mut rng) = quiet_setup(1);
+        assert_eq!(broadcast(&m, &a, 8, &mut rng).per_rank_done_ns, [0.0]);
+        assert_eq!(barrier(&m, &a, &mut rng).per_rank_done_ns, [0.0]);
+        assert_eq!(allreduce(&m, &a, 8, &mut rng).per_rank_done_ns, [0.0]);
+    }
+
+    #[test]
+    fn broadcast_reaches_each_rank_after_one_message_per_set_bit() {
+        // The binomial tree's path from the root to rank r has popcount(r)
+        // hops.
+        let (m, a, mut rng) = quiet_setup(13);
+        let one_msg = NetworkModel::new(&m).base_transfer_ns(0, 1, 64);
+        let out = broadcast(&m, &a, 64, &mut rng);
+        for (r, &t) in out.per_rank_done_ns.iter().enumerate() {
+            assert!((t - r.count_ones() as f64 * one_msg).abs() < 1e-9, "{r}");
+        }
+    }
+
+    #[test]
+    fn allreduce_is_reduce_then_broadcast_on_one_stream() {
+        let m = MachineSpec::piz_daint();
+        let mut rng = SimRng::new(3);
+        let a = Allocation::one_rank_per_node(&m, 13, AllocationPolicy::Random, &mut rng);
+        let (mut r1, mut r2) = (rng.fork("samples"), rng.fork("samples"));
+        let all = allreduce(&m, &a, 8, &mut r1);
+        let red = reduce(&m, &a, 8, &mut r2).per_rank_done_ns;
+        let bcast = broadcast(&m, &a, 8, &mut r2).per_rank_done_ns;
+        for r in 0..13 {
+            let expected = red[r].max(red[0] + bcast[r]);
+            assert_eq!(all.per_rank_done_ns[r], expected, "rank {r}");
+        }
+        assert_eq!(r1.uniform(), r2.uniform());
+    }
+
+    #[test]
+    fn fold_senders_exit_after_one_send() {
+        let (m, a, mut rng) = quiet_setup(12);
+        let out = reduce(&m, &a, 8, &mut rng);
+        for r in 8..12 {
+            assert_eq!(out.per_rank_done_ns[r], send_exit_ns(&m), "rank {r}");
+        }
+    }
+
+    #[test]
+    fn tree_starts_only_after_the_whole_fold_phase() {
+        // Ranks 8..12 fold into 0..4. Rank 5 receives no fold message, yet
+        // its tree send waits for the fold phase as rank 1's does.
+        let (m, a, mut rng) = quiet_setup(12);
+        let done = reduce(&m, &a, 8, &mut rng).per_rank_done_ns;
+        assert_eq!(done[5], done[1]);
+        assert!(done[5] > send_exit_ns(&m));
+    }
+
+    #[test]
+    fn reduce_sends_every_non_root_value_once_towards_the_root() {
+        for p in 1..=33 {
+            let (m, a, _) = quiet_setup(p);
+            let mut sent = vec![0; p];
+            reduce_impl(&m, &a, 8, &mut |s, d| {
+                assert!(d < s, "p={p}: {s} -> {d}");
+                sent[s] += 1;
+                0.0
+            });
+            assert!(
+                sent[0] == 0 && sent[1..].iter().all(|&n| n == 1),
+                "{sent:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn barrier_round_k_hears_from_the_rank_2_pow_k_behind() {
+        let (_, a, _) = quiet_setup(6);
+        let mut log = Vec::new();
+        barrier_impl(&a, &mut |s, d| {
+            log.push((s, d));
+            0.0
+        });
+        assert_eq!(log.len(), 6 * 3);
+        for (i, &msg) in log.iter().enumerate() {
+            let (r, step) = (i % 6, 1 << (i / 6));
+            assert_eq!(msg, ((r + 6 - step) % 6, r), "message {i}");
+        }
     }
 }

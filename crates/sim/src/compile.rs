@@ -3,42 +3,33 @@
 //!
 //! The interpreter in [`crate::collectives`] re-derives the communication
 //! structure of a collective — who sends to whom, in which round — on
-//! every invocation, reallocating its `ready`/`done`/`have` buffers each
-//! time and recomputing the deterministic LogGP base cost of every
-//! message. Within one campaign point none of that changes: the machine,
-//! the allocation, the operation and the payload are fixed, and only the
-//! stochastic terms (noise, congestion, faults) differ between samples.
+//! every invocation, reallocating its `ready`/`done` buffers each time and
+//! recomputing the deterministic LogGP base cost of every message. Within
+//! one campaign point none of that changes: the machine, the allocation,
+//! the operation and the payload are fixed, and only the stochastic terms
+//! (noise and congestion) differ between samples.
 //!
-//! [`CompiledSchedule`] lowers one collective, once, into a flat
+//! [`CompiledSchedule`] lowers one reduce or barrier, once, into a flat
 //! structure-of-arrays *message program*: for each message in interpreter
-//! order, its (src, dst) rank pair, the (src, dst) node pair, and the
-//! precomputed deterministic base transfer cost. Replaying the program
-//! against a reusable [`ReplayCtx`] scratch arena then performs **zero
-//! heap allocations** per sample and draws exactly the stochastic terms,
-//! from the same [`SimRng`], **in exactly the same order** as the
-//! interpreter — so per-rank completion times are bit-identical (pinned
-//! by proptests in `tests/replay_equivalence.rs`).
+//! order, its (src, dst) rank pair and the precomputed deterministic base
+//! transfer cost. Replaying the program against a reusable [`ReplayCtx`]
+//! scratch arena then performs **zero heap allocations** per sample and
+//! draws exactly the stochastic terms, from the same [`SimRng`], **in
+//! exactly the same order** as the interpreter — so per-rank completion
+//! times are bit-identical (pinned by proptests in
+//! `tests/replay_equivalence.rs`).
 //!
 //! The message order is not re-derived here: compilation *records* it by
-//! running the interpreter's own `reduce_impl`/`broadcast_impl`/
-//! `barrier_impl` loops with a transfer callback that logs each (src,
-//! dst) pair instead of drawing noise. The control flow of all three
-//! algorithms depends only on rank indices, never on transfer times, so
-//! the recorded program is exact by construction and cannot drift from
-//! the interpreter.
-
-use std::convert::Infallible;
-
-use scibench_trace::{category, ArgValue, LocalTracer};
+//! running the interpreter's own `reduce_impl`/`barrier_impl` loops with a
+//! transfer callback that logs each (src, dst) pair instead of drawing
+//! noise. The control flow of both algorithms depends only on rank
+//! indices, never on transfer times, so the recorded program is exact by
+//! construction and cannot drift from the interpreter.
 
 use crate::alloc::Allocation;
-use crate::collectives::{
-    barrier_impl, broadcast_impl, pow2_floor, reduce_impl, reduction_op_ns, send_exit_ns,
-    CollectiveOutcome,
-};
-use crate::fault::{FaultContext, SimFault};
+use crate::collectives::{barrier_impl, pow2_floor, reduce_impl, reduction_op_ns, send_exit_ns};
 use crate::machine::MachineSpec;
-use crate::network::{faulty_transfer_ns, NetworkModel};
+use crate::network::NetworkModel;
 use crate::noise::NoiseProfile;
 use crate::rng::SimRng;
 
@@ -47,8 +38,6 @@ use crate::rng::SimRng;
 pub enum CollectiveOp {
     /// `MPI_Reduce` to root 0 (fold-to-power-of-two + binomial tree).
     Reduce,
-    /// Binomial-tree `MPI_Bcast` from root 0.
-    Broadcast,
     /// Dissemination `MPI_Barrier`.
     Barrier,
 }
@@ -72,8 +61,6 @@ pub struct CompiledSchedule {
     rounds: usize,
     src_rank: Vec<u32>,
     dst_rank: Vec<u32>,
-    src_node: Vec<u32>,
-    dst_node: Vec<u32>,
     /// Deterministic LogGP base cost of each message, precomputed at
     /// compile time; bit-identical to what the interpreter recomputes.
     base_ns: Vec<f64>,
@@ -82,26 +69,12 @@ pub struct CompiledSchedule {
     noise: NoiseProfile,
 }
 
-/// Unwraps a `Result` whose error type is uninhabited.
-fn unwrap_infallible<T>(r: Result<T, Infallible>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => match e {},
-    }
-}
-
 impl CompiledSchedule {
     /// Compiles one `MPI_Reduce` to root 0 with payload `bytes`.
     pub fn compile_reduce(machine: &MachineSpec, alloc: &Allocation, bytes: usize) -> Self {
         let mut s = Self::record(machine, alloc, bytes, CollectiveOp::Reduce);
         s.fold_len = alloc.ranks() - pow2_floor(alloc.ranks());
         s
-    }
-
-    /// Compiles one binomial-tree `MPI_Bcast` from root 0 with payload
-    /// `bytes`.
-    pub fn compile_broadcast(machine: &MachineSpec, alloc: &Allocation, bytes: usize) -> Self {
-        Self::record(machine, alloc, bytes, CollectiveOp::Broadcast)
     }
 
     /// Compiles one dissemination `MPI_Barrier` (1-byte signals).
@@ -126,30 +99,18 @@ impl CompiledSchedule {
         let net = NetworkModel::new(machine);
         let mut src_rank = Vec::new();
         let mut dst_rank = Vec::new();
-        let mut src_node = Vec::new();
-        let mut dst_node = Vec::new();
         let mut base_ns = Vec::new();
         {
-            let mut log = |s: usize, d: usize| -> Result<f64, Infallible> {
-                let (sn, dn) = (alloc.node_of[s], alloc.node_of[d]);
+            let mut log = |s: usize, d: usize| -> f64 {
                 src_rank.push(s as u32);
                 dst_rank.push(d as u32);
-                src_node.push(sn as u32);
-                dst_node.push(dn as u32);
-                base_ns.push(net.base_transfer_ns(sn, dn, bytes));
-                Ok(0.0)
+                base_ns.push(net.base_transfer_ns(alloc.node_of[s], alloc.node_of[d], bytes));
+                0.0
             };
-            match op {
-                CollectiveOp::Reduce => {
-                    unwrap_infallible(reduce_impl(machine, alloc, bytes, &mut log));
-                }
-                CollectiveOp::Broadcast => {
-                    unwrap_infallible(broadcast_impl(alloc, &mut log));
-                }
-                CollectiveOp::Barrier => {
-                    unwrap_infallible(barrier_impl(alloc, &mut log));
-                }
-            }
+            let _ = match op {
+                CollectiveOp::Reduce => reduce_impl(machine, alloc, bytes, &mut log),
+                CollectiveOp::Barrier => barrier_impl(alloc, &mut log),
+            };
         }
         CompiledSchedule {
             op,
@@ -160,8 +121,6 @@ impl CompiledSchedule {
             rounds: 0,
             src_rank,
             dst_rank,
-            src_node,
-            dst_node,
             base_ns,
             send_exit_ns: send_exit_ns(machine),
             reduction_op_ns: reduction_op_ns(bytes),
@@ -195,153 +154,18 @@ impl CompiledSchedule {
     /// once the arena has grown to this schedule's rank count.
     pub fn replay_into<'a>(&self, ctx: &'a mut ReplayCtx, rng: &mut SimRng) -> &'a [f64] {
         let (a, b) = ctx.buffers(self.ranks);
-        let mut noisy = |i: usize, r: &mut SimRng| -> Result<f64, Infallible> {
-            Ok(self.noise.perturb(self.base_ns[i], r))
-        };
         match self.op {
             CollectiveOp::Reduce => {
-                unwrap_infallible(self.replay_reduce(a, b, &mut noisy, rng));
+                self.replay_reduce(a, b, rng);
                 b
             }
-            CollectiveOp::Broadcast => {
-                unwrap_infallible(self.replay_broadcast(a, &mut noisy, rng));
-                a
-            }
-            CollectiveOp::Barrier => unwrap_infallible(self.replay_barrier(a, b, &mut noisy, rng)),
+            CollectiveOp::Barrier => self.replay_barrier(a, b, rng),
         }
-    }
-
-    /// [`CompiledSchedule::replay_into`] with a fresh allocation —
-    /// convenience for call sites that want a [`CollectiveOutcome`].
-    pub fn replay(&self, ctx: &mut ReplayCtx, rng: &mut SimRng) -> CollectiveOutcome {
-        CollectiveOutcome {
-            per_rank_done_ns: self.replay_into(ctx, rng).to_vec(),
-        }
-    }
-
-    /// Replays one sample on a machine with injected faults, applying the
-    /// fault rule of [`NetworkModel::transfer_faulty_ns`] (the same
-    /// function) message by message: crash checks on both endpoint nodes,
-    /// straggler slowdown, link-drop coins from the context's dedicated
-    /// stream, and clock advancement. A run experiencing zero fault events
-    /// is bit-identical to [`CompiledSchedule::replay_into`].
-    pub fn replay_faulty_into<'a>(
-        &self,
-        ctx: &'a mut ReplayCtx,
-        fctx: &mut FaultContext,
-        rng: &mut SimRng,
-    ) -> Result<&'a [f64], SimFault> {
-        let (a, b) = ctx.buffers(self.ranks);
-        let mut transfer = |i: usize, r: &mut SimRng| -> Result<f64, SimFault> {
-            let (sn, dn) = (self.src_node[i] as usize, self.dst_node[i] as usize);
-            faulty_transfer_ns(&self.noise, sn, dn, self.base_ns[i], fctx, r)
-        };
-        match self.op {
-            CollectiveOp::Reduce => {
-                self.replay_reduce(a, b, &mut transfer, rng)?;
-                Ok(b)
-            }
-            CollectiveOp::Broadcast => {
-                self.replay_broadcast(a, &mut transfer, rng)?;
-                Ok(a)
-            }
-            CollectiveOp::Barrier => self.replay_barrier(a, b, &mut transfer, rng),
-        }
-    }
-
-    /// Replays one sample with phase tracing, emitting exactly the events
-    /// of the interpreter's traced variants ([`crate::collectives::reduce_traced`]
-    /// et al.): the per-phase instants, then one [`category::SIM`] span
-    /// whose `sim_ns` argument is the slowest rank. Tracing reads the wall
-    /// clock but never touches `rng`, so the returned times are
-    /// bit-identical to [`CompiledSchedule::replay_into`].
-    pub fn replay_traced_into<'a>(
-        &self,
-        ctx: &'a mut ReplayCtx,
-        rng: &mut SimRng,
-        lane: &mut LocalTracer<'_>,
-    ) -> &'a [f64] {
-        let span = lane.begin();
-        let p = self.ranks;
-        if lane.is_on() {
-            match self.op {
-                CollectiveOp::Reduce => {
-                    if self.pof2 < p {
-                        lane.instant(
-                            category::SIM,
-                            "fold-phase",
-                            &[("remainder_ranks", ArgValue::U64((p - self.pof2) as u64))],
-                        );
-                    }
-                    lane.instant(
-                        category::SIM,
-                        "tree-phase",
-                        &[("rounds", ArgValue::U64(self.pof2.trailing_zeros() as u64))],
-                    );
-                }
-                CollectiveOp::Broadcast => {
-                    let rounds = (usize::BITS - p.saturating_sub(1).leading_zeros()) as u64;
-                    lane.instant(
-                        category::SIM,
-                        "tree-phase",
-                        &[("rounds", ArgValue::U64(rounds))],
-                    );
-                }
-                CollectiveOp::Barrier => {
-                    let rounds = (usize::BITS - p.saturating_sub(1).leading_zeros()) as u64;
-                    lane.instant(
-                        category::SIM,
-                        "dissemination-phase",
-                        &[("rounds", ArgValue::U64(rounds))],
-                    );
-                }
-            }
-        }
-        let done = self.replay_into(ctx, rng);
-        let sim_ns = done.iter().cloned().reduce(f64::max).unwrap_or(0.0);
-        match self.op {
-            CollectiveOp::Reduce => lane.end(
-                span,
-                category::SIM,
-                "reduce",
-                &[
-                    ("ranks", ArgValue::U64(p as u64)),
-                    ("bytes", ArgValue::U64(self.bytes as u64)),
-                    ("sim_ns", ArgValue::F64(sim_ns)),
-                ],
-            ),
-            CollectiveOp::Broadcast => lane.end(
-                span,
-                category::SIM,
-                "broadcast",
-                &[
-                    ("ranks", ArgValue::U64(p as u64)),
-                    ("bytes", ArgValue::U64(self.bytes as u64)),
-                    ("sim_ns", ArgValue::F64(sim_ns)),
-                ],
-            ),
-            CollectiveOp::Barrier => lane.end(
-                span,
-                category::SIM,
-                "barrier",
-                &[
-                    ("ranks", ArgValue::U64(p as u64)),
-                    ("sim_ns", ArgValue::F64(sim_ns)),
-                ],
-            ),
-        }
-        done
     }
 
     /// Reduce replay: mirrors `reduce_impl` over the recorded message
     /// program. `a` is the `ready` buffer, `b` the `done` buffer.
-    fn replay_reduce<E, F: FnMut(usize, &mut SimRng) -> Result<f64, E>>(
-        &self,
-        a: &mut [f64],
-        b: &mut [f64],
-        noisy: &mut F,
-        rng: &mut SimRng,
-    ) -> Result<(), E> {
+    fn replay_reduce(&self, a: &mut [f64], b: &mut [f64], rng: &mut SimRng) {
         let p = self.ranks;
         a[..p].fill(0.0);
         b[..p].fill(f64::NAN);
@@ -351,7 +175,7 @@ impl CompiledSchedule {
             let mut fold_end = 0.0f64;
             for i in 0..self.fold_len {
                 let (s, d) = (self.src_rank[i] as usize, self.dst_rank[i] as usize);
-                let t = noisy(i, rng)?;
+                let t = self.noise.perturb(self.base_ns[i], rng);
                 b[s] = a[s] + self.send_exit_ns;
                 a[d] = a[d].max(a[s] + t) + self.reduction_op_ns;
                 fold_end = fold_end.max(a[d]);
@@ -363,7 +187,7 @@ impl CompiledSchedule {
         // Binomial tree: each recorded message is one sender's single send.
         for i in self.fold_len..self.base_ns.len() {
             let (s, d) = (self.src_rank[i] as usize, self.dst_rank[i] as usize);
-            let t = noisy(i, rng)?;
+            let t = self.noise.perturb(self.base_ns[i], rng);
             b[s] = a[s] + self.send_exit_ns;
             a[d] = a[d].max(a[s] + t) + self.reduction_op_ns;
         }
@@ -374,37 +198,17 @@ impl CompiledSchedule {
                 b[r] = a[r];
             }
         }
-        Ok(())
-    }
-
-    /// Broadcast replay: mirrors `broadcast_impl` over the recorded
-    /// message program. `a` is the `have` buffer.
-    fn replay_broadcast<E, F: FnMut(usize, &mut SimRng) -> Result<f64, E>>(
-        &self,
-        a: &mut [f64],
-        noisy: &mut F,
-        rng: &mut SimRng,
-    ) -> Result<(), E> {
-        a[..self.ranks].fill(f64::NAN);
-        a[0] = 0.0;
-        for i in 0..self.base_ns.len() {
-            let (s, d) = (self.src_rank[i] as usize, self.dst_rank[i] as usize);
-            let t = noisy(i, rng)?;
-            a[d] = a[s] + t;
-        }
-        Ok(())
     }
 
     /// Barrier replay: mirrors `barrier_impl`'s double-buffered
     /// dissemination rounds over the two halves of the arena, returning
     /// whichever buffer holds the final round.
-    fn replay_barrier<'a, E, F: FnMut(usize, &mut SimRng) -> Result<f64, E>>(
+    fn replay_barrier<'a>(
         &self,
         a: &'a mut [f64],
         b: &'a mut [f64],
-        noisy: &mut F,
         rng: &mut SimRng,
-    ) -> Result<&'a [f64], E> {
+    ) -> &'a [f64] {
         let p = self.ranks;
         a[..p].fill(0.0);
         let (mut ready, mut next) = (a, b);
@@ -412,20 +216,20 @@ impl CompiledSchedule {
         for _ in 0..self.rounds {
             for r in 0..p {
                 let s = self.src_rank[i] as usize;
-                let t = noisy(i, rng)?;
+                let t = self.noise.perturb(self.base_ns[i], rng);
                 next[r] = ready[r].max(ready[s] + t);
                 i += 1;
             }
             std::mem::swap(&mut ready, &mut next);
         }
-        Ok(&*ready)
+        ready
     }
 }
 
 /// Reusable scratch arena for replaying [`CompiledSchedule`]s.
 ///
 /// Holds the two per-rank working buffers every collective needs
-/// (`ready`/`done`, `have`, or the barrier's double buffer). Buffers grow
+/// (`ready`/`done`, or the barrier's double buffer). Buffers grow
 /// monotonically and are reused across replays, so a steady-state replay
 /// performs zero heap allocations. One context must be owned by exactly
 /// one execution lane — sharing across worker threads would serialize
@@ -470,8 +274,7 @@ impl ReplayCtx {
 mod tests {
     use super::*;
     use crate::alloc::AllocationPolicy;
-    use crate::collectives::{barrier, broadcast, reduce};
-    use crate::fault::FaultPlan;
+    use crate::collectives::{barrier, reduce};
 
     fn setup(p: usize) -> (MachineSpec, Allocation, SimRng) {
         let m = MachineSpec::piz_daint();
@@ -497,22 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_replay_matches_interpreter_bitwise() {
-        for p in [1usize, 2, 5, 16, 33] {
-            let (m, a, rng) = setup(p);
-            let mut r1 = rng.fork("samples");
-            let mut r2 = rng.fork("samples");
-            let compiled = CompiledSchedule::compile_broadcast(&m, &a, 1 << 14);
-            let mut ctx = ReplayCtx::new();
-            for _ in 0..10 {
-                let interp = broadcast(&m, &a, 1 << 14, &mut r1);
-                let replay = compiled.replay_into(&mut ctx, &mut r2);
-                assert_eq!(interp.per_rank_done_ns, replay, "p={p}");
-            }
-        }
-    }
-
-    #[test]
     fn barrier_replay_matches_interpreter_bitwise() {
         for p in [1usize, 2, 3, 7, 8, 32, 33] {
             let (m, a, rng) = setup(p);
@@ -526,62 +313,6 @@ mod tests {
                 assert_eq!(interp.per_rank_done_ns, replay, "p={p}");
             }
         }
-    }
-
-    #[test]
-    fn faulty_replay_matches_interpreter_including_failures() {
-        use crate::collectives::reduce_faulty;
-        let plan = FaultPlan::with_failure_rate(0.6);
-        for seed in 0..8u64 {
-            let m = MachineSpec::piz_daint();
-            let root = SimRng::new(seed);
-            let mut rng = SimRng::new(77);
-            let a = Allocation::one_rank_per_node(&m, 32, AllocationPolicy::Random, &mut rng);
-            let compiled = CompiledSchedule::compile_reduce(&m, &a, 8);
-            let mut ctx = ReplayCtx::new();
-            let mut fctx1 = FaultContext::new(&plan, m.nodes, &root);
-            let mut fctx2 = FaultContext::new(&plan, m.nodes, &root);
-            let mut r1 = root.fork("samples");
-            let mut r2 = root.fork("samples");
-            for _ in 0..5 {
-                let interp = reduce_faulty(&m, &a, 8, &mut fctx1, &mut r1);
-                let replay = compiled
-                    .replay_faulty_into(&mut ctx, &mut fctx2, &mut r2)
-                    .map(|d| CollectiveOutcome {
-                        per_rank_done_ns: d.to_vec(),
-                    });
-                assert_eq!(interp, replay, "seed={seed}");
-                assert_eq!(fctx1.now_ns(), fctx2.now_ns());
-                assert_eq!(fctx1.coins_drawn(), fctx2.coins_drawn());
-            }
-        }
-    }
-
-    #[test]
-    fn traced_replay_matches_interpreter_events_and_times() {
-        use crate::collectives::reduce_traced;
-        use scibench_trace::Tracer;
-        let (m, a, rng) = setup(13);
-        let mut r1 = rng.fork("samples");
-        let mut r2 = rng.fork("samples");
-        let t1 = Tracer::new();
-        let t2 = Tracer::new();
-        let interp = {
-            let mut lane = t1.lane(0);
-            reduce_traced(&m, &a, 8, &mut r1, &mut lane)
-        };
-        let compiled = CompiledSchedule::compile_reduce(&m, &a, 8);
-        let mut ctx = ReplayCtx::new();
-        let replay = {
-            let mut lane = t2.lane(0);
-            compiled
-                .replay_traced_into(&mut ctx, &mut r2, &mut lane)
-                .to_vec()
-        };
-        assert_eq!(interp.per_rank_done_ns, replay);
-        let (e1, e2) = (t1.drain(), t2.drain());
-        assert_eq!(e1.count(category::SIM), e2.count(category::SIM));
-        assert_eq!(e1.kind_counts(), e2.kind_counts());
     }
 
     #[test]
@@ -612,5 +343,71 @@ mod tests {
         let bar = CompiledSchedule::compile_barrier(&m, &a);
         // ceil(log2 9) = 4 rounds of 9 messages.
         assert_eq!(bar.messages(), 36);
+    }
+
+    #[test]
+    fn message_counts_follow_the_algorithms() {
+        // Reduce: every non-root rank sends once. Barrier: ⌈log₂ p⌉ rounds
+        // of p signals.
+        for p in 1usize..=40 {
+            let (m, a, _) = setup(p);
+            let rounds = p.next_power_of_two().trailing_zeros() as usize;
+            let red = CompiledSchedule::compile_reduce(&m, &a, 8);
+            assert_eq!(red.messages(), p - 1, "p={p}");
+            let bar = CompiledSchedule::compile_barrier(&m, &a);
+            assert_eq!(bar.messages(), p * rounds, "p={p}");
+        }
+    }
+
+    #[test]
+    fn replay_leaves_the_stream_where_the_interpreter_leaves_it() {
+        for p in [5usize, 16] {
+            let (m, a, rng) = setup(p);
+            let (mut r1, mut r2) = (rng.fork("samples"), rng.fork("samples"));
+            reduce(&m, &a, 8, &mut r1);
+            barrier(&m, &a, &mut r1);
+            let mut ctx = ReplayCtx::new();
+            CompiledSchedule::compile_reduce(&m, &a, 8).replay_into(&mut ctx, &mut r2);
+            CompiledSchedule::compile_barrier(&m, &a).replay_into(&mut ctx, &mut r2);
+            assert_eq!(r1.uniform(), r2.uniform(), "p={p}");
+        }
+    }
+
+    #[test]
+    fn one_arena_serves_schedules_of_different_sizes() {
+        // A shared arena keeps a larger schedule's values in its tail; a
+        // smaller replay must neither read nor return them.
+        let (m, big, rng) = setup(64);
+        let (_, small, _) = setup(9);
+        let schedules = [
+            CompiledSchedule::compile_reduce(&m, &big, 8),
+            CompiledSchedule::compile_barrier(&m, &small),
+            CompiledSchedule::compile_reduce(&m, &small, 8),
+        ];
+        let (mut r1, mut r2) = (rng.fork("samples"), rng.fork("samples"));
+        let mut shared = ReplayCtx::new();
+        for s in schedules.iter().cycle().take(9) {
+            let fresh = s.replay_into(&mut ReplayCtx::new(), &mut r1).to_vec();
+            assert_eq!(s.replay_into(&mut shared, &mut r2), fresh);
+        }
+    }
+
+    #[test]
+    fn rendezvous_payload_replay_matches_interpreter_bitwise() {
+        // Above the eager threshold both the message and the merge costs
+        // differ from the 8-byte schedules above.
+        let bytes = 1 << 20;
+        let (m, a, rng) = setup(13);
+        assert!(bytes > m.network.eager_threshold_bytes);
+        let (mut r1, mut r2) = (rng.fork("samples"), rng.fork("samples"));
+        let compiled = CompiledSchedule::compile_reduce(&m, &a, bytes);
+        let mut ctx = ReplayCtx::new();
+        for _ in 0..10 {
+            let interp = reduce(&m, &a, bytes, &mut r1);
+            assert_eq!(
+                interp.per_rank_done_ns,
+                compiled.replay_into(&mut ctx, &mut r2)
+            );
+        }
     }
 }

@@ -18,8 +18,6 @@
 //! a run whose operations happen to experience zero fault events produces
 //! **bit-identical** samples to the same run under [`FaultPlan::none`].
 
-use scibench_trace::{category, ArgValue, LocalTracer};
-
 use crate::rng::SimRng;
 
 /// A failure observed by a simulated operation.
@@ -291,53 +289,6 @@ impl FaultSchedule {
             && self.plan.link_drop_prob <= 0.0
     }
 
-    /// Records the compiled schedule as [`category::FAULT`] instants on
-    /// `lane`: one `"scheduled-crash"` / `"scheduled-straggler"` /
-    /// `"scheduled-clock-jump"` event per affected node, with the node
-    /// index and the scheduled parameters as args. The event stream is a
-    /// pure function of `(plan, nodes, seed)` — the same determinism
-    /// contract as [`FaultSchedule::compile`] — so traced runs stay
-    /// bit-identical to untraced ones and event counts are reproducible.
-    pub fn trace_schedule(&self, lane: &mut LocalTracer<'_>) {
-        if !lane.is_on() {
-            return;
-        }
-        for node in 0..self.nodes() {
-            if let Some(at_ns) = self.crash_at_ns(node) {
-                lane.instant(
-                    category::FAULT,
-                    "scheduled-crash",
-                    &[
-                        ("node", ArgValue::U64(node as u64)),
-                        ("at_sim_ns", ArgValue::F64(at_ns)),
-                    ],
-                );
-            }
-            let slowdown = self.slowdown_of(node);
-            if slowdown > 1.0 {
-                lane.instant(
-                    category::FAULT,
-                    "scheduled-straggler",
-                    &[
-                        ("node", ArgValue::U64(node as u64)),
-                        ("slowdown", ArgValue::F64(slowdown)),
-                    ],
-                );
-            }
-            if let Some(j) = self.clock_jump_of(node) {
-                lane.instant(
-                    category::FAULT,
-                    "scheduled-clock-jump",
-                    &[
-                        ("node", ArgValue::U64(node as u64)),
-                        ("at_sim_ns", ArgValue::F64(j.at_ns)),
-                        ("jump_ns", ArgValue::F64(j.jump_ns)),
-                    ],
-                );
-            }
-        }
-    }
-
     /// One-line Rule-9-style description for experiment reports.
     pub fn describe(&self) -> String {
         if self.is_trivial() {
@@ -434,27 +385,6 @@ impl FaultContext {
     /// injected link faults so far.
     pub fn link_drops(&self) -> u64 {
         self.link_drops
-    }
-
-    /// Records the context's injection tallies as [`category::FAULT`]
-    /// counters on `lane` (`"link-drop-coins"` and `"link-drops"`), plus
-    /// an `"injection-tally"` instant carrying the simulated clock. The
-    /// tallies are consumed from the dedicated coin stream, so for a fixed
-    /// seed and operation sequence they are deterministic.
-    pub fn trace_tallies(&self, lane: &mut LocalTracer<'_>) {
-        if !lane.is_on() {
-            return;
-        }
-        lane.counter(category::FAULT, "link-drop-coins", self.coins_drawn as f64);
-        lane.counter(category::FAULT, "link-drops", self.link_drops as f64);
-        lane.instant(
-            category::FAULT,
-            "injection-tally",
-            &[
-                ("sim_now_ns", ArgValue::F64(self.now_ns)),
-                ("link_drops", ArgValue::U64(self.link_drops)),
-            ],
-        );
     }
 
     /// Returns the clock jump on `node_a` or `node_b` that fired inside
@@ -601,24 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_schedule_emits_one_instant_per_scheduled_fault() {
-        use scibench_trace::{category, Tracer};
-        let plan = FaultPlan::with_failure_rate(1.0);
-        let s = FaultSchedule::compile(&plan, 200, &SimRng::new(5));
-        let expected = s.crashed_nodes() + s.straggler_nodes() + s.clock_jump_nodes();
-        let tracer = Tracer::new();
-        {
-            let mut lane = tracer.lane(0);
-            s.trace_schedule(&mut lane);
-        }
-        let trace = tracer.drain();
-        assert_eq!(trace.count(category::FAULT), expected);
-        assert!(expected > 0);
-    }
-
-    #[test]
     fn link_drop_tallies_count_coins_and_drops() {
-        use scibench_trace::{category, Tracer};
         let plan = FaultPlan {
             link_drop_prob: 0.5,
             ..FaultPlan::none()
@@ -630,13 +543,6 @@ mod tests {
         }
         assert_eq!(ctx.coins_drawn(), 100);
         assert!(ctx.link_drops() > 10 && ctx.link_drops() < 90);
-        let tracer = Tracer::new();
-        {
-            let mut lane = tracer.lane(0);
-            ctx.trace_tallies(&mut lane);
-        }
-        let trace = tracer.drain();
-        assert_eq!(trace.count(category::FAULT), 3);
         // Tallies replay deterministically for the same seed.
         let mut ctx2 = FaultContext::new(&plan, 4, &rng);
         for _ in 0..100 {
@@ -646,18 +552,38 @@ mod tests {
     }
 
     #[test]
-    fn disabled_lane_records_no_fault_events() {
-        use scibench_trace::Tracer;
-        let plan = FaultPlan::with_failure_rate(1.0);
-        let s = FaultSchedule::compile(&plan, 64, &SimRng::new(5));
-        let tracer = Tracer::disabled();
-        {
-            let mut lane = tracer.lane(0);
-            s.trace_schedule(&mut lane);
-            let ctx = FaultContext::from_schedule(s, &SimRng::new(5));
-            ctx.trace_tallies(&mut lane);
-        }
-        assert!(tracer.drain().is_empty());
+    fn faultless_plan_draws_no_coins() {
+        let mut ctx = FaultContext::new(&FaultPlan::none(), 4, &SimRng::new(8));
+        assert!((0..100).all(|_| !ctx.link_drop_coin()));
+        assert_eq!((ctx.coins_drawn(), ctx.link_drops()), (0, 0));
+    }
+
+    #[test]
+    fn clock_never_runs_backwards() {
+        let mut ctx = FaultContext::new(&FaultPlan::none(), 4, &SimRng::new(8));
+        ctx.advance(250.0);
+        ctx.advance(-100.0);
+        assert_eq!(ctx.now_ns(), 250.0);
+    }
+
+    #[test]
+    fn link_drops_alone_make_a_schedule_nontrivial() {
+        let plan = FaultPlan {
+            link_drop_prob: 0.01,
+            ..FaultPlan::none()
+        };
+        let s = FaultSchedule::compile(&plan, 16, &SimRng::new(4));
+        assert_eq!(
+            s.crashed_nodes() + s.straggler_nodes() + s.clock_jump_nodes(),
+            0
+        );
+        assert!(!s.is_trivial());
+        assert!(
+            s.describe().contains("link drop p = 0.01"),
+            "{}",
+            s.describe()
+        );
+        assert_eq!(FaultSchedule::healthy(16).describe(), "faults: none");
     }
 
     #[test]

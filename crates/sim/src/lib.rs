@@ -19,15 +19,16 @@
 //!   time"),
 //! - [`alloc`]: batch-system node-allocation policies (packed, scattered,
 //!   random) whose effect §4.1.2 calls out,
-//! - [`collectives`]: binomial-tree reduce/broadcast, allreduce, gather
-//!   and dissemination barrier with per-rank completion times (Figures 5
+//! - [`collectives`]: binomial-tree reduce/broadcast, allreduce and
+//!   dissemination barrier with per-rank completion times (Figures 5
 //!   and 6),
-//! - [`compile`]: collectives lowered once per campaign point into flat
-//!   message programs replayed with zero per-sample allocations,
+//! - [`compile`]: reduce and barrier lowered once per campaign point into
+//!   flat message programs replayed with zero per-sample allocations,
 //!   bit-identical to the interpreter,
 //! - [`pingpong`]: two-node latency benchmark (Figures 2, 3, 4 and 7(c)),
 //! - [`fault`]: deterministic fault injection (node crashes, stragglers,
-//!   flaky links, clock jumps) for resilience experiments,
+//!   flaky links, clock jumps) into point-to-point transfers and the
+//!   ping-pong loop, for resilience experiments,
 //! - [`hpl`]: an HPL-like compute-bound workload (Figure 1),
 //! - [`pi`]: the π-digits workload with a serial fraction and a final
 //!   reduction (Figure 7(a,b)),

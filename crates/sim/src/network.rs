@@ -13,7 +13,6 @@
 
 use crate::fault::{FaultContext, SimFault};
 use crate::machine::MachineSpec;
-use crate::noise::NoiseProfile;
 use crate::rng::SimRng;
 
 /// Message transfer model bound to one machine.
@@ -83,11 +82,17 @@ impl<'m> NetworkModel<'m> {
 
     /// [`NetworkModel::transfer_faulty_ns`] with the deterministic base
     /// cost precomputed by the caller — the hot-path entry point used by
-    /// the ping-pong loop and the compiled-schedule replayer, which hoist
-    /// [`NetworkModel::base_transfer_ns`] out of their sample loops.
-    /// `base_ns` must equal `base_transfer_ns(src, dst, bytes)` for the
-    /// message this transfer models; noise and fault draws are then
-    /// bit-identical to the recomputing variant.
+    /// the ping-pong loop, which hoists [`NetworkModel::base_transfer_ns`]
+    /// out of its sample loop. `base_ns` must equal
+    /// `base_transfer_ns(src, dst, bytes)` for the message this transfer
+    /// models; noise and fault draws are then bit-identical to the
+    /// recomputing variant.
+    ///
+    /// The fault rule of one transfer: crash checks on both endpoint
+    /// nodes, the noise draw from `rng`, the slower endpoint's straggler
+    /// slowdown, one retransmit (penalty plus another slowed base
+    /// transfer) per link-drop coin from the context's own stream, and the
+    /// clock advance on success.
     pub fn transfer_faulty_from_base_ns(
         &self,
         src: usize,
@@ -96,60 +101,29 @@ impl<'m> NetworkModel<'m> {
         ctx: &mut FaultContext,
         rng: &mut SimRng,
     ) -> Result<f64, SimFault> {
-        faulty_transfer_ns(&self.machine.noise, src, dst, base_ns, ctx, rng)
-    }
-
-    /// Noisy transfer time under an overridden noise profile, to isolate
-    /// one noise source.
-    pub fn transfer_with_noise_ns(
-        &self,
-        src: usize,
-        dst: usize,
-        bytes: usize,
-        noise: &NoiseProfile,
-        rng: &mut SimRng,
-    ) -> f64 {
-        noise.perturb(self.base_transfer_ns(src, dst, bytes), rng)
-    }
-}
-
-/// The fault rule of one transfer, shared by
-/// [`NetworkModel::transfer_faulty_from_base_ns`] and
-/// [`crate::compile::CompiledSchedule::replay_faulty_into`]: crash checks
-/// on both endpoint nodes, the noise draw from `rng`, the slower
-/// endpoint's straggler slowdown, one retransmit (penalty plus another
-/// slowed base transfer) per link-drop coin from the context's own stream,
-/// and the clock advance on success.
-pub(crate) fn faulty_transfer_ns(
-    noise: &NoiseProfile,
-    src: usize,
-    dst: usize,
-    base_ns: f64,
-    ctx: &mut FaultContext,
-    rng: &mut SimRng,
-) -> Result<f64, SimFault> {
-    for node in [src, dst] {
-        if let Some(fault) = ctx.crashed(node) {
-            return Err(fault);
+        for node in [src, dst] {
+            if let Some(fault) = ctx.crashed(node) {
+                return Err(fault);
+            }
         }
-    }
-    let mut t = noise.perturb(base_ns, rng);
-    let schedule = ctx.schedule();
-    let slowdown = schedule.slowdown_of(src).max(schedule.slowdown_of(dst));
-    t *= slowdown;
-    let max_retransmits = schedule.plan().max_retransmits;
-    let retransmit_penalty_ns = schedule.plan().retransmit_penalty_ns;
-    let mut drops = 0u32;
-    while ctx.link_drop_coin() {
-        drops += 1;
-        if drops > max_retransmits {
-            return Err(SimFault::LinkFailed { src, dst, drops });
+        let mut t = self.machine.noise.perturb(base_ns, rng);
+        let schedule = ctx.schedule();
+        let slowdown = schedule.slowdown_of(src).max(schedule.slowdown_of(dst));
+        t *= slowdown;
+        let max_retransmits = schedule.plan().max_retransmits;
+        let retransmit_penalty_ns = schedule.plan().retransmit_penalty_ns;
+        let mut drops = 0u32;
+        while ctx.link_drop_coin() {
+            drops += 1;
+            if drops > max_retransmits {
+                return Err(SimFault::LinkFailed { src, dst, drops });
+            }
+            // Resend: pay the penalty plus another (deterministic) transfer.
+            t += retransmit_penalty_ns + base_ns * slowdown;
         }
-        // Resend: pay the penalty plus another (deterministic) transfer.
-        t += retransmit_penalty_ns + base_ns * slowdown;
+        ctx.advance(t);
+        Ok(t)
     }
-    ctx.advance(t);
-    Ok(t)
 }
 
 #[cfg(test)]
@@ -365,5 +339,88 @@ mod tests {
         // All above half the base cost (noise only adds, modulo jitter).
         let base = net.base_transfer_ns(0, 8, 64);
         assert!(min > base * 0.5);
+    }
+
+    #[test]
+    fn intra_node_cost_pays_neither_hops_nor_rendezvous() {
+        let m = MachineSpec::test_machine(8);
+        let bytes = 2 * m.network.eager_threshold_bytes;
+        // 0.3 · 500 + 8192 / (4 · 10)
+        let t = NetworkModel::new(&m).base_transfer_ns(2, 2, bytes);
+        assert!((t - 354.8).abs() < 1e-9, "t = {t}");
+    }
+
+    #[test]
+    fn slower_endpoint_sets_the_slowdown() {
+        use crate::fault::{FaultContext, FaultPlan};
+        let m = MachineSpec::test_machine(8);
+        let net = NetworkModel::new(&m);
+        let root = SimRng::new(2);
+        let plan = FaultPlan {
+            straggler_prob: 0.5,
+            straggler_slowdown: 3.0,
+            ..FaultPlan::none()
+        };
+        let mut ctx = FaultContext::new(&plan, 8, &root);
+        let slow: Vec<f64> = (0..8).map(|n| ctx.schedule().slowdown_of(n)).collect();
+        let stragglers = slow.iter().filter(|&&s| s > 1.0).count();
+        assert!((2..8).contains(&stragglers), "{slow:?}");
+        let mut rng = root.fork("transfers");
+        let base = net.base_transfer_ns(0, 1, 64);
+        for (s, d) in (0..8).flat_map(|s| (0..8).map(move |d| (s, d))) {
+            if s != d {
+                let t = net.transfer_faulty_ns(s, d, 64, &mut ctx, &mut rng);
+                assert_eq!(t, Ok(base * slow[s].max(slow[d])), "{s} -> {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn clock_advances_by_exactly_the_successful_transfers() {
+        use crate::fault::{FaultContext, FaultPlan};
+        let m = MachineSpec::piz_dora();
+        let net = NetworkModel::new(&m);
+        let root = SimRng::new(4);
+        let plan = FaultPlan {
+            link_drop_prob: 0.3,
+            retransmit_penalty_ns: 100.0,
+            max_retransmits: 1,
+            ..FaultPlan::none()
+        };
+        let mut ctx = FaultContext::new(&plan, m.nodes, &root);
+        let mut rng = root.fork("transfers");
+        let (mut total, mut failures) = (0.0, 0);
+        for _ in 0..200 {
+            match net.transfer_faulty_ns(0, 8, 64, &mut ctx, &mut rng) {
+                Ok(t) => total += t,
+                Err(_) => failures += 1,
+            }
+        }
+        assert!(failures > 0, "no transfer exhausted its budget");
+        assert_eq!(ctx.now_ns(), total);
+    }
+
+    #[test]
+    fn link_drop_coins_leave_the_noise_stream_alone() {
+        // Retransmits draw their coins from the context's own stream, so
+        // the noise stream ends where the fault-free path leaves it.
+        use crate::fault::{FaultContext, FaultPlan};
+        let m = MachineSpec::piz_dora();
+        let net = NetworkModel::new(&m);
+        let root = SimRng::new(6);
+        let plan = FaultPlan {
+            link_drop_prob: 0.5,
+            max_retransmits: 64,
+            ..FaultPlan::none()
+        };
+        let mut ctx = FaultContext::new(&plan, m.nodes, &root);
+        let (mut plain, mut faulty) = (root.fork("transfers"), root.fork("transfers"));
+        for _ in 0..100 {
+            net.transfer_ns(0, 8, 64, &mut plain);
+            net.transfer_faulty_ns(0, 8, 64, &mut ctx, &mut faulty)
+                .unwrap();
+        }
+        assert!(ctx.link_drops() > 0, "a 50% drop rate never fired");
+        assert_eq!(plain.uniform(), faulty.uniform());
     }
 }

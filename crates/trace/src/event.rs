@@ -30,10 +30,8 @@ pub mod category {
     pub const CAMPAIGN: &str = "campaign";
     /// Resilience events: attempts, retries, timeouts, quarantines.
     pub const RESILIENCE: &str = "resilience";
-    /// Simulator fault injections (link drops, crashes, perf jumps).
+    /// Failed measurement calls in the resilient campaign runner.
     pub const FAULT: &str = "fault";
-    /// Simulator collective phases (fold / binomial-tree rounds).
-    pub const SIM: &str = "sim";
     /// Figure-pipeline jobs in the bench bins.
     pub const FIGURE: &str = "figure";
     /// Harness self-accounting probes (timer cost, record cost).

@@ -256,6 +256,11 @@ impl LinearCostModel {
         if sizes.iter().chain(times.iter()).any(|v| !v.is_finite()) {
             return None;
         }
+        // Compared directly: the rounded mean of identical sizes can differ
+        // from them, leaving a tiny positive `sxx` and a meaningless slope.
+        if sizes.iter().all(|&x| x == sizes[0]) {
+            return None;
+        }
         let n = sizes.len() as f64;
         let mx = sizes.iter().sum::<f64>() / n;
         let my = times.iter().sum::<f64>() / n;
@@ -268,7 +273,7 @@ impl LinearCostModel {
             syy += (y - my) * (y - my);
         }
         if sxx <= 0.0 {
-            return None; // all sizes identical
+            return None; // the spread of the sizes underflowed
         }
         let slope = sxy / sxx;
         let intercept = my - slope * mx;

@@ -35,7 +35,7 @@ use crate::parallel::pool;
 
 use super::design::{Design, RunPoint};
 use super::journal::{
-    point_key, Journal, JournalError, JournalKey, JournalMeta, JournalSpec, PointRecord,
+    design_keys, Journal, JournalError, JournalKey, JournalMeta, JournalSpec, PointRecord,
 };
 use super::measurement::{MeasurementOutcome, MeasurementPlan, MeasurementSummary};
 use super::resilience::{CampaignError, ResumeStats};
@@ -313,8 +313,8 @@ impl<T> PointJournal<T> {
             });
         }
         let meta = JournalMeta::new(design, seed, spec.code_version, spec.config_fingerprint);
+        let keys = design_keys(&meta, points)?;
         let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
-        let keys: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
         let mut missing = Vec::new();
         for &idx in indices {
             match snapshot.record_for(keys[idx]) {

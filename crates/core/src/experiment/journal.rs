@@ -86,6 +86,15 @@ pub enum JournalError {
         /// The value found in the journal.
         found: String,
     },
+    /// Two design points have the same key (equal levels), so one
+    /// journal record would stand in for both, although each point
+    /// forks its own RNG stream from its design index.
+    DuplicateKey {
+        /// The design index that has the key first.
+        first: usize,
+        /// The later design index with the same key.
+        second: usize,
+    },
 }
 
 impl fmt::Display for JournalError {
@@ -105,6 +114,10 @@ impl fmt::Display for JournalError {
             } => write!(
                 f,
                 "stale journal refused: {field} mismatch (expected {expected}, found {found})"
+            ),
+            JournalError::DuplicateKey { first, second } => write!(
+                f,
+                "design points {first} and {second} share a journal key (equal levels)"
             ),
         }
     }
@@ -255,6 +268,24 @@ pub fn point_key(meta: &JournalMeta, point: &RunPoint) -> JournalKey {
         h = fnv1a(h, level.as_bytes());
     }
     JournalKey(splitmix64(h))
+}
+
+/// The key of every design point, in design order. Refuses a design in
+/// which two points share a key with [`JournalError::DuplicateKey`], so
+/// each journal record belongs to exactly one point.
+pub fn design_keys(
+    meta: &JournalMeta,
+    points: &[RunPoint],
+) -> Result<Vec<JournalKey>, JournalError> {
+    let keys: Vec<JournalKey> = points.iter().map(|p| point_key(meta, p)).collect();
+    let mut first_of: HashMap<JournalKey, usize> = HashMap::with_capacity(keys.len());
+    for (second, &key) in keys.iter().enumerate() {
+        if let Some(&first) = first_of.get(&key) {
+            return Err(JournalError::DuplicateKey { first, second });
+        }
+        first_of.insert(key, second);
+    }
+    Ok(keys)
 }
 
 /// Appends the IEEE-754 bit pattern of `x` as 16 lowercase hex digits.
@@ -1101,6 +1132,42 @@ mod tests {
         assert_eq!(design_fingerprint(&demo_design()), 0x281c_6c24_1525_e9ce);
         let stream = SimRng::new(7).fork_indexed("campaign-point", 3);
         assert_eq!(stream.seed(), 0x82e8_e89b_2eff_6a0f);
+    }
+
+    #[test]
+    fn design_keys_follow_the_design_and_name_the_first_repeat() {
+        let meta = demo_meta();
+        let points = demo_design().full_factorial();
+        let keys = design_keys(&meta, &points).unwrap();
+        let each: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
+        assert_eq!(keys, each);
+        // Equal levels hash to one key: the error names the first point
+        // with the key and the first point that repeats it.
+        let repeated = Design::new(vec![
+            Factor::new("system", &["a", "b", "a", "b"]),
+            Factor::numeric("size", &[8.0]),
+        ]);
+        let meta = JournalMeta::new(&repeated, 42, "test-v1", "machine=demo");
+        let err = design_keys(&meta, &repeated.full_factorial()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                JournalError::DuplicateKey {
+                    first: 0,
+                    second: 2
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn point_records_give_back_the_run_they_were_made_from() {
+        let run = demo_run(false);
+        let key = point_key(&demo_meta(), &run.point);
+        let record = PointRecord::from_run(3, key, &run);
+        assert_eq!((record.index, record.key), (3, key));
+        assert_eq!(record.into_run(), run);
     }
 
     #[test]

@@ -813,6 +813,32 @@ mod tests {
         }
     }
 
+    #[test]
+    fn harness_overhead_is_disclosed_only_once_attached() {
+        let plan = MeasurementPlan::new("traced").stopping(StoppingRule::FixedCount(50));
+        let mut g = Gen::new(5);
+        let summary = plan
+            .run(|| g.next_latency())
+            .unwrap()
+            .summarize(0.95)
+            .unwrap();
+        assert!(!summary.render().contains("harness overhead"));
+        let overhead = crate::obs::HarnessOverhead {
+            timer_read_ns: 20.0,
+            record_ns: 40.0,
+            tracing_ns: 3_000.0,
+            events: 50,
+            tracing_ns_per_sample: 60.0,
+            overhead_fraction: Some(0.08),
+        };
+        let text = summary.clone().with_harness_overhead(overhead).render();
+        // The disclosure follows the statistics, and a share above the
+        // 5 % budget is called out (Rules 4-5).
+        assert!(text.starts_with(&summary.render()), "{text}");
+        assert!(text.ends_with(&overhead.render()), "{text}");
+        assert!(text.contains("EXCEEDS the 5% budget"), "{text}");
+    }
+
     /// Every float of a summary, as bits.
     fn summary_bits(s: &MeasurementSummary) -> Vec<u64> {
         let ci = |ci: &Option<ConfidenceInterval>| {

@@ -1587,6 +1587,71 @@ mod tests {
     }
 
     #[test]
+    fn points_with_equal_levels_run_in_process_but_are_refused_a_journal() {
+        let design = Design::new(vec![Factor::new("system", &["a", "a"])]);
+        let config = CampaignConfig {
+            seed: 25,
+            threads: 1,
+        };
+        // In process, each point runs on the stream of its design index.
+        let plain = run_campaign_resilient(
+            &design,
+            &fixed_plan(10),
+            &config,
+            &RetryPolicy::default(),
+            clean_measure,
+        )
+        .unwrap();
+        assert_eq!(plain.health.points_completed, 2);
+        let samples = |i: usize| plain.runs[i].outcome.as_ref().unwrap().samples.clone();
+        assert_ne!(samples(0), samples(1));
+        // A journal would key both points alike and hand the first
+        // point's record to the second on resume, so it is refused
+        // before the journal file is created or any point runs.
+        let dir = journal_dir("equal-levels");
+        let path = dir.join("campaign.journal");
+        let spec = JournalSpec {
+            path: &path,
+            code_version: "test-v1",
+            config_fingerprint: "cfg",
+        };
+        let ran = AtomicUsize::new(0);
+        let measure = |point: &RunPoint, rng: &mut SimRng| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            clean_measure(point, rng)
+        };
+        let whole = run_campaign_resilient_journaled(
+            &design,
+            &fixed_plan(10),
+            &config,
+            &RetryPolicy::default(),
+            &spec,
+            measure,
+        );
+        let subset = run_campaign_resilient_journaled_subset(
+            &design,
+            &fixed_plan(10),
+            &config,
+            &RetryPolicy::default(),
+            &spec,
+            &[1],
+            measure,
+        );
+        for err in [whole.map(|_| ()).unwrap_err(), subset.unwrap_err()] {
+            assert_eq!(
+                err,
+                CampaignError::Journal(JournalError::DuplicateKey {
+                    first: 0,
+                    second: 1
+                })
+            );
+        }
+        assert!(!path.exists());
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stale_journal_surfaces_as_campaign_error() {
         let dir = journal_dir("stale");
         let path = dir.join("campaign.journal");

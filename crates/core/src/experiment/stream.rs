@@ -115,9 +115,11 @@ pub struct StreamRun {
 pub struct StreamCampaign {
     /// Executed runs, in design (full-factorial) order.
     pub runs: Vec<StreamRun>,
-    /// The same summaries keyed by design index — the mergeable form
-    /// shards and supervisors exchange. `partials.finalize()` is the
-    /// canonical whole-campaign pool.
+    /// The same summaries keyed by design index. Shards hand theirs over
+    /// point by point, as each summary's record in their journals
+    /// ([`crate::parallel::shard::collect_stream_partials`]), and the
+    /// union is the same set. `partials.finalize()` is the canonical
+    /// whole-campaign pool.
     pub partials: KeyedPartials<StreamingSummary>,
 }
 

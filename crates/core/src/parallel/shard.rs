@@ -44,7 +44,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use crate::experiment::journal::{
-    point_key, Journal, JournalError, JournalKey, JournalMeta, JournalSnapshot,
+    design_keys, Journal, JournalError, JournalKey, JournalMeta, JournalSnapshot,
 };
 use crate::experiment::resilience::{
     health_of, CampaignError, PointFate, ResilientCampaignResult, ResilientRun,
@@ -393,6 +393,13 @@ pub fn supervise_shards(
     if points.is_empty() {
         return Err(ShardError::Campaign(CampaignError::EmptyDesign));
     }
+    let meta = JournalMeta::new(
+        design,
+        config.seed,
+        durability.code_version,
+        durability.config_fingerprint,
+    );
+    let keys = design_keys(&meta, &points)?;
     std::fs::create_dir_all(durability.dir).map_err(|e| {
         ShardError::Journal(JournalError::Io {
             path: durability.dir.display().to_string(),
@@ -400,13 +407,6 @@ pub fn supervise_shards(
             error: e.to_string(),
         })
     })?;
-    let meta = JournalMeta::new(
-        design,
-        config.seed,
-        durability.code_version,
-        durability.config_fingerprint,
-    );
-    let keys: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
 
     let (quarantine, quarantine_snapshot) =
         Journal::open_resume(&quarantine_path(durability.dir), &meta)?;
@@ -491,21 +491,12 @@ pub fn supervise_shards(
     }
 
     // Merge the final shard snapshots into design order, moving records
-    // out. Points with equal levels share a key and so one record: the
-    // first of them takes it and the others copy its run.
+    // out; each key belongs to one point.
     let mut runs: Vec<Option<ResilientRun>> = vec![None; points.len()];
     for shard in shards {
         let mut records = shard.snapshot.records;
-        let mut taken: HashMap<JournalKey, usize> = HashMap::new();
         for &idx in &shard.assigned {
-            let key = keys[idx];
-            runs[idx] = match records.remove(&key) {
-                Some(record) => {
-                    taken.insert(key, idx);
-                    Some(record.into_run())
-                }
-                None => taken.get(&key).and_then(|&j| runs[j].clone()),
-            };
+            runs[idx] = records.remove(&keys[idx]).map(|record| record.into_run());
         }
     }
     let mut poisoned: Vec<usize> = Vec::new();
@@ -585,7 +576,7 @@ pub fn collect_stream_partials(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::journal::JournalSpec;
+    use crate::experiment::journal::{point_key, JournalSpec};
     use crate::experiment::measurement::{MeasurementPlan, StoppingRule};
     use crate::experiment::resilience::{
         run_campaign_resilient, run_campaign_resilient_journaled_subset, MeasureFailure,
@@ -723,6 +714,20 @@ mod tests {
     }
 
     #[test]
+    fn journal_paths_are_distinct_files_in_the_directory() {
+        // The supervisor merges shard journals and keeps strikes in the
+        // quarantine journal, all in one directory: no two may share a file.
+        let dir = Path::new("campaign");
+        let mut paths: Vec<PathBuf> = (0..64).map(|s| shard_journal_path(dir, s)).collect();
+        paths.push(quarantine_path(dir));
+        assert!(paths.iter().all(|p| p.parent() == Some(dir)));
+        let mut distinct = paths.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), paths.len());
+    }
+
+    #[test]
     fn point_list_roundtrip() {
         let indices = vec![0usize, 3, 11];
         assert_eq!(format_point_list(&indices), "0,3,11");
@@ -800,39 +805,40 @@ mod tests {
     }
 
     #[test]
-    fn points_with_equal_levels_share_one_journaled_record_in_the_merge() {
-        // Equal levels give equal keys, so one shard journal holds one
-        // record for both points, and both merged points carry it.
+    fn points_with_equal_levels_are_refused_before_any_journal_or_worker() {
+        // Equal levels give equal keys, but each point forks its stream
+        // from its design index, so one record cannot stand in for both.
         let design = Design::new(vec![Factor::new("system", &["a", "a"])]);
-        let dir = tmp_dir("equal-levels");
-        let path = shard_journal_path(&dir, 0);
-        run_campaign_resilient_journaled_subset(
-            &design,
-            &plan(),
-            &config(),
-            &RetryPolicy::default(),
-            &JournalSpec {
-                path: &path,
-                code_version: "test-v1",
-                config_fingerprint: "cfg",
-            },
-            &[0, 1],
-            measure,
-        )
-        .unwrap();
+        let root = tmp_dir("equal-levels");
+        let (dir, spawned) = (root.join("shards"), root.join("spawned"));
+        // A worker, if spawned, marks it and crashes, so the shards abort.
         let worker = WorkerSpec {
             program: PathBuf::from("/bin/sh"),
-            args: vec!["-c".into(), "exit 1".into()],
+            args: vec![
+                "-c".into(),
+                format!("touch '{}'; exit 1", spawned.display()),
+            ],
         };
-        let policy = ShardPolicy {
-            shards: 1,
-            ..ShardPolicy::default()
-        };
-        let sharded =
-            supervise_shards(&design, &config(), &policy, &durability(&dir), &worker).unwrap();
-        assert_eq!(sharded.report.workers_spawned, 0);
-        assert_eq!(sharded.result.health.points_completed, 2);
-        assert_eq!(sharded.result.runs[0], sharded.result.runs[1]);
+        let err = supervise_shards(
+            &design,
+            &config(),
+            &ShardPolicy::default(),
+            &durability(&dir),
+            &worker,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ShardError::Journal(JournalError::DuplicateKey {
+                    first: 0,
+                    second: 1
+                })
+            ),
+            "{err}"
+        );
+        assert!(!dir.exists() && !spawned.exists());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[cfg(unix)]

@@ -3,14 +3,21 @@
 
 use proptest::prelude::*;
 
-use scibench::bounds::{CapabilityVector, OverheadModel, OverheadTerm, ScalingBound};
+use scibench::bounds::{
+    CapabilityVector, LinearCostModel, OverheadModel, OverheadTerm, ScalingBound,
+};
 use scibench::data::DataSet;
 use scibench::experiment::design::{Design, Factor};
+use scibench::experiment::environment::{ClassDoc, DocumentationClass, EnvironmentDoc};
 use scibench::metric::{Cost, Ratio};
 use scibench::plot::boxplot::{BoxPlotStats, WhiskerRule};
 use scibench::plot::series::Series;
 use scibench::speedup::{BaseCase, Speedup};
+use scibench::sync::barrier_sync_start;
 use scibench::units::{format_quantity, Unit};
+use scibench_sim::alloc::{Allocation, AllocationPolicy};
+use scibench_sim::machine::MachineSpec;
+use scibench_sim::rng::SimRng;
 
 fn positive_samples() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.001f64..1e6, 2..100)
@@ -185,6 +192,163 @@ proptest! {
         prop_assert!(text.contains("flop/s"), "{text}");
         let text = format_quantity(v, Unit::Bytes);
         prop_assert!(text.ends_with('B'), "{text}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // --- Scaling bounds and cost models ----------------------------
+
+    #[test]
+    fn parallel_overhead_bound_adds_exactly_the_overhead(
+        base in 0.001f64..10.0,
+        b_frac in 0.0f64..1.0,
+        p in 1usize..4096,
+        c in 0.0f64..0.01,
+    ) {
+        let overhead = OverheadModel::uniform(OverheadTerm::LogLinear(c));
+        let amdahl = ScalingBound::Amdahl { serial_fraction: b_frac }.time_bound_s(base, p);
+        let parallel = ScalingBound::ParallelOverhead { serial_fraction: b_frac, overhead: overhead.clone() }
+            .time_bound_s(base, p);
+        prop_assert_eq!(parallel, amdahl + overhead.eval(p));
+    }
+
+    #[test]
+    fn paper_overhead_model_matches_the_simulated_pi_reduction(p in 1usize..100_000) {
+        // Figure 7(b)'s bound and the simulator it bounds share one
+        // reduction cost, bit for bit, on both sides of each segment end.
+        for q in [p, 1, 8, 9, 16, 17] {
+            prop_assert_eq!(
+                OverheadModel::paper_pi_reduction().eval(q).to_bits(),
+                scibench_sim::pi::reduction_overhead_s(q).to_bits(),
+                "p={}", q
+            );
+        }
+    }
+
+    #[test]
+    fn piecewise_overhead_uses_the_first_segment_covering_p(
+        caps in prop::collection::vec(1usize..1000, 1..6),
+        p in 1usize..2000,
+    ) {
+        let mut caps = caps;
+        caps.sort_unstable();
+        caps.dedup();
+        let segments: Vec<(usize, OverheadTerm)> =
+            caps.iter().enumerate().map(|(i, &cap)| (cap, OverheadTerm::Fixed(i as f64))).collect();
+        let model = OverheadModel::piecewise(segments);
+        let want = |q: usize| caps.iter().position(|&cap| q <= cap).unwrap_or(caps.len() - 1) as f64;
+        // Each segment's end belongs to it; the next p starts the next one.
+        for q in caps.iter().flat_map(|&cap| [cap, cap + 1]).chain([p]) {
+            prop_assert_eq!(model.eval(q), want(q), "p={}", q);
+        }
+    }
+
+    #[test]
+    fn linear_cost_model_refuses_what_it_cannot_fit(
+        size in 0.0f64..1e6,
+        times in prop::collection::vec(0.0f64..1e4, 2..20),
+    ) {
+        // Identical sizes leave the slope undefined; mismatched lengths
+        // and non-finite times leave nothing to fit.
+        let sizes = vec![size; times.len()];
+        prop_assert!(LinearCostModel::fit(&sizes, &times).is_none());
+        prop_assert!(LinearCostModel::fit(&sizes[1..], &times).is_none());
+        let mut bad = times.clone();
+        bad[0] = f64::NAN;
+        let spread: Vec<f64> = (0..times.len()).map(|i| i as f64).collect();
+        prop_assert!(LinearCostModel::fit(&spread, &bad).is_none());
+    }
+
+    // --- Metrics and synchronization -------------------------------
+
+    #[test]
+    fn rates_are_work_over_time(times in positive_samples(), work in 0.1f64..1e6) {
+        let rates = Cost::new(times.clone(), Unit::Seconds).rate_for_work(work, Unit::FlopPerSecond);
+        prop_assert_eq!(rates.unit(), Unit::FlopPerSecond);
+        for (r, t) in rates.values().iter().zip(&times) {
+            prop_assert_eq!(*r, work / t);
+        }
+    }
+
+    #[test]
+    fn environment_doc_keeps_the_last_word_on_each_class(
+        ops in prop::collection::vec((0usize..9, any::<bool>(), 0u32..100), 0..30),
+    ) {
+        let mut doc = EnvironmentDoc::new();
+        let mut want = vec![ClassDoc::Missing; DocumentationClass::ALL.len()];
+        for (class, documented, tag) in ops {
+            let text = format!("entry {tag}");
+            let c = DocumentationClass::ALL[class];
+            (doc, want[class]) = if documented {
+                (doc.document(c, &text), ClassDoc::Documented(text))
+            } else {
+                (doc.not_applicable(c, &text), ClassDoc::NotApplicable(text))
+            };
+        }
+        for (i, &c) in DocumentationClass::ALL.iter().enumerate() {
+            prop_assert_eq!(doc.get(c), &want[i]);
+        }
+        let covered = want.iter().filter(|d| d.is_covered()).count();
+        prop_assert_eq!(doc.coverage_score(), covered);
+        prop_assert_eq!(doc.missing_classes().len(), DocumentationClass::ALL.len() - covered);
+        prop_assert_eq!(doc.render().lines().count(), DocumentationClass::ALL.len());
+    }
+
+    #[test]
+    fn negative_quantities_format_as_their_magnitude_with_a_sign(v in 1e-12f64..1e15) {
+        for unit in [Unit::Seconds, Unit::FlopPerSecond, Unit::Bytes, Unit::Dimensionless] {
+            prop_assert_eq!(format_quantity(-v, unit), format!("-{}", format_quantity(v, unit)));
+        }
+    }
+
+    #[test]
+    fn notch_overlap_is_symmetric_and_reflexive(
+        xs in prop::collection::vec(-1e3f64..1e3, 10..200),
+        ys in prop::collection::vec(-1e3f64..1e3, 10..200),
+        shift in -2e3f64..2e3,
+    ) {
+        // The shift puts b's notch below, across and above a's.
+        let ys: Vec<f64> = ys.iter().map(|y| y + shift).collect();
+        let a = BoxPlotStats::from_samples("a", &xs, WhiskerRule::TukeyIqr).unwrap();
+        let b = BoxPlotStats::from_samples("b", &ys, WhiskerRule::TukeyIqr).unwrap();
+        prop_assert_eq!(a.notches_overlap(&b), b.notches_overlap(&a));
+        prop_assert_eq!(a.notches_overlap(&a), a.notch.map(|_| true));
+    }
+
+    #[test]
+    fn dataset_csv_round_trips_bit_exactly(
+        rows in prop::collection::vec(prop::collection::vec((-1.0f64..1.0, -300i32..300), 2), 1..30),
+    ) {
+        // Rust prints the shortest decimal that parses back to the same
+        // double, so a CSV export loses no bit.
+        let mut d = DataSet::new(&["x", "y"]);
+        let values: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| r.iter().map(|&(m, e)| m * 10f64.powi(e)).collect())
+            .collect();
+        for v in &values {
+            d.push_row(v);
+        }
+        d.push_row(&[-0.0, f64::MIN_POSITIVE / 4.0]);
+        let back = DataSet::from_csv(&d.to_csv()).unwrap();
+        for name in ["x", "y"] {
+            let bits = |ds: &DataSet| ds.column(name).unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back), bits(&d));
+        }
+    }
+
+    #[test]
+    fn barrier_starts_end_by_the_protocol_end(p in 1usize..64, seed in any::<u64>()) {
+        let machine = MachineSpec::piz_daint();
+        let mut rng = SimRng::new(seed);
+        let alloc = Allocation::one_rank_per_node(&machine, p, AllocationPolicy::Random, &mut rng);
+        let out = barrier_sync_start(&machine, &alloc, &mut rng);
+        prop_assert_eq!(out.start_global_ns.len(), p);
+        prop_assert!(out.start_global_ns.iter().all(|&t| 0.0 <= t && t <= out.protocol_end_ns));
+        let skew = out.max_skew_ns();
+        prop_assert!(0.0 <= skew && skew <= out.protocol_end_ns);
     }
 }
 

@@ -368,4 +368,16 @@ mod tests {
     fn test_machine_is_quiet() {
         assert!(MachineSpec::test_machine(4).noise.is_quiet());
     }
+
+    #[test]
+    fn with_faults_replaces_only_the_fault_plan() {
+        let plan = FaultPlan::with_failure_rate(0.5);
+        let faulty = MachineSpec::piz_daint().with_faults(plan.clone());
+        assert_eq!(faulty.faults, plan);
+        let restored = MachineSpec {
+            faults: FaultPlan::none(),
+            ..faulty
+        };
+        assert_eq!(restored, MachineSpec::piz_daint());
+    }
 }

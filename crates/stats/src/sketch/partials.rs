@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::error::{StatsError, StatsResult};
+use crate::error::StatsResult;
 
 use super::{check_merged_count, MergeableSummary};
 
@@ -54,7 +54,7 @@ impl<S: MergeableSummary + Clone> KeyedPartials<S> {
 
     /// Both totals once `count` finite and `non_finite` quarantined
     /// observations join the set; refused with
-    /// [`StatsError::MismatchedSketch`] past 2⁵³.
+    /// [`StatsError::MismatchedSketch`](crate::StatsError::MismatchedSketch) past 2⁵³.
     fn totals_with(&self, count: u64, non_finite: u64) -> StatsResult<(u64, u64)> {
         check_merged_count(self.count, count)?;
         check_merged_count(self.non_finite, non_finite)?;
@@ -84,7 +84,7 @@ impl<S: MergeableSummary + Clone> KeyedPartials<S> {
     /// Inserts a partial. A duplicate key merges into the existing
     /// summary via [`MergeableSummary::merge_from`]. Fails, leaving `self`
     /// unchanged, when that merge fails or when a total count would pass
-    /// 2⁵³ ([`StatsError::MismatchedSketch`]).
+    /// 2⁵³ ([`StatsError::MismatchedSketch`](crate::StatsError::MismatchedSketch)).
     pub fn insert(&mut self, key: u64, summary: S) -> StatsResult<()> {
         let (count, non_finite) = self.totals_with(summary.count(), summary.non_finite_count())?;
         match self.parts.get_mut(&key) {
@@ -147,7 +147,10 @@ impl<S: MergeableSummary + Clone> KeyedPartials<S> {
     }
 
     /// Canonical record: `kp1` followed by one `key=record` section per
-    /// partial in ascending key order, separated by `#`.
+    /// partial in ascending key order, separated by `#`. Two sets are
+    /// bit-identical exactly when their records are equal, which is how
+    /// the thread and shard determinism tests compare them. Nothing
+    /// decodes it: shards hand over each point's own record instead.
     pub fn to_record(&self) -> String {
         let mut out = String::from("kp1");
         for (key, summary) in &self.parts {
@@ -158,36 +161,13 @@ impl<S: MergeableSummary + Clone> KeyedPartials<S> {
         }
         out
     }
-
-    /// Decodes a record produced by [`KeyedPartials::to_record`].
-    /// Refuses, with [`StatsError::MalformedSketch`], a record whose parts
-    /// sum to a count above 2⁵³.
-    pub fn from_record(record: &str) -> StatsResult<Self> {
-        let mut sections = record.split('#');
-        if sections.next() != Some("kp1") {
-            return Err(StatsError::MalformedSketch("expected kp1 tag"));
-        }
-        let mut set = Self::new();
-        for section in sections {
-            let (key, body) = section
-                .split_once('=')
-                .ok_or(StatsError::MalformedSketch("missing '=' in kp1 section"))?;
-            let key = super::parse_u64(key)?;
-            if set.parts.contains_key(&key) {
-                return Err(StatsError::MalformedSketch("duplicate key in kp1"));
-            }
-            // A new key fails to insert only on the total count.
-            set.insert(key, S::from_record(body)?)
-                .map_err(|_| StatsError::MalformedSketch("kp1 total count above 2^53"))?;
-        }
-        Ok(set)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::{MergeableSummary, StreamConfig, StreamingSummary};
     use super::*;
+    use crate::error::StatsError;
     use crate::summary::OnlineMoments;
 
     fn summary_of(xs: &[f64]) -> StreamingSummary {
@@ -237,25 +217,22 @@ mod tests {
     }
 
     #[test]
-    fn record_round_trips() {
-        let mut p: KeyedPartials<StreamingSummary> = KeyedPartials::new();
-        p.insert(3, summary_of(&[1.0, f64::NAN, 5.0])).unwrap();
-        p.insert(
-            11,
+    fn record_lists_each_part_by_ascending_key() {
+        let (small, large) = (
+            summary_of(&[1.0, f64::NAN, 5.0]),
             summary_of(&(0..50).map(|i| i as f64).collect::<Vec<_>>()),
-        )
-        .unwrap();
-        let record = p.to_record();
-        let back: KeyedPartials<StreamingSummary> = KeyedPartials::from_record(&record).unwrap();
-        assert_eq!(back.to_record(), record);
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.non_finite_count(), 1);
+        );
+        let mut p: KeyedPartials<StreamingSummary> = KeyedPartials::new();
+        p.insert(11, large.clone()).unwrap();
+        p.insert(3, small.clone()).unwrap();
+        assert_eq!(
+            p.to_record(),
+            format!("kp1#3={}#11={}", small.to_record(), large.to_record())
+        );
+        assert_eq!((p.len(), p.non_finite_count()), (2, 1));
         let empty: KeyedPartials<StreamingSummary> = KeyedPartials::new();
-        let back: KeyedPartials<StreamingSummary> =
-            KeyedPartials::from_record(&empty.to_record()).unwrap();
-        assert!(back.is_empty());
-        assert!(back.finalize().unwrap().is_none());
-        assert!(KeyedPartials::<StreamingSummary>::from_record("nope").is_err());
+        assert_eq!(empty.to_record(), "kp1");
+        assert!(empty.finalize().unwrap().is_none());
     }
 
     #[test]

@@ -505,6 +505,21 @@ mod tests {
     }
 
     #[test]
+    fn merge_takes_ties_from_the_lower_indexed_run() {
+        // Only signed zeros tell equal values apart: each keeps the
+        // position of its run, as a stable sort of the concatenation would.
+        let merged =
+            merge_sorted_runs(vec![vec![0.0, 1.0], vec![-0.0, 1.0], vec![0.0], vec![-0.0]])
+                .unwrap();
+        let bits: Vec<u64> = merged.iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = [0.0, -0.0, 0.0, -0.0, 1.0, 1.0]
+            .iter()
+            .map(|x: &f64| x.to_bits())
+            .collect();
+        assert_eq!(bits, want);
+    }
+
+    #[test]
     fn merge_sorted_runs_rejects_nan_and_unsorted_runs() {
         // Regression: a NaN run used to pass straight through `merge_two`
         // (`a[i] <= b[j]` is false for NaN) and yield an out-of-order

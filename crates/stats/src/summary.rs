@@ -285,28 +285,14 @@ pub(crate) struct OnlineMomentsRaw {
     pub non_finite: u64,
 }
 
-/// Crate-internal raw view of [`HigherMoments`]; see [`OnlineMomentsRaw`].
-pub(crate) struct HigherMomentsRaw {
-    pub n: u64,
-    pub mean: f64,
-    pub m2: f64,
-    pub m3: f64,
-    pub m4: f64,
-    pub min: f64,
-    pub max: f64,
-    pub ln_sum: f64,
-    pub recip_sum: f64,
-    pub all_positive: bool,
-    pub non_finite: u64,
-}
-
 /// Single-pass accumulator of the first four central moments (Pébay's
 /// update formulas) plus the log- and reciprocal-sums needed for the
 /// geometric and harmonic means.
 ///
 /// This powers [`crate::describe::describe`]: one pass over the data
 /// replaces the six separate passes (three means, variance, skewness,
-/// kurtosis) the multi-call formulation needs.
+/// kurtosis) the multi-call formulation needs. It only accumulates; it
+/// has no merge and no record, because nothing splits a `describe` pass.
 ///
 /// Like [`OnlineMoments`], non-finite observations are quarantined in
 /// [`HigherMoments::non_finite_count`] instead of corrupting the moments.
@@ -378,51 +364,6 @@ impl HigherMoments {
         }
     }
 
-    /// Merges another accumulator into this one using Pébay's pairwise
-    /// combination formulas for the third and fourth central moments —
-    /// the reduction step that lets each worker keep its own
-    /// `HigherMoments` and combine them at the supervisor.
-    pub fn merge(&mut self, other: &HigherMoments) {
-        self.non_finite += other.non_finite;
-        if other.n == 0 {
-            self.all_positive &= other.all_positive;
-            return;
-        }
-        if self.n == 0 {
-            let non_finite = self.non_finite;
-            let all_positive = self.all_positive && other.all_positive;
-            *self = *other;
-            self.non_finite = non_finite;
-            self.all_positive = all_positive;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let n = n1 + n2;
-        let delta = other.mean - self.mean;
-        let delta2 = delta * delta;
-        let m2 = self.m2 + other.m2 + delta2 * n1 * n2 / n;
-        let m3 = self.m3
-            + other.m3
-            + delta2 * delta * n1 * n2 * (n1 - n2) / (n * n)
-            + 3.0 * delta * (n1 * other.m2 - n2 * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta2 * delta2 * n1 * n2 * (n1 * n1 - n1 * n2 + n2 * n2) / (n * n * n)
-            + 6.0 * delta2 * (n1 * n1 * other.m2 + n2 * n2 * self.m2) / (n * n)
-            + 4.0 * delta * (n1 * other.m3 - n2 * self.m3) / n;
-        self.mean += delta * n2 / n;
-        self.m2 = m2;
-        self.m3 = m3;
-        self.m4 = m4;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.ln_sum += other.ln_sum;
-        self.recip_sum += other.recip_sum;
-        self.all_positive &= other.all_positive;
-    }
-
     /// Number of finite observations so far.
     pub fn count(&self) -> u64 {
         self.n
@@ -436,38 +377,6 @@ impl HigherMoments {
     /// Total number of observations pushed, finite or not.
     pub fn total_count(&self) -> u64 {
         self.n + self.non_finite
-    }
-
-    pub(crate) fn to_raw(self) -> HigherMomentsRaw {
-        HigherMomentsRaw {
-            n: self.n,
-            mean: self.mean,
-            m2: self.m2,
-            m3: self.m3,
-            m4: self.m4,
-            min: self.min,
-            max: self.max,
-            ln_sum: self.ln_sum,
-            recip_sum: self.recip_sum,
-            all_positive: self.all_positive,
-            non_finite: self.non_finite,
-        }
-    }
-
-    pub(crate) fn from_raw(raw: HigherMomentsRaw) -> Self {
-        Self {
-            n: raw.n,
-            mean: raw.mean,
-            m2: raw.m2,
-            m3: raw.m3,
-            m4: raw.m4,
-            min: raw.min,
-            max: raw.max,
-            ln_sum: raw.ln_sum,
-            recip_sum: raw.recip_sum,
-            all_positive: raw.all_positive,
-            non_finite: raw.non_finite,
-        }
     }
 
     /// Running arithmetic mean; `None` when empty.
@@ -783,40 +692,6 @@ mod tests {
         c.merge(&d);
         assert_eq!(c.non_finite_count(), 1);
         assert_eq!(c.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn higher_moments_merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..800)
-            .map(|i| ((i as f64 * 0.517).sin() + 2.2) * 3.0)
-            .collect();
-        let whole: HigherMoments = xs.iter().copied().collect();
-        // Merge three unequal partitions pairwise.
-        let mut acc: HigherMoments = xs[..120].iter().copied().collect();
-        let mid: HigherMoments = xs[120..500].iter().copied().collect();
-        let tail: HigherMoments = xs[500..].iter().copied().collect();
-        acc.merge(&mid);
-        acc.merge(&tail);
-        assert_eq!(acc.count(), whole.count());
-        assert!((acc.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-10);
-        assert!((acc.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-8);
-        assert!((acc.skewness().unwrap() - whole.skewness().unwrap()).abs() < 1e-8);
-        assert!((acc.excess_kurtosis().unwrap() - whole.excess_kurtosis().unwrap()).abs() < 1e-7);
-        assert!((acc.geometric_mean().unwrap() - whole.geometric_mean().unwrap()).abs() < 1e-10);
-        assert!((acc.harmonic_mean().unwrap() - whole.harmonic_mean().unwrap()).abs() < 1e-10);
-        assert_eq!(acc.min(), whole.min());
-        assert_eq!(acc.max(), whole.max());
-        // Merging with empty accumulators is the identity.
-        let mut e = HigherMoments::new();
-        e.merge(&whole);
-        assert_eq!(e.count(), whole.count());
-        e.merge(&HigherMoments::new());
-        assert_eq!(e.count(), whole.count());
-        // Positivity tracking merges conjunctively.
-        let neg: HigherMoments = [-1.0].iter().copied().collect();
-        let mut pos: HigherMoments = [1.0, 2.0].iter().copied().collect();
-        pos.merge(&neg);
-        assert_eq!(pos.geometric_mean(), None);
     }
 
     #[test]

@@ -227,6 +227,35 @@ mod tests {
     }
 
     #[test]
+    fn push_json_escaped_appends_to_what_the_buffer_holds() {
+        let mut out = String::from("[\"");
+        push_json_escaped(&mut out, "a\"b\n");
+        push_json_escaped(&mut out, "\\");
+        assert_eq!(
+            out,
+            format!("[\"{}{}", json_escape("a\"b\n"), json_escape("\\"))
+        );
+    }
+
+    #[test]
+    fn writers_store_exactly_the_renderings() {
+        let dir = std::env::temp_dir().join(format!("scibench-export-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = sample_trace();
+        let (chrome, jsonl) = (dir.join("trace.json"), dir.join("trace.jsonl"));
+        write_chrome_json(&trace, &chrome).unwrap();
+        write_jsonl(&trace, &jsonl).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&chrome).unwrap(),
+            to_chrome_json(&trace)
+        );
+        assert_eq!(std::fs::read_to_string(&jsonl).unwrap(), to_jsonl(&trace));
+        // A path that cannot be created is an I/O error, not a panic.
+        assert!(write_jsonl(&trace, &dir.join("missing").join("trace.jsonl")).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn empty_trace_exports_cleanly() {
         let t = Trace::default();
         assert_eq!(

@@ -709,6 +709,22 @@ mod tests {
     }
 
     #[test]
+    fn peek_looks_past_whitespace_without_reading() {
+        let mut r = JsonReader::new(" \t\n [1, \"a\"]\r\n");
+        assert_eq!(r.peek(), Some(b'['));
+        assert_eq!(r.peek(), Some(b'['), "a peek reads nothing");
+        assert_eq!(
+            r.value(),
+            Ok(JsonValue::Array(vec![
+                JsonValue::Number(1.0),
+                JsonValue::String("a".into())
+            ]))
+        );
+        assert_eq!(r.peek(), None);
+        assert_eq!(JsonReader::new(" \r\n ").peek(), None);
+    }
+
+    #[test]
     fn nesting_is_capped_with_a_typed_error() {
         let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
         let too_deep = err(

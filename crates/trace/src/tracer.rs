@@ -307,12 +307,50 @@ mod tests {
     }
 
     #[test]
+    fn flush_hands_events_over_before_the_lane_is_dropped() {
+        let tracer = Tracer::new();
+        let mut lane = tracer.lane(3);
+        lane.instant(category::CAMPAIGN, "first", &[]);
+        assert!(
+            tracer.drain().is_empty(),
+            "events stay in the lane until a flush"
+        );
+        lane.flush();
+        let first = tracer.drain();
+        assert_eq!(first.len(), 1);
+        assert_eq!((first.events[0].lane, first.events[0].seq), (3, 0));
+        lane.instant(category::CAMPAIGN, "second", &[]);
+        drop(lane);
+        let second = tracer.drain();
+        assert_eq!(second.len(), 1);
+        assert_eq!(
+            (second.events[0].name.as_ref(), second.events[0].seq),
+            ("second", 1)
+        );
+    }
+
+    #[test]
     fn lane_of_none_is_detached() {
         let mut lane = lane_of(None, 7);
         assert!(!lane.is_on());
         lane.instant(category::POOL, "mark", &[]);
         let noop = LocalTracer::noop();
         assert!(!noop.is_on());
+    }
+
+    #[test]
+    fn lane_of_a_tracer_records_on_that_lane() {
+        let tracer = Tracer::new();
+        {
+            let mut lane = lane_of(Some(&tracer), 9);
+            assert!(lane.is_on());
+            assert_eq!(lane.lane(), 9);
+            lane.counter(category::CAMPAIGN, "samples", 4.0);
+        }
+        let trace = tracer.drain();
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace.events[0].lane, 9);
+        assert_eq!(trace.events[0].kind, EventKind::Counter { value: 4.0 });
     }
 
     #[test]

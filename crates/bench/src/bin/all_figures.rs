@@ -378,7 +378,6 @@ fn run_journaled(
         panics_contained: 0,
         outcome: None,
         notes: messages.clone(),
-        sketch: None,
     };
     ctx.journal
         .lock()

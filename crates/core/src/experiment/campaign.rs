@@ -21,10 +21,8 @@
 //! The vector, streaming ([`super::stream`]) and resilient
 //! ([`super::resilience`]) runners are per-point bodies over one
 //! crate-private executor defined here, which owns the order shuffle,
-//! the per-point streams, pool dispatch, the journal's write-ahead hooks
-//! and the design-order resolution of results.
-
-use std::sync::Mutex;
+//! the per-point streams, pool dispatch and the design-order resolution
+//! of results.
 
 use scibench_sim::rng::SimRng;
 use scibench_stats::error::{StatsError, StatsResult};
@@ -34,11 +32,7 @@ use crate::obs;
 use crate::parallel::pool;
 
 use super::design::{Design, RunPoint};
-use super::journal::{
-    design_keys, Journal, JournalError, JournalKey, JournalMeta, JournalSpec, PointRecord,
-};
 use super::measurement::{MeasurementOutcome, MeasurementPlan, MeasurementSummary};
-use super::resilience::{CampaignError, ResumeStats};
 
 /// Configuration of a campaign run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,7 +169,7 @@ where
         return Err(StatsError::EmptySample);
     }
     let all: Vec<usize> = (0..points.len()).collect();
-    let runs = execute_points(&all, config, tracer, None, init, |scratch, idx, mut rng| {
+    let runs = execute_points(&all, config, tracer, init, |scratch, idx, mut rng| {
         let point = &points[idx];
         let mut lane = lane_of(tracer, obs::campaign_lane(idx));
         let span = lane.begin();
@@ -218,11 +212,6 @@ where
 ///   so no result depends on the order, the subset or the thread count.
 /// * `init` builds one scratch value per pool lane; `tracer` records the
 ///   pool's task spans ([`pool::run_indexed_scoped_traced`]).
-/// * With a `journal`, a `begin` frame precedes each point and the
-///   point's record follows it, so a worker that dies leaves every
-///   finished point on disk plus a dangling `begin` naming the point it
-///   died on. The journal is synced once after the pool drains; the
-///   first append or sync error waits in [`PointJournal::finish`].
 /// * Results come back sorted by design index, and the lowest design
 ///   index decides which error is returned or which panic is re-raised —
 ///   after every point has run.
@@ -230,7 +219,6 @@ pub(crate) fn execute_points<S, T, E, I, F>(
     indices: &[usize],
     config: &CampaignConfig,
     tracer: Option<&Tracer>,
-    journal: Option<&PointJournal<T>>,
     init: I,
     body: F,
 ) -> Result<Vec<(usize, T)>, E>
@@ -253,20 +241,10 @@ where
         init,
         |scratch, pos| {
             let idx = order[pos];
-            if let Some(journal) = journal {
-                journal.begin(idx);
-            }
             let rng = root.fork_indexed("campaign-point", idx as u64);
-            let out = body(scratch, idx, rng);
-            if let (Some(journal), Ok(value)) = (journal, &out) {
-                journal.point(idx, value);
-            }
-            out
+            body(scratch, idx, rng)
         },
     );
-    if let Some(journal) = journal {
-        journal.sync();
-    }
     // Un-shuffle into design order before resolving outcomes, so error
     // and panic precedence is by design index, not by execution order.
     let mut done: Vec<_> = order.into_iter().zip(positioned).collect();
@@ -277,93 +255,6 @@ where
             Err(payload) => std::panic::resume_unwind(payload),
         })
         .collect()
-}
-
-/// A campaign journal opened for [`execute_points`]' write-ahead hooks.
-pub(crate) struct PointJournal<T> {
-    /// The journal and the first error any append or sync hit; once an
-    /// append fails nothing more is written, so no frame lands after a
-    /// torn one.
-    state: Mutex<(Journal, Option<JournalError>)>,
-    /// Content-addressed key of every design point.
-    keys: Vec<JournalKey>,
-    /// The durable record of one finished point.
-    record: fn(usize, JournalKey, &T) -> PointRecord,
-}
-
-impl<T> PointJournal<T> {
-    /// Checks `indices` against the design, opens (or resumes) the
-    /// journal at `spec.path` and hands every journaled record among
-    /// `indices` to `replay`, which answers whether it stands in for the
-    /// point. Returns the journal, the points still to execute and the
-    /// resume bookkeeping.
-    pub(crate) fn open(
-        design: &Design,
-        points: &[RunPoint],
-        indices: &[usize],
-        seed: u64,
-        spec: &JournalSpec<'_>,
-        record: fn(usize, JournalKey, &T) -> PointRecord,
-        mut replay: impl FnMut(usize, &PointRecord) -> Result<bool, CampaignError>,
-    ) -> Result<(Self, Vec<usize>, ResumeStats), CampaignError> {
-        if let Some(&index) = indices.iter().find(|&&idx| idx >= points.len()) {
-            return Err(CampaignError::BadPointIndex {
-                index,
-                points: points.len(),
-            });
-        }
-        let meta = JournalMeta::new(design, seed, spec.code_version, spec.config_fingerprint);
-        let keys = design_keys(&meta, points)?;
-        let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
-        let mut missing = Vec::new();
-        for &idx in indices {
-            match snapshot.record_for(keys[idx]) {
-                Some(record) if replay(idx, record)? => {}
-                _ => missing.push(idx),
-            }
-        }
-        let resume = ResumeStats {
-            points_total: indices.len(),
-            points_resumed: indices.len() - missing.len(),
-            points_executed: missing.len(),
-            torn_tail_dropped: snapshot.torn,
-        };
-        let journal = Self {
-            state: Mutex::new((journal, None)),
-            keys,
-            record,
-        };
-        Ok((journal, missing, resume))
-    }
-
-    fn append(&self, frame: impl FnOnce(&mut Journal) -> Result<(), JournalError>) {
-        let mut state = self.state.lock().expect("journal mutex");
-        let (journal, failed) = &mut *state;
-        if failed.is_none() {
-            *failed = frame(journal).err();
-        }
-    }
-
-    fn begin(&self, idx: usize) {
-        self.append(|journal| journal.append_begin(idx, self.keys[idx]));
-    }
-
-    fn point(&self, idx: usize, value: &T) {
-        let record = (self.record)(idx, self.keys[idx], value);
-        self.append(|journal| journal.append_point(&record));
-    }
-
-    fn sync(&self) {
-        self.append(Journal::sync);
-    }
-
-    /// The first append or sync error of the run, if any.
-    pub(crate) fn finish(self) -> Result<(), JournalError> {
-        match self.state.into_inner().expect("journal mutex").1 {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -521,8 +521,10 @@ enum Frame {
     Point(PointRecord),
 }
 
-/// The top-level keys some frame kind reads.
-const FRAME_KEYS: [&str; 14] = [
+/// The top-level keys some frame kind reads. Every other key is checked
+/// and skipped, such as the `sketch` that earlier builds wrote into
+/// streaming points.
+const FRAME_KEYS: [&str; 13] = [
     "kind",
     "format",
     "code_version",
@@ -536,7 +538,6 @@ const FRAME_KEYS: [&str; 14] = [
     "panics",
     "outcome",
     "notes",
-    "sketch",
 ];
 
 /// Decodes one frame payload in a single pass. The JSON is checked byte
@@ -602,10 +603,6 @@ pub struct PointRecord {
     pub outcome: Option<MeasurementOutcome>,
     /// Free-form annotations (e.g. progress lines to replay on resume).
     pub notes: Vec<String>,
-    /// Canonical streaming-sketch record for the point, when the
-    /// campaign ran in streaming mode (`scibench_stats::sketch`
-    /// wire form — bit-exact, NaN-safe).
-    pub sketch: Option<String>,
 }
 
 impl PointRecord {
@@ -619,7 +616,6 @@ impl PointRecord {
             panics_contained: run.panics_contained,
             outcome: run.outcome.clone(),
             notes: Vec::new(),
-            sketch: None,
         }
     }
 
@@ -645,7 +641,6 @@ impl PointRecord {
             .levels
             .iter()
             .chain(&self.notes)
-            .chain(&self.sketch)
             .map(|s| s.len() + 3)
             .sum();
         // A quoted bit pattern and its comma take 19 bytes; the fixed
@@ -705,11 +700,6 @@ impl PointRecord {
         }
         out.push_str(",\"notes\":");
         push_quoted_array(&mut out, &self.notes, |out, s| push_json_escaped(out, s));
-        if let Some(sketch) = &self.sketch {
-            out.push_str(",\"sketch\":\"");
-            push_json_escaped(&mut out, sketch);
-            out.push('"');
-        }
         out.push('}');
         out
     }
@@ -745,10 +735,6 @@ impl PointRecord {
             panics_contained: get_usize(v, "panics")?,
             outcome: outcome?,
             notes: get_strings(v, "notes").unwrap_or_default(),
-            sketch: match v.get("sketch") {
-                Some(JsonValue::Null) | None => None,
-                Some(_) => Some(get_str(v, "sketch")?.to_owned()),
-            },
         })
     }
 
@@ -1222,7 +1208,6 @@ mod tests {
                     samples: vec![f64::NAN, -0.0, f64::INFINITY, 5e-324, f64::MAX],
                 }),
                 notes: vec!["note\ttab".into()],
-                sketch: Some("ss1|x=\"y\"".into()),
             },
             PointRecord {
                 index: 6,
@@ -1235,7 +1220,6 @@ mod tests {
                 panics_contained: 0,
                 outcome: None,
                 notes: Vec::new(),
-                sketch: None,
             },
             PointRecord {
                 index: 7,
@@ -1248,7 +1232,6 @@ mod tests {
                 panics_contained: 3,
                 outcome: None,
                 notes: vec!["x".into(), "y".into()],
-                sketch: None,
             },
         ]
     }
@@ -1256,14 +1239,15 @@ mod tests {
     /// `pinned_records` as format 1 encodes them; journals written
     /// earlier must keep loading, so these bytes must never change.
     const PINNED_JSON: [&str; 3] = [
-        r#"{"kind":"point","idx":5,"key":"0123456789abcdef","levels":["a","8"],"fate":{"kind":"completed","attempts":2,"dropped":1},"panics":1,"outcome":{"name":"op \"q\"\\\n\u0001é","converged":false,"warmup":["3fe0000000000000"],"samples":["7ff8000000000000","8000000000000000","7ff0000000000000","0000000000000001","7fefffffffffffff"]},"notes":["note\ttab"],"sketch":"ss1|x=\"y\""}"#,
+        r#"{"kind":"point","idx":5,"key":"0123456789abcdef","levels":["a","8"],"fate":{"kind":"completed","attempts":2,"dropped":1},"panics":1,"outcome":{"name":"op \"q\"\\\n\u0001é","converged":false,"warmup":["3fe0000000000000"],"samples":["7ff8000000000000","8000000000000000","7ff0000000000000","0000000000000001","7fefffffffffffff"]},"notes":["note\ttab"]}"#,
         r#"{"kind":"point","idx":6,"key":"fedcba9876543210","levels":["b","64"],"fate":{"kind":"timed_out","attempts":7,"elapsed":"41d65a0bc0000000"},"panics":0,"outcome":null,"notes":[]}"#,
         r#"{"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fate":{"kind":"abandoned","attempts":3,"error":"panicked: \"boom\"\r\n"},"panics":3,"outcome":null,"notes":["x","y"]}"#,
     ];
 
     /// A format-1 journal holding `pinned_records` (with a dangling
     /// begin for point 8), as written before the table CRC and the
-    /// single-buffer encoder.
+    /// single-buffer encoder. Point 5's frame also carries the `sketch`
+    /// member that earlier builds wrote for streaming points.
     const PINNED_JOURNAL: &str = r#"6a2e52bd {"kind":"header","format":1,"code_version":"test-v1","config":"machine=demo","seed":"000000000000002a","design":"281c6c241525e9ce"}
 d156751f {"kind":"begin","idx":5,"key":"0123456789abcdef"}
 88136243 {"kind":"point","idx":5,"key":"0123456789abcdef","levels":["a","8"],"fate":{"kind":"completed","attempts":2,"dropped":1},"panics":1,"outcome":{"name":"op \"q\"\\\n\u0001é","converged":false,"warmup":["3fe0000000000000"],"samples":["7ff8000000000000","8000000000000000","7ff0000000000000","0000000000000001","7fefffffffffffff"]},"notes":["note\ttab"],"sketch":"ss1|x=\"y\""}
@@ -1298,7 +1282,12 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
         for rec in pinned_records() {
             assert_eq!(snap.record_for(rec.key).unwrap().to_json(), rec.to_json());
         }
-        // Writing the same frames today gives the same bytes.
+        // Writing the same frames today gives the same bytes, except that
+        // point 5's frame no longer carries the `sketch` member.
+        let rewritten = PINNED_JOURNAL
+            .replacen("88136243 ", "a516873d ", 1)
+            .replacen(r#","sketch":"ss1|x=\"y\"""#, "", 1);
+        assert!(!rewritten.contains("88136243") && !rewritten.contains("sketch"));
         let path = tmp_path("pinned-rewrite");
         let (mut journal, _) = Journal::open_resume(&path, &demo_meta()).unwrap();
         let recs = pinned_records();
@@ -1309,7 +1298,7 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
         journal.append_point(&recs[2]).unwrap();
         journal.append_begin(8, JournalKey(8)).unwrap();
         drop(journal);
-        assert_eq!(fs::read_to_string(&path).unwrap(), PINNED_JOURNAL);
+        assert_eq!(fs::read_to_string(&path).unwrap(), rewritten);
     }
 
     // Byte-level fuzz. `Journal::load` is `std::fs::read` plus
@@ -1632,8 +1621,17 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
             ("outcome without samples", point_with(r#""outcome":{"name":"n","converged":true,"warmup":[]},"#), false),
             ("malformed notes", point_with(r#""notes":5,"#), true),
             ("notes with a number", point_with(r#""notes":["a",1],"#), true),
+            // Earlier builds wrote a `sketch` string; any value is read
+            // through and ignored.
             ("null sketch", point_with(r#""sketch":null,"#), true),
-            ("numeric sketch", point_with(r#""sketch":5,"#), false),
+            ("numeric sketch", point_with(r#""sketch":5,"#), true),
+            ("sketch record", point_with(r#""sketch":"ss1|thr=16","#), true),
+            // RFC 8259 forbids raw control characters inside strings, on
+            // every path: a decoded field, a sample pattern of fixed width
+            // and a skipped field.
+            ("raw control character in a note", point_with("\"notes\":[\"a\u{1}b\"],"), false),
+            ("raw control character in a pattern", sample("\"3ff000000000000\u{1f}\""), false),
+            ("raw control character in a sketch", point_with("\"sketch\":\"ss1\u{0}\","), false),
             (
                 "begin with malformed samples",
                 begin_with(
@@ -1767,46 +1765,12 @@ c91bb8be {"kind":"point","idx":7,"key":"0000000000000007","levels":["b","8"],"fa
                 panics_contained: 0,
                 outcome: None,
                 notes: vec!["note one".into()],
-                sketch: None,
             };
             let parsed = decode_point(&rec.to_json());
             assert_eq!(parsed.fate, fate);
             assert!(parsed.outcome.is_none());
             assert_eq!(parsed.notes, vec!["note one".to_string()]);
-            assert!(parsed.sketch.is_none());
         }
-    }
-
-    #[test]
-    fn sketch_field_roundtrips_bit_exactly_and_is_optional() {
-        // A record with an embedded NaN-bearing sketch wire form must
-        // survive the JSON round trip byte-for-byte; records written
-        // before the field existed must still parse.
-        let wire = "ss1|thr=16|delta=200|mom=om1;2;1;3ff8000000000000;\
-                    0000000000000000;3ff8000000000000;3ff8000000000000|grid=-|\
-                    repr=exact:3ff8000000000000,7ff8000000000000";
-        let rec = PointRecord {
-            index: 4,
-            key: JournalKey(0xdead_beef),
-            levels: vec!["n=8".into()],
-            fate: PointFate::Completed {
-                attempts: 1,
-                samples_dropped: 0,
-            },
-            panics_contained: 0,
-            outcome: None,
-            notes: Vec::new(),
-            sketch: Some(wire.to_owned()),
-        };
-        let parsed = decode_point(&rec.to_json());
-        assert_eq!(parsed.sketch.as_deref(), Some(wire));
-        assert_eq!(parsed.to_json(), rec.to_json());
-        // Pre-sketch-era JSON (no "sketch" key) parses as None.
-        let legacy = rec
-            .to_json()
-            .replace(&format!(",\"sketch\":\"{wire}\""), "");
-        let parsed = decode_point(&legacy);
-        assert!(parsed.sketch.is_none());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   per-point results with content-addressed keys, so interrupted
 //!   campaigns resume bit-identically instead of restarting;
 //! - [`stream`]: bounded-memory campaign execution — samples fold into
-//!   mergeable sketches (`scibench_stats::sketch`) instead of O(n)
-//!   vectors, with bit-identical cross-thread/cross-shard merges;
+//!   streaming sketches (`scibench_stats::sketch`) instead of O(n)
+//!   vectors, bit-identical at any thread count;
 //! - [`scaling`]: strong/weak scaling declarations with explicit scaling
 //!   functions (§4.2).
 
@@ -47,7 +47,4 @@ pub use resilience::{
     run_campaign_resilient_journaled_subset, CampaignError, CampaignHealth, JournaledCampaign,
     MeasureFailure, PointFate, ResilientCampaignResult, ResilientRun, ResumeStats, RetryPolicy,
 };
-pub use stream::{
-    run_campaign_stream, run_campaign_stream_journaled_subset, run_stream, StreamCampaign,
-    StreamOutcome, StreamResume, StreamRun,
-};
+pub use stream::{run_campaign_stream, run_stream, StreamCampaign, StreamOutcome, StreamRun};

@@ -31,6 +31,7 @@ use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use scibench_sim::fault::SimFault;
 use scibench_sim::rng::SimRng;
@@ -39,9 +40,11 @@ use scibench_trace::{category, lane_of, ArgValue, Tracer};
 
 use crate::obs;
 
-use super::campaign::{execute_points, CampaignConfig, PointJournal};
+use super::campaign::{execute_points, CampaignConfig};
 use super::design::{Design, RunPoint};
-use super::journal::{JournalError, JournalSpec, PointRecord};
+use super::journal::{
+    design_keys, Journal, JournalError, JournalKey, JournalMeta, JournalSpec, PointRecord,
+};
 use super::measurement::{MeasurementOutcome, MeasurementPlan, MeasurementSummary};
 
 /// Why one invocation of the measurement closure failed.
@@ -336,9 +339,6 @@ pub enum CampaignError {
         /// Number of points in the design.
         points: usize,
     },
-    /// A streaming sketch operation failed (malformed record, mismatched
-    /// sketch configuration across merge partners).
-    Stats(scibench_stats::StatsError),
 }
 
 impl fmt::Display for CampaignError {
@@ -352,7 +352,6 @@ impl fmt::Display for CampaignError {
             CampaignError::BadPointIndex { index, points } => {
                 write!(f, "design index {index} out of range ({points} points)")
             }
-            CampaignError::Stats(err) => write!(f, "streaming sketch error: {err}"),
         }
     }
 }
@@ -362,12 +361,6 @@ impl std::error::Error for CampaignError {}
 impl From<JournalError> for CampaignError {
     fn from(err: JournalError) -> Self {
         CampaignError::Journal(err)
-    }
-}
-
-impl From<scibench_stats::StatsError> for CampaignError {
-    fn from(err: scibench_stats::StatsError) -> Self {
-        CampaignError::Stats(err)
     }
 }
 
@@ -506,8 +499,11 @@ impl<F> Attempts<'_, F>
 where
     F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
 {
-    /// Runs `indices` on the shared executor, appending each finished
-    /// point to `journal` when given. Returns `(design index, run)` pairs
+    /// Runs `indices` on the shared executor. With a `journal`, a `begin`
+    /// frame precedes each point and the point's record follows it, so a
+    /// worker that dies leaves every finished point on disk plus a
+    /// dangling `begin` naming the point it died on; the journal is synced
+    /// once after the pool drains. Returns `(design index, run)` pairs
     /// sorted by design index. A point never fails — panics in `measure`
     /// are contained per attempt — so a panic that still reaches the pool
     /// is runner infrastructure and is re-raised.
@@ -516,16 +512,27 @@ where
         points: &[RunPoint],
         indices: &[usize],
         config: &CampaignConfig,
-        journal: Option<&PointJournal<ResilientRun>>,
+        journal: Option<&PointJournal>,
     ) -> Vec<(usize, ResilientRun)> {
         let Ok(runs) = execute_points(
             indices,
             config,
             self.tracer,
-            journal,
             || (),
-            |(), idx, rng| Ok::<_, Infallible>(self.run(&points[idx], idx, rng)),
+            |(), idx, rng| {
+                if let Some(journal) = journal {
+                    journal.begin(idx);
+                }
+                let run = self.run(&points[idx], idx, rng);
+                if let Some(journal) = journal {
+                    journal.point(idx, &run);
+                }
+                Ok::<_, Infallible>(run)
+            },
         );
+        if let Some(journal) = journal {
+            journal.sync();
+        }
         runs
     }
 
@@ -735,6 +742,90 @@ where
     }
 }
 
+/// A campaign journal opened for [`Attempts::execute`]'s write-ahead
+/// hooks.
+struct PointJournal {
+    /// The journal and the first error any append or sync hit; once an
+    /// append fails nothing more is written, so no frame lands after a
+    /// torn one.
+    state: Mutex<(Journal, Option<JournalError>)>,
+    /// Content-addressed key of every design point.
+    keys: Vec<JournalKey>,
+}
+
+impl PointJournal {
+    /// Checks `indices` against the design, opens (or resumes) the
+    /// journal at `spec.path` and hands every journaled record among
+    /// `indices` to `replay`; the record stands in for its point. Returns
+    /// the journal, the points still to execute and the resume
+    /// bookkeeping.
+    fn open(
+        design: &Design,
+        points: &[RunPoint],
+        indices: &[usize],
+        seed: u64,
+        spec: &JournalSpec<'_>,
+        mut replay: impl FnMut(usize, &PointRecord),
+    ) -> Result<(Self, Vec<usize>, ResumeStats), CampaignError> {
+        if let Some(&index) = indices.iter().find(|&&idx| idx >= points.len()) {
+            return Err(CampaignError::BadPointIndex {
+                index,
+                points: points.len(),
+            });
+        }
+        let meta = JournalMeta::new(design, seed, spec.code_version, spec.config_fingerprint);
+        let keys = design_keys(&meta, points)?;
+        let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
+        let mut missing = Vec::new();
+        for &idx in indices {
+            match snapshot.record_for(keys[idx]) {
+                Some(record) => replay(idx, record),
+                None => missing.push(idx),
+            }
+        }
+        let resume = ResumeStats {
+            points_total: indices.len(),
+            points_resumed: indices.len() - missing.len(),
+            points_executed: missing.len(),
+            torn_tail_dropped: snapshot.torn,
+        };
+        let journal = Self {
+            state: Mutex::new((journal, None)),
+            keys,
+        };
+        Ok((journal, missing, resume))
+    }
+
+    fn append(&self, frame: impl FnOnce(&mut Journal) -> Result<(), JournalError>) {
+        let mut state = self.state.lock().expect("journal mutex");
+        let (journal, failed) = &mut *state;
+        if failed.is_none() {
+            *failed = frame(journal).err();
+        }
+    }
+
+    fn begin(&self, idx: usize) {
+        self.append(|journal| journal.append_begin(idx, self.keys[idx]));
+    }
+
+    fn point(&self, idx: usize, run: &ResilientRun) {
+        let record = PointRecord::from_run(idx, self.keys[idx], run);
+        self.append(|journal| journal.append_point(&record));
+    }
+
+    fn sync(&self) {
+        self.append(Journal::sync);
+    }
+
+    /// The first append or sync error of the run, if any.
+    fn finish(self) -> Result<(), JournalError> {
+        match self.state.into_inner().expect("journal mutex").1 {
+            Some(err) => Err(err),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Resume bookkeeping of a journaled campaign — deliberately *separate*
 /// from [`CampaignHealth`]: how a result was obtained (fresh vs resumed)
 /// must not leak into the result itself, or an interrupted-then-resumed
@@ -799,18 +890,10 @@ where
         measure: &measure,
     };
     let mut slots: Vec<Option<ResilientRun>> = vec![None; points.len()];
-    let (journal, missing, resume) = PointJournal::open(
-        design,
-        &points,
-        &all,
-        config.seed,
-        spec,
-        PointRecord::from_run,
-        |idx, record| {
+    let (journal, missing, resume) =
+        PointJournal::open(design, &points, &all, config.seed, spec, |idx, record| {
             slots[idx] = Some(record.clone().into_run());
-            Ok(true)
-        },
-    )?;
+        })?;
     for (idx, run) in attempts.execute(&points, &missing, config, Some(&journal)) {
         slots[idx] = Some(run);
     }
@@ -854,15 +937,8 @@ where
         tracer: None,
         measure: &measure,
     };
-    let (journal, missing, resume) = PointJournal::open(
-        design,
-        &points,
-        indices,
-        config.seed,
-        spec,
-        PointRecord::from_run,
-        |_, _| Ok(true),
-    )?;
+    let (journal, missing, resume) =
+        PointJournal::open(design, &points, indices, config.seed, spec, |_, _| {})?;
     attempts.execute(&points, &missing, config, Some(&journal));
     journal.finish()?;
     Ok(resume)

@@ -1,5 +1,5 @@
 //! Streaming campaign execution: bounded-memory measurement with
-//! mergeable sketches instead of O(n) sample vectors.
+//! streaming sketches instead of O(n) sample vectors.
 //!
 //! The classic campaign runner ([`super::campaign`]) keeps every sample
 //! of every point in memory, which is the right default for the paper's
@@ -13,24 +13,16 @@
 //! Determinism contract: a point's summary is built **sequentially by
 //! exactly one worker** from its own RNG stream (keyed by design index),
 //! so the summary's canonical record is a pure function of `(seed,
-//! design, plan, stream config)`. Cross-worker and cross-shard
-//! combination happens through [`KeyedPartials`] — a disjoint-key map
-//! union folded in ascending design order — so campaign totals are
-//! bit-identical at any thread count and any shard count.
-//!
-//! The journaled variant writes each point's sketch record (not its
-//! samples) into the crash-consistent journal of [`super::journal`] as
-//! soon as the point finishes, keeping resume state O(sketch) per point.
+//! design, plan, stream config)`. The runs come back in design order, so
+//! every campaign statistic is bit-identical at any thread count.
 
 use scibench_sim::rng::SimRng;
 use scibench_stats::error::{StatsError, StatsResult};
-use scibench_stats::sketch::{KeyedPartials, MergeableSummary, StreamConfig, StreamingSummary};
+use scibench_stats::sketch::{MergeableSummary, StreamConfig, StreamingSummary};
 
-use super::campaign::{execute_points, CampaignConfig, PointJournal};
+use super::campaign::{execute_points, CampaignConfig};
 use super::design::{Design, RunPoint};
-use super::journal::{JournalKey, JournalSpec, PointRecord};
 use super::measurement::{MeasurementPlan, SampleSink};
-use super::resilience::{CampaignError, PointFate, ResumeStats};
 
 /// The bounded-memory result of measuring one operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,12 +107,6 @@ pub struct StreamRun {
 pub struct StreamCampaign {
     /// Executed runs, in design (full-factorial) order.
     pub runs: Vec<StreamRun>,
-    /// The same summaries keyed by design index. Shards hand theirs over
-    /// point by point, as each summary's record in their journals
-    /// ([`crate::parallel::shard::collect_stream_partials`]), and the
-    /// union is the same set. `partials.finalize()` is the canonical
-    /// whole-campaign pool.
-    pub partials: KeyedPartials<StreamingSummary>,
 }
 
 impl StreamCampaign {
@@ -139,7 +125,7 @@ impl StreamCampaign {
 /// Execution order is randomized (§4.1.1) and points run on the
 /// work-stealing pool, but every point's RNG stream is keyed by its
 /// *design* index and its summary is built sequentially by one worker —
-/// so `partials` (and therefore every statistic derived from them) is
+/// so every run (and therefore every statistic derived from the runs) is
 /// bit-identical at any thread count.
 pub fn run_campaign_stream<F>(
     design: &Design,
@@ -156,109 +142,10 @@ where
         return Err(StatsError::EmptySample);
     }
     let all: Vec<usize> = (0..points.len()).collect();
-    let mut partials = KeyedPartials::new();
-    let mut runs = Vec::with_capacity(points.len());
-    for (idx, run) in stream_points(&points, &all, plan, stream, config, None, &measure)? {
-        partials
-            .insert(idx as u64, run.outcome.summary.clone())
-            .expect("design indices are unique keys");
-        runs.push(run);
-    }
-    Ok(StreamCampaign { runs, partials })
-}
-
-/// Resume statistics of a journaled streaming run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamResume {
-    /// How many of the covered points were replayed from the journal
-    /// and how many executed this run.
-    pub resume: ResumeStats,
-    /// The covered points' summaries, keyed by design index.
-    pub partials: KeyedPartials<StreamingSummary>,
-}
-
-/// Executes the design points in `indices` in streaming mode with
-/// crash-consistent journaling — the building block a shard worker runs
-/// on its assigned partition. The union of all shards' partials is
-/// bit-identical to [`run_campaign_stream`]'s `partials` on the full
-/// design, regardless of how the points were partitioned.
-///
-/// Each point appends a `begin` frame before it runs and, once it
-/// finishes, a [`PointRecord`] whose `sketch` field carries the
-/// summary's canonical record (no sample vector — resume state stays
-/// O(sketch) per point). A run that dies mid-campaign therefore keeps
-/// every finished point, and leaves a dangling `begin` for the point it
-/// died on. On restart, journaled sketches are decoded and replayed
-/// bit-exactly instead of re-measuring.
-pub fn run_campaign_stream_journaled_subset<F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    stream: &StreamConfig,
-    config: &CampaignConfig,
-    spec: &JournalSpec<'_>,
-    indices: &[usize],
-    measure: F,
-) -> Result<StreamResume, CampaignError>
-where
-    F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
-{
-    let points = design.full_factorial();
-    if points.is_empty() {
-        return Err(CampaignError::EmptyDesign);
-    }
-    let mut partials = KeyedPartials::new();
-    // Only a record carrying a sketch counts as streaming-complete; a
-    // sample-mode record for the same key is re-measured.
-    let (journal, missing, resume) = PointJournal::open(
-        design,
-        &points,
-        indices,
-        config.seed,
-        spec,
-        sketch_record,
-        |idx, r| {
-            let Some(sketch) = r.sketch.as_deref() else {
-                return Ok(false);
-            };
-            partials.insert(idx as u64, StreamingSummary::from_record(sketch)?)?;
-            Ok(true)
-        },
-    )?;
-    let runs = stream_points(
-        &points,
-        &missing,
-        plan,
-        stream,
-        config,
-        Some(&journal),
-        &measure,
-    )?;
-    journal.finish()?;
-    for (idx, run) in runs {
-        partials.insert(idx as u64, run.outcome.summary)?;
-    }
-    Ok(StreamResume { resume, partials })
-}
-
-/// The streaming per-point body over the shared executor: measures
-/// `indices` into summaries, sorted by design index.
-fn stream_points<F>(
-    points: &[RunPoint],
-    indices: &[usize],
-    plan: &MeasurementPlan,
-    stream: &StreamConfig,
-    config: &CampaignConfig,
-    journal: Option<&PointJournal<StreamRun>>,
-    measure: &F,
-) -> StatsResult<Vec<(usize, StreamRun)>>
-where
-    F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
-{
-    execute_points(
-        indices,
+    let runs = execute_points(
+        &all,
         config,
         None,
-        journal,
         || (),
         |(), idx, mut rng| {
             let point = &points[idx];
@@ -268,31 +155,16 @@ where
                 outcome,
             })
         },
-    )
-}
-
-/// The journal record of one streamed point: its sketch, no samples.
-fn sketch_record(index: usize, key: JournalKey, run: &StreamRun) -> PointRecord {
-    PointRecord {
-        index,
-        key,
-        levels: run.point.levels.clone(),
-        fate: PointFate::Completed {
-            attempts: 1,
-            samples_dropped: 0,
-        },
-        panics_contained: 0,
-        outcome: None,
-        notes: Vec::new(),
-        sketch: Some(run.outcome.summary.to_record()),
-    }
+    )?;
+    Ok(StreamCampaign {
+        runs: runs.into_iter().map(|(_, run)| run).collect(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::design::Factor;
-    use crate::experiment::journal::Journal;
     use crate::experiment::measurement::StoppingRule;
     use scibench_stats::sketch::DEFAULT_STREAM_THRESHOLD;
     use scibench_stats::summary::OnlineMoments;
@@ -407,211 +279,40 @@ mod tests {
 
     #[test]
     fn campaign_partials_are_bit_identical_across_thread_counts() {
+        // Each point's summary, its partial of the campaign, is built by
+        // one worker from the point's own stream, so its record does not
+        // depend on the thread count.
         let plan = fixed_plan(500);
         let stream_cfg = StreamConfig {
             threshold: 128,
             ..StreamConfig::default()
         };
-        let baseline = run_campaign_stream(
-            &demo_design(),
-            &plan,
-            &stream_cfg,
-            &CampaignConfig {
-                seed: 11,
-                threads: 1,
-            },
-            demo_measure,
-        )
-        .unwrap();
-        assert_eq!(baseline.runs.len(), 4);
-        assert!(baseline.unconverged().is_empty());
-        let record = baseline.partials.to_record();
-        for threads in [2, 8] {
-            let par = run_campaign_stream(
+        let run = |threads| {
+            run_campaign_stream(
                 &demo_design(),
                 &plan,
                 &stream_cfg,
                 &CampaignConfig { seed: 11, threads },
                 demo_measure,
             )
-            .unwrap();
-            assert_eq!(par.partials.to_record(), record, "threads={threads}");
+            .unwrap()
+        };
+        let records = |campaign: &StreamCampaign| -> Vec<String> {
+            campaign
+                .runs
+                .iter()
+                .map(|r| r.outcome.summary.to_record())
+                .collect()
+        };
+        let baseline = run(1);
+        assert_eq!(baseline.runs.len(), 4);
+        assert!(baseline.unconverged().is_empty());
+        assert!(baseline.runs.iter().all(|r| !r.outcome.summary.is_exact()));
+        for threads in [2, 8] {
+            let par = run(threads);
+            assert_eq!(records(&par), records(&baseline), "threads={threads}");
             assert_eq!(par.runs, baseline.runs, "threads={threads}");
         }
-    }
-
-    fn journal_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "scibench-stream-journal-{}-{name}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn sharded_union_matches_unsharded_campaign() {
-        let plan = fixed_plan(300);
-        let stream_cfg = StreamConfig {
-            threshold: 64,
-            ..StreamConfig::default()
-        };
-        let config = CampaignConfig {
-            seed: 23,
-            threads: 2,
-        };
-        let whole =
-            run_campaign_stream(&demo_design(), &plan, &stream_cfg, &config, demo_measure).unwrap();
-        let dir = journal_dir("sharded");
-        for shards in [1usize, 2, 4] {
-            let mut merged = KeyedPartials::new();
-            for s in 0..shards {
-                let path = dir.join(format!("{shards}-{s}.journal"));
-                let mine: Vec<usize> = (0..4).filter(|i| i % shards == s).collect();
-                let part = run_campaign_stream_journaled_subset(
-                    &demo_design(),
-                    &plan,
-                    &stream_cfg,
-                    &config,
-                    &JournalSpec {
-                        path: &path,
-                        code_version: "test",
-                        config_fingerprint: "stream",
-                    },
-                    &mine,
-                    demo_measure,
-                )
-                .unwrap();
-                merged.merge_from(&part.partials).unwrap();
-            }
-            assert_eq!(
-                merged.to_record(),
-                whole.partials.to_record(),
-                "shards={shards}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journaled_subset_writes_each_point_ahead_of_the_next() {
-        // A measure that panics on one point must leave every finished
-        // point in the journal, plus a dangling `begin` for the point it
-        // died on — the strike the shard supervisor charges.
-        let dir = journal_dir("write-ahead");
-        let path = dir.join("stream.journal");
-        let plan = fixed_plan(200);
-        let stream_cfg = StreamConfig {
-            threshold: 64,
-            ..StreamConfig::default()
-        };
-        let config = CampaignConfig {
-            seed: 31,
-            threads: 1,
-        };
-        let spec = JournalSpec {
-            path: &path,
-            code_version: "test",
-            config_fingerprint: "stream",
-        };
-        let all = [0usize, 1, 2, 3];
-        let crashed = std::panic::catch_unwind(|| {
-            run_campaign_stream_journaled_subset(
-                &demo_design(),
-                &plan,
-                &stream_cfg,
-                &config,
-                &spec,
-                &all,
-                |point, rng| {
-                    if point.levels == ["b", "8"] {
-                        panic!("worker died");
-                    }
-                    demo_measure(point, rng)
-                },
-            )
-        });
-        assert!(crashed.is_err(), "the panic must reach the caller");
-        let snapshot = Journal::load_or_empty(&path).unwrap();
-        assert_eq!(snapshot.records.len(), 3);
-        assert!(snapshot.records.values().all(|r| r.sketch.is_some()));
-        assert_eq!(snapshot.dangling_begins.len(), 1);
-        assert_eq!(snapshot.dangling_begins[0].0, 2);
-
-        let resumed = run_campaign_stream_journaled_subset(
-            &demo_design(),
-            &plan,
-            &stream_cfg,
-            &config,
-            &spec,
-            &all,
-            demo_measure,
-        )
-        .unwrap();
-        assert_eq!(resumed.resume.points_resumed, 3);
-        assert_eq!(resumed.resume.points_executed, 1);
-        let whole =
-            run_campaign_stream(&demo_design(), &plan, &stream_cfg, &config, demo_measure).unwrap();
-        assert_eq!(resumed.partials.to_record(), whole.partials.to_record());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journaled_subset_resumes_sketches_bit_exactly() {
-        let dir =
-            std::env::temp_dir().join(format!("scibench-stream-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.journal");
-        let _ = std::fs::remove_file(&path);
-        let plan = fixed_plan(400);
-        let stream_cfg = StreamConfig {
-            threshold: 64,
-            ..StreamConfig::default()
-        };
-        let config = CampaignConfig {
-            seed: 5,
-            threads: 2,
-        };
-        let spec = JournalSpec {
-            path: &path,
-            code_version: "test",
-            config_fingerprint: "stream",
-        };
-        let all = [0usize, 1, 2, 3];
-        let first = run_campaign_stream_journaled_subset(
-            &demo_design(),
-            &plan,
-            &stream_cfg,
-            &config,
-            &spec,
-            &all,
-            demo_measure,
-        )
-        .unwrap();
-        assert_eq!(first.resume.points_executed, 4);
-        assert_eq!(first.resume.points_resumed, 0);
-        // Second run must replay all four sketches from the journal —
-        // and a panicking measure proves nothing re-executed.
-        let second = run_campaign_stream_journaled_subset(
-            &demo_design(),
-            &plan,
-            &stream_cfg,
-            &config,
-            &spec,
-            &all,
-            |_, _| panic!("resume must not re-measure"),
-        )
-        .unwrap();
-        assert_eq!(second.resume.points_resumed, 4);
-        assert_eq!(second.resume.points_executed, 0);
-        assert_eq!(
-            second.partials.to_record(),
-            first.partials.to_record(),
-            "journal replay must be bit-exact"
-        );
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //! * a worker that crashes repeatedly **without** ever beginning a point
 //!   (a barren crash — broken binary, bad environment) aborts its shard
 //!   after [`ShardPolicy::max_barren_crashes`] instead of respawning
-//!   forever.
+//!   forever;
+//! * a worker that exits cleanly but leaves points of its shard
+//!   unjournaled is charged like a crashed one, so it cannot respawn
+//!   forever either.
 //!
 //! When all shards finish, the supervisor merges the shard journals into
 //! one [`ResilientCampaignResult`] — bit-identical to a single-process
@@ -50,7 +53,6 @@ use crate::experiment::resilience::{
     health_of, CampaignError, PointFate, ResilientCampaignResult, ResilientRun,
 };
 use crate::experiment::{CampaignConfig, Design};
-use scibench_stats::sketch::{KeyedPartials, MergeableSummary, StreamingSummary};
 
 /// CLI flag the supervisor appends before the worker's journal path.
 pub const SHARD_JOURNAL_FLAG: &str = "--shard-journal";
@@ -124,7 +126,8 @@ pub struct ShardReport {
     pub workers_respawned: usize,
     /// Workers killed by the heartbeat watchdog.
     pub hangs_killed: usize,
-    /// Worker exits with a failure status (or kill signal).
+    /// Worker exits with a failure status or a kill signal, and clean
+    /// exits that left points of their shard unjournaled.
     pub crashes_observed: usize,
     /// Design indices quarantined as poisoned, ascending.
     pub points_poisoned: Vec<usize>,
@@ -310,16 +313,17 @@ impl Supervisor<'_> {
         Ok(())
     }
 
-    /// Handles a worker that is gone: loads its journal once, charges a
-    /// failed worker's death, then respawns or finishes the shard.
+    /// Handles a worker that is gone: loads its journal once, charges its
+    /// death, then respawns or finishes the shard. A clean exit that left
+    /// points of its shard unjournaled (a worker that ignores its point
+    /// list, or stops early) is charged like a failed one, so it cannot
+    /// respawn forever.
     fn worker_gone(&mut self, shard: &mut ShardState, failed: bool) -> Result<(), ShardError> {
         shard.snapshot = Journal::load_or_empty(&shard.journal_path)?;
-        if failed {
+        if failed || !self.remaining(shard).is_empty() {
             self.report.crashes_observed += 1;
             self.attribute_crash(shard)?;
         }
-        // A clean exit with work left behind (worker bug) is handled the
-        // same way: respawn on what remains.
         self.respawn_or_finish(shard)
     }
 
@@ -541,38 +545,6 @@ pub fn supervise_shards(
     })
 }
 
-/// Collects streaming-sketch partials from the shard journals under
-/// `dir` — the supervisor-side merge for campaigns whose workers ran
-/// [`crate::experiment::stream::run_campaign_stream_journaled_subset`]
-/// on their partitions.
-///
-/// Every journaled point record carrying a `sketch` field is decoded
-/// and keyed by its design index. The cross-shard union is a disjoint
-/// key union ([`KeyedPartials::merge_from`]), so the merged set — and
-/// every statistic finalized from it — is bit-identical no matter how
-/// many shards the campaign used or in which order they finished.
-pub fn collect_stream_partials(
-    dir: &Path,
-    shards: usize,
-) -> Result<KeyedPartials<StreamingSummary>, ShardError> {
-    if shards == 0 {
-        return Err(ShardError::InvalidPolicy("shards must be >= 1"));
-    }
-    let mut total = KeyedPartials::new();
-    for s in 0..shards {
-        let snapshot = Journal::load_or_empty(&shard_journal_path(dir, s))?;
-        for record in snapshot.records.values() {
-            if let Some(sketch) = &record.sketch {
-                let summary = StreamingSummary::from_record(sketch).map_err(CampaignError::from)?;
-                total
-                    .insert(record.index as u64, summary)
-                    .map_err(CampaignError::from)?;
-            }
-        }
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,60 +570,6 @@ mod tests {
             Factor::new("system", &["a", "b"]),
             Factor::numeric("size", &[8.0, 64.0]),
         ])
-    }
-
-    #[test]
-    fn stream_partials_collect_across_shard_counts_bit_identically() {
-        use crate::experiment::stream::{
-            run_campaign_stream, run_campaign_stream_journaled_subset,
-        };
-        use scibench_stats::sketch::StreamConfig;
-
-        fn measure(point: &RunPoint, rng: &mut SimRng) -> f64 {
-            let base = if point.level(0) == "a" { 1.0 } else { 2.0 };
-            base + rng.uniform() * 0.01
-        }
-
-        let design = demo_design();
-        let plan = MeasurementPlan::new("op").stopping(StoppingRule::FixedCount(300));
-        let stream_cfg = StreamConfig {
-            threshold: 64,
-            ..StreamConfig::default()
-        };
-        let config = CampaignConfig {
-            seed: 17,
-            threads: 2,
-        };
-        let whole = run_campaign_stream(&design, &plan, &stream_cfg, &config, measure).unwrap();
-        for shards in [1usize, 2, 4] {
-            let dir = tmp_dir(&format!("stream-collect-{shards}"));
-            for s in 0..shards {
-                let mine = shard_assignment(4, shards, s);
-                let path = shard_journal_path(&dir, s);
-                let spec = JournalSpec {
-                    path: &path,
-                    code_version: "t",
-                    config_fingerprint: "s",
-                };
-                run_campaign_stream_journaled_subset(
-                    &design,
-                    &plan,
-                    &stream_cfg,
-                    &config,
-                    &spec,
-                    &mine,
-                    measure,
-                )
-                .unwrap();
-            }
-            let merged = collect_stream_partials(&dir, shards).unwrap();
-            assert_eq!(
-                merged.to_record(),
-                whole.partials.to_record(),
-                "shards={shards}"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 
     fn plan() -> MeasurementPlan {
@@ -945,6 +863,40 @@ mod tests {
                 PointFate::Abandoned { .. }
             ));
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn clean_exit_with_points_left_is_charged_until_the_shards_abort() {
+        // A worker that exits 0 without journaling its points is charged a
+        // barren crash per exit, so each shard aborts after the third one
+        // instead of respawning forever.
+        let dir = tmp_dir("clean-exit");
+        let policy = ShardPolicy {
+            shards: 2,
+            poll_interval_ms: 5,
+            max_barren_crashes: 2,
+            ..ShardPolicy::default()
+        };
+        let worker = WorkerSpec {
+            program: PathBuf::from("/bin/sh"),
+            args: vec!["-c".into(), "exit 0".into()],
+        };
+        let err = supervise_shards(
+            &demo_design(),
+            &config(),
+            &policy,
+            &durability(&dir),
+            &worker,
+        )
+        .unwrap_err();
+        let ShardError::Campaign(CampaignError::AllPointsFailed { health }) = err else {
+            panic!("unexpected error {err}");
+        };
+        assert_eq!(health.points_abandoned, 4);
+        assert_eq!(health.points_completed, 0);
+        assert_eq!(health.workers_respawned, 2 * 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

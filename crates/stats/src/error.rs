@@ -58,11 +58,6 @@ pub enum StatsError {
     /// Groups passed to a k-sample test were inconsistent (e.g. fewer than
     /// two groups, or an empty group).
     InvalidGroups(&'static str),
-    /// Two sketches with incompatible configurations (different grid,
-    /// compression parameter or adaptive threshold) were asked to merge.
-    MismatchedSketch(&'static str),
-    /// A serialized sketch record could not be decoded.
-    MalformedSketch(&'static str),
 }
 
 impl fmt::Display for StatsError {
@@ -93,12 +88,6 @@ impl fmt::Display for StatsError {
                 write!(f, "{what} did not converge after {iterations} iterations")
             }
             StatsError::InvalidGroups(msg) => write!(f, "invalid groups: {msg}"),
-            StatsError::MismatchedSketch(msg) => {
-                write!(f, "sketches are not mergeable: {msg}")
-            }
-            StatsError::MalformedSketch(msg) => {
-                write!(f, "malformed sketch record: {msg}")
-            }
         }
     }
 }

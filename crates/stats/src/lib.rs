@@ -90,16 +90,6 @@ pub(crate) fn f64_to_hex(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-/// Decodes a 16-hex-digit bit pattern back into an `f64`.
-pub(crate) fn f64_from_hex(s: &str) -> StatsResult<f64> {
-    if s.len() != 16 {
-        return Err(StatsError::MalformedSketch("f64 hex field length"));
-    }
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| StatsError::MalformedSketch("f64 hex field digits"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

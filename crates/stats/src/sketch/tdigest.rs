@@ -9,15 +9,15 @@
 //!
 //! Every operation is a pure function of the current state, so a digest
 //! built from the same sequence of pushes has identical bits on every
-//! thread/shard — the property the campaign-level determinism rests on.
+//! thread — the property the campaign-level determinism rests on.
 
 use std::borrow::Cow;
 
 use crate::error::{StatsError, StatsResult};
+use crate::f64_to_hex;
 use crate::sort::{from_order_key, order_key, sort_keys};
-use crate::{f64_from_hex, f64_to_hex};
 
-use super::{check_merge_counts, parse_count, parse_u64, MergeableSummary};
+use super::MergeableSummary;
 
 /// One weighted cluster of nearby samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +26,7 @@ struct Centroid {
     weight: f64,
 }
 
-/// Mergeable streaming quantile sketch; see the module docs.
+/// Streaming quantile sketch; see the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TDigest {
     delta: u32,
@@ -103,8 +103,8 @@ fn precedes(a: &Centroid, b: &Centroid) -> bool {
 
 /// `run` in `(mean, weight)` order, as a stable sort leaves it. A
 /// compress leaves its output in this order unless rounding moved a mean
-/// past its neighbour's, and a record may list centroids in any order, so
-/// the O(m) check is kept and the stable sort is the fallback.
+/// past its neighbour's, so the O(m) check is kept and the stable sort is
+/// the fallback.
 fn sorted_centroids(run: &[Centroid]) -> Cow<'_, [Centroid]> {
     if run.windows(2).all(|w| !precedes(&w[1], &w[0])) {
         return Cow::Borrowed(run);
@@ -113,7 +113,7 @@ fn sorted_centroids(run: &[Centroid]) -> Cow<'_, [Centroid]> {
     sorted.sort_by(|a, b| {
         (a.mean, a.weight)
             .partial_cmp(&(b.mean, b.weight))
-            .expect("from_record and the compress keep centroids free of NaN")
+            .expect("the compress keeps centroids free of NaN")
     });
     Cow::Owned(sorted)
 }
@@ -161,14 +161,6 @@ fn merge_runs(a: &[Centroid], b: &[Centroid]) -> Vec<Centroid> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// A digest's centroids and buffer as one `(mean, weight)`-ordered run.
-fn sorted_pending(digest: &TDigest) -> Vec<Centroid> {
-    merge_runs(
-        &sorted_centroids(&digest.centroids),
-        &sorted_run(&digest.buffer),
-    )
 }
 
 impl TDigest {
@@ -224,20 +216,18 @@ impl TDigest {
         BUFFER_FACTOR * self.delta as usize
     }
 
-    /// Folds the buffer, and `other`'s centroids and buffer when merging,
-    /// into the centroid list with one bounded pass.
+    /// Folds the buffer into the centroid list with one bounded pass.
     ///
-    /// The pass reads this digest's centroids, its buffer, `other`'s
-    /// centroids and `other`'s buffer in the order a stable sort by
-    /// `(mean, weight)` of their concatenation gives, so its output has the
-    /// bits of sorting everything together. Sorted runs build that order:
-    /// only the buffers are sorted, and linear merges join the runs.
-    fn compress(&mut self, other: Option<&TDigest>) {
-        let mut pending = sorted_pending(self);
+    /// The pass reads the centroids and the buffer in the order a stable
+    /// sort by `(mean, weight)` of their concatenation gives, so its output
+    /// has the bits of sorting everything together. Sorted runs build that
+    /// order: only the buffer is sorted, and a linear merge joins the runs.
+    fn compress(&mut self) {
+        let pending = merge_runs(
+            &sorted_centroids(&self.centroids),
+            &sorted_run(&self.buffer),
+        );
         self.buffer.clear();
-        if let Some(other) = other {
-            pending = merge_runs(&pending, &sorted_pending(other));
-        }
         let Some((&first, rest)) = pending.split_first() else {
             return;
         };
@@ -265,14 +255,6 @@ impl TDigest {
         self.centroids = out;
     }
 
-    /// Merges a batch of already-ascending finite values. Used when an
-    /// exact partial folds into a digest-mode partial.
-    pub(crate) fn merge_sorted_values(&mut self, values: &[f64]) {
-        for &x in values {
-            self.push(x);
-        }
-    }
-
     /// The `p`-quantile (`0 ≤ p ≤ 1`), interpolated between centroid
     /// means, anchored at the exact min/max.
     pub fn quantile(&self, p: f64) -> StatsResult<f64> {
@@ -287,7 +269,7 @@ impl TDigest {
         }
         if !self.buffer.is_empty() {
             let mut flushed = self.clone();
-            flushed.compress(None);
+            flushed.compress();
             return flushed.quantile(p);
         }
         let total: f64 = self.centroids.iter().map(|c| c.weight).sum();
@@ -337,21 +319,8 @@ impl MergeableSummary for TDigest {
         self.max = self.max.max(x);
         self.buffer.push(x);
         if self.buffer.len() >= self.buffer_capacity() {
-            self.compress(None);
+            self.compress();
         }
-    }
-
-    fn merge_from(&mut self, other: &Self) -> StatsResult<()> {
-        if self.delta != other.delta {
-            return Err(StatsError::MismatchedSketch("digest delta differs"));
-        }
-        check_merge_counts(self, other)?;
-        self.n += other.n;
-        self.non_finite += other.non_finite;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.compress(Some(other));
-        Ok(())
     }
 
     fn count(&self) -> u64 {
@@ -367,7 +336,7 @@ impl MergeableSummary for TDigest {
         // leaves this digest, and the bits of its later pushes, unchanged.
         if !self.buffer.is_empty() {
             let mut flushed = self.clone();
-            flushed.compress(None);
+            flushed.compress();
             return flushed.to_record();
         }
         let centroids: Vec<String> = self
@@ -384,39 +353,6 @@ impl MergeableSummary for TDigest {
             f64_to_hex(self.max),
             centroids.join(",")
         )
-    }
-
-    fn from_record(record: &str) -> StatsResult<Self> {
-        let parts: Vec<&str> = record.split(';').collect();
-        if parts.len() != 7 || parts[0] != "td1" {
-            return Err(StatsError::MalformedSketch("expected 7-part td1 record"));
-        }
-        let delta = u32::try_from(parse_u64(parts[1])?)
-            .map_err(|_| StatsError::MalformedSketch("delta out of range"))?;
-        let mut digest = TDigest::new(delta)?;
-        digest.n = parse_count(parts[2])?;
-        digest.non_finite = parse_count(parts[3])?;
-        digest.min = f64_from_hex(parts[4])?;
-        digest.max = f64_from_hex(parts[5])?;
-        if !parts[6].is_empty() {
-            for c in parts[6].split(',') {
-                let (mean, weight) = c
-                    .split_once(':')
-                    .ok_or(StatsError::MalformedSketch("centroid missing ':'"))?;
-                let (mean, weight) = (f64_from_hex(mean)?, f64_from_hex(weight)?);
-                // The compress orders centroids by comparing floats.
-                if !mean.is_finite() {
-                    return Err(StatsError::MalformedSketch("non-finite centroid mean"));
-                }
-                if !(weight.is_finite() && weight > 0.0) {
-                    return Err(StatsError::MalformedSketch(
-                        "centroid weight not finite and positive",
-                    ));
-                }
-                digest.centroids.push(Centroid { mean, weight });
-            }
-        }
-        Ok(digest)
     }
 }
 
@@ -460,29 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_single_digest_accuracy() {
-        let xs = heavy_tailed(40_000);
-        let mut whole = TDigest::new(100).unwrap();
-        let mut parts: Vec<TDigest> = (0..8).map(|_| TDigest::new(100).unwrap()).collect();
-        for (i, &x) in xs.iter().enumerate() {
-            whole.push(x);
-            parts[i % 8].push(x);
-        }
-        let mut merged = TDigest::new(100).unwrap();
-        for p in &parts {
-            merged.merge_from(p).unwrap();
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-        let sorted = crate::sorted_copy(&xs);
-        for p in [0.05, 0.5, 0.95, 0.99] {
-            let err = (rank_of(&sorted, merged.quantile(p).unwrap()) - p).abs();
-            assert!(err <= 0.02, "p={p}: merged rank error {err}");
-        }
-    }
-
-    #[test]
     fn push_sequence_is_deterministic() {
         let xs = heavy_tailed(10_000);
         let build = || {
@@ -496,41 +409,14 @@ mod tests {
     }
 
     #[test]
-    fn record_round_trips_bit_exactly() {
-        let mut d = TDigest::new(50).unwrap();
-        for &x in &[3.5, -0.0, 1e-300, 7.25, f64::NAN, 2.0] {
-            d.push(x);
-        }
-        let record = d.to_record();
-        let back = TDigest::from_record(&record).unwrap();
-        assert_eq!(back.to_record(), record);
-        assert_eq!(back.non_finite_count(), 1);
-        assert_eq!(back.count(), 5);
-        // Signed zero must survive (bit pattern, not value, equality).
-        assert!(record.contains(&crate::f64_to_hex(-0.0)));
-        // Empty digest round-trips too.
-        let empty = TDigest::new(50).unwrap();
-        let back = TDigest::from_record(&empty.to_record()).unwrap();
-        assert_eq!(back, empty);
-        assert!(back.quantile(0.5).is_err());
-    }
-
-    #[test]
     fn rejects_invalid_inputs() {
         assert!(TDigest::new(5).is_err());
         assert!(TDigest::new(20_000).is_err());
         let a = TDigest::new(100).unwrap();
-        let mut b = TDigest::new(200).unwrap();
-        assert!(matches!(
-            b.merge_from(&a),
-            Err(StatsError::MismatchedSketch(_))
-        ));
         assert!(matches!(
             a.quantile(1.5),
             Err(StatsError::InvalidProbability { .. })
         ));
-        assert!(TDigest::from_record("td1;100;0").is_err());
-        assert!(TDigest::from_record("nope").is_err());
     }
 
     #[test]
@@ -542,24 +428,24 @@ mod tests {
         assert_eq!(d.non_finite_count(), 2);
         assert_eq!(d.min(), None);
         assert!(d.quantile(0.5).is_err());
-        // NaN-bearing (all-quarantined) digest still round-trips.
-        let back = TDigest::from_record(&d.to_record()).unwrap();
-        assert_eq!(back.to_record(), d.to_record());
+        // The record keeps the quarantine count and the ±∞ extrema.
+        assert_eq!(
+            d.to_record(),
+            "td1;100;0;2;7ff0000000000000;fff0000000000000;"
+        );
     }
 
     /// The compress this module had before the sorted-runs merge: it
-    /// stable-sorts centroids, buffer and `extra` together as `(mean,
-    /// weight)` tuples and calls `k_scale` for every element. Kept as the
+    /// stable-sorts centroids and buffer together as `(mean, weight)`
+    /// tuples and calls `k_scale` for every element. Kept as the
     /// bit-for-bit oracle of [`TDigest::compress`].
-    fn compress_with(d: &mut TDigest, extra: Vec<Centroid>) {
-        let mut pending: Vec<Centroid> =
-            Vec::with_capacity(d.centroids.len() + d.buffer.len() + extra.len());
+    fn oracle_compress(d: &mut TDigest) {
+        let mut pending: Vec<Centroid> = Vec::with_capacity(d.centroids.len() + d.buffer.len());
         pending.append(&mut d.centroids);
         pending.extend(d.buffer.drain(..).map(|x| Centroid {
             mean: x,
             weight: 1.0,
         }));
-        pending.extend(extra);
         if pending.is_empty() {
             return;
         }
@@ -602,30 +488,15 @@ mod tests {
         d.max = d.max.max(x);
         d.buffer.push(x);
         if d.buffer.len() >= d.buffer_capacity() {
-            compress_with(d, Vec::new());
+            oracle_compress(d);
         }
-    }
-
-    /// [`MergeableSummary::merge_from`] on top of the oracle compress.
-    fn oracle_merge(d: &mut TDigest, other: &TDigest) {
-        assert_eq!(d.delta, other.delta);
-        d.n += other.n;
-        d.non_finite += other.non_finite;
-        d.min = d.min.min(other.min);
-        d.max = d.max.max(other.max);
-        let mut extra = other.centroids.clone();
-        extra.extend(other.buffer.iter().map(|&x| Centroid {
-            mean: x,
-            weight: 1.0,
-        }));
-        compress_with(d, extra);
     }
 
     /// [`MergeableSummary::to_record`] on top of the oracle compress.
     fn oracle_record(d: &TDigest) -> String {
         let mut flushed = d.clone();
         if !flushed.buffer.is_empty() {
-            compress_with(&mut flushed, Vec::new());
+            oracle_compress(&mut flushed);
         }
         flushed.to_record()
     }
@@ -706,49 +577,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_matches_the_sort_oracle_bit_for_bit() {
-        for delta in [10, 37, 200, 1000] {
-            let buffer = BUFFER_FACTOR * delta as usize;
-            for (k, (family, xs)) in families(3 * buffer + 5, 7).iter().enumerate() {
-                // Buffer-only (never compressed) and compressed sides, in
-                // all four pairings.
-                let short = &xs[..buffer / 2 + k];
-                let long = &xs[buffer / 2 + k..];
-                for (a, b) in [(short, long), (long, short), (short, short), (long, long)] {
-                    let (mut new, mut old) = both(delta, a);
-                    let (other, _) = both(delta, b);
-                    new.merge_from(&other).unwrap();
-                    oracle_merge(&mut old, &other);
-                    assert_eq!(
-                        new.to_record(),
-                        oracle_record(&old),
-                        "δ={delta} {family} {}+{}",
-                        a.len(),
-                        b.len()
-                    );
-                }
-            }
-        }
-        // Centroids a record lists out of order take the stable-sort
-        // fallback, in this digest and in the one merged in.
-        let (whole, _) = both(50, &families(2_000, 9)[4].1);
-        let record = whole.to_record();
-        let (head, list) = record.rsplit_once(';').unwrap();
-        let mut centroids: Vec<&str> = list.split(',').collect();
-        centroids.reverse();
-        centroids.swap(0, 5);
-        let shuffled = TDigest::from_record(&format!("{head};{}", centroids.join(","))).unwrap();
-        let (mut new, mut old) = (shuffled.clone(), shuffled.clone());
-        for x in [3.0, -0.0, 0.5, 1e9] {
-            new.push(x);
-            oracle_push(&mut old, x);
-        }
-        new.merge_from(&shuffled).unwrap();
-        oracle_merge(&mut old, &shuffled);
-        assert_eq!(new.to_record(), oracle_record(&old));
     }
 
     #[test]
@@ -840,11 +668,8 @@ mod tests {
         for i in 0..20_000 {
             d.push(if i % 2 == 0 { -1.7e308 } else { f64::MAX });
         }
-        d.merge_from(&d.clone()).unwrap();
+        d.compress();
         assert!(d.centroids.iter().all(|c| c.mean.is_finite()));
-        let record = d.to_record();
-        let back = TDigest::from_record(&record).unwrap();
-        assert_eq!(back.to_record(), record);
     }
 
     #[test]
@@ -865,38 +690,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn from_record_rejects_what_the_compress_cannot_order() {
-        let good = "td1;100;2;0;3ff0000000000000;4000000000000000;\
-                    3ff0000000000000:3ff0000000000000,4000000000000000:3ff0000000000000";
-        assert!(TDigest::from_record(good).is_ok());
-        for bad in [
-            // NaN and infinite means.
-            good.replace("3ff0000000000000:", "7ff8000000000000:"),
-            good.replace("4000000000000000:", "fff0000000000000:"),
-            // Zero, negative, NaN and infinite weights.
-            good.replace(":3ff0000000000000,", ":0000000000000000,"),
-            good.replace(":3ff0000000000000,", ":bff0000000000000,"),
-            good.replace(":3ff0000000000000,", ":7ff8000000000000,"),
-            good.replace(":3ff0000000000000,", ":7ff0000000000000,"),
-            // δ = 200 + 2³², which `as u32` used to wrap to 200.
-            good.replace("td1;100;", "td1;4294967496;"),
-        ] {
-            assert!(
-                matches!(
-                    TDigest::from_record(&bad),
-                    Err(StatsError::MalformedSketch(_))
-                ),
-                "{bad}"
-            );
-        }
-        // A NaN mean used to panic in the next merge.
-        let (with_nan, _) = both(100, &[1.0, 2.0]);
-        let nan = with_nan
-            .to_record()
-            .replacen("3ff0000000000000:", "7ff8000000000000:", 1);
-        assert!(TDigest::from_record(&nan).is_err());
     }
 }

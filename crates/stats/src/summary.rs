@@ -176,30 +176,6 @@ impl OnlineMoments {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator into this one (parallel reduction of
-    /// partial moments, Chan et al.). Non-finite counts add.
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        self.non_finite += other.non_finite;
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            let non_finite = self.non_finite;
-            *self = *other;
-            self.non_finite = non_finite;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of finite observations so far.
     pub fn count(&self) -> u64 {
         self.n
@@ -224,17 +200,6 @@ impl OnlineMoments {
             min: self.min,
             max: self.max,
             non_finite: self.non_finite,
-        }
-    }
-
-    pub(crate) fn from_raw(raw: OnlineMomentsRaw) -> Self {
-        Self {
-            n: raw.n,
-            mean: raw.mean,
-            m2: raw.m2,
-            min: raw.min,
-            max: raw.max,
-            non_finite: raw.non_finite,
         }
     }
 
@@ -275,7 +240,7 @@ impl FromIterator<f64> for OnlineMoments {
 }
 
 /// Crate-internal raw view of [`OnlineMoments`] so `crate::sketch` can
-/// serialize the accumulator bit-exactly without exposing mutable fields.
+/// encode the accumulator bit-exactly without exposing its fields.
 pub(crate) struct OnlineMomentsRaw {
     pub n: u64,
     pub mean: f64,
@@ -560,31 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn online_merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..1000)
-            .map(|i| (i as f64 * 0.37).sin() * 5.0 + 10.0)
-            .collect();
-        let whole: OnlineMoments = xs.iter().copied().collect();
-        let mut left: OnlineMoments = xs[..400].iter().copied().collect();
-        let right: OnlineMoments = xs[400..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-10);
-        assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-8);
-    }
-
-    #[test]
-    fn online_merge_with_empty() {
-        let mut a = OnlineMoments::new();
-        let b: OnlineMoments = [1.0, 2.0].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        let mut c: OnlineMoments = [3.0].iter().copied().collect();
-        c.merge(&OnlineMoments::new());
-        assert_eq!(c.count(), 1);
-    }
-
-    #[test]
     fn online_empty_returns_none() {
         let m = OnlineMoments::new();
         assert_eq!(m.mean(), None);
@@ -671,27 +611,6 @@ mod tests {
         m.push(7.0);
         assert_eq!(m.mean(), Some(7.0));
         assert_eq!(m.min(), Some(7.0));
-    }
-
-    #[test]
-    fn online_merge_adds_non_finite_counts() {
-        let mut a = OnlineMoments::new();
-        a.push(f64::NAN);
-        let mut b = OnlineMoments::new();
-        b.push(1.0);
-        b.push(f64::INFINITY);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.non_finite_count(), 2);
-        assert_eq!(a.mean(), Some(1.0));
-        // Merging into an empty-but-contaminated accumulator keeps the
-        // contamination count (regression: `*self = *other` used to drop it).
-        let mut c = OnlineMoments::new();
-        c.push(f64::NAN);
-        let d: OnlineMoments = [2.0, 4.0].iter().copied().collect();
-        c.merge(&d);
-        assert_eq!(c.non_finite_count(), 1);
-        assert_eq!(c.mean(), Some(3.0));
     }
 
     #[test]

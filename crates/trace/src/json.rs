@@ -4,9 +4,10 @@
 //! against emitted traces is implemented here: a small recursive-descent
 //! grammar (objects, arrays, strings with escapes, numbers, literals)
 //! plus validators that enforce the chrome://tracing and JSONL event
-//! shapes this crate exports. Reading is linear in the input length, and
-//! nesting is capped at [`MAX_DEPTH`] so hostile input cannot exhaust
-//! the stack.
+//! shapes this crate exports. As RFC 8259 requires, a string may hold a
+//! control character only escaped. Reading is linear in the input
+//! length, and nesting is capped at [`MAX_DEPTH`] so hostile input cannot
+//! exhaust the stack.
 //!
 //! The grammar lives in one place, [`JsonReader`], a pull reader. It
 //! hands out a document's values one at a time: an object's fields and an
@@ -25,6 +26,21 @@ use std::fmt;
 /// deep, and the cap keeps the recursive descent far inside a thread's
 /// stack.
 pub const MAX_DEPTH: usize = 128;
+
+/// The bytes a string may hold unescaped: every byte but `"`, `\\` and the
+/// control characters U+0000–U+001F, which RFC 8259 allows only escaped.
+/// One table lookup per byte tests all three.
+const PLAIN: [bool; 256] = {
+    let mut table = [true; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = false;
+        b += 1;
+    }
+    table[b'"' as usize] = false;
+    table[b'\\' as usize] = false;
+    table
+};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,24 +301,29 @@ impl<'a> JsonReader<'a> {
     }
 
     /// Reads a string with its escapes decoded. The result borrows from
-    /// the input when the string has no escape.
+    /// the input when the string has no escape. A raw control character
+    /// (U+0000–U+001F), which RFC 8259 allows only escaped, is an error at
+    /// its byte.
     pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.skip_ws();
         self.expect(b'"')?;
         let mut out: Option<String> = None;
         loop {
-            // Take the run of plain characters up to the next quote or
-            // backslash in one step. Both are ASCII and never occur inside
-            // a multi-byte UTF-8 sequence, so the run ends on a char
-            // boundary of the (already valid) input.
+            // Take the run of plain characters up to the next quote,
+            // backslash or control character in one step. All three are
+            // ASCII and never occur inside a multi-byte UTF-8 sequence, so
+            // the run ends on a char boundary of the (already valid) input.
             let run = self.bytes[self.pos..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| !PLAIN[usize::from(b)])
                 .map_or(self.bytes.len(), |n| self.pos + n);
             let plain = &self.text[self.pos..run];
             self.pos = run;
             match self.byte() {
                 None => return self.err("unterminated string"),
+                Some(b) if b < 0x20 => {
+                    return self.err(format!("raw control character 0x{b:02x} in string"))
+                }
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(match out {
@@ -356,17 +377,18 @@ impl<'a> JsonReader<'a> {
     }
 
     /// The fixed-width fast path of [`string`](Self::string): reads the
-    /// next value when it is a string of exactly `N` bytes with no escape,
-    /// and returns those bytes. It tests the `N` bytes together instead of
-    /// scanning them one at a time for the closing quote. Any other value
-    /// is left unread, and gives `None`.
+    /// next value when it is a string of exactly `N` bytes with no escape
+    /// and no control character, and returns those bytes. It tests the `N`
+    /// bytes together instead of scanning them one at a time for the
+    /// closing quote. Any other value is left unread, and gives `None`, so
+    /// [`string`](Self::string) reads it, or refuses it.
     pub fn fixed_string<const N: usize>(&mut self) -> Option<&'a str> {
         self.skip_ws();
         let start = self.pos + 1;
         let body = self.bytes.get(start..start + N)?;
         let plain = body
             .iter()
-            .fold(true, |plain, &b| plain & (b != b'"') & (b != b'\\'));
+            .fold(true, |plain, &b| plain & PLAIN[usize::from(b)]);
         if self.byte() != Some(b'"') || self.bytes.get(start + N) != Some(&b'"') || !plain {
             return None;
         }
@@ -548,8 +570,11 @@ mod tests {
             ("\"\\u0041\"", string("A")),
             ("\"\\ud800\"", string("\u{fffd}")),
             ("\"\\ud83d\\ude00\"", string("\u{fffd}\u{fffd}")),
-            // Raw control bytes are accepted as they are.
-            ("\"a\u{1}\tb\u{1f}\"", string("a\u{1}\tb\u{1f}")),
+            // Raw control bytes are refused where they stand.
+            (
+                "\"a\u{1}\tb\u{1f}\"",
+                err(2, "raw control character 0x01 in string"),
+            ),
             // Unterminated after a multi-byte char and after a trailing `\`.
             ("\"ab\u{1f600}", err(7, "unterminated string")),
             ("\"\u{e9}\\", err(4, "invalid escape")),
@@ -651,7 +676,7 @@ mod tests {
                 fuzz_case(&text, &format!("{name} mutation {case}"));
             }
         }
-        let alphabet: Vec<char> = "{}[]\":,\\ \n019-+.eEuaflnrst\u{e9}\u{1f600}"
+        let alphabet: Vec<char> = "{}[]\":,\\ \n\t\u{1}019-+.eEuaflnrst\u{e9}\u{1f600}"
             .chars()
             .collect();
         for case in 0..2_000 {
@@ -660,6 +685,35 @@ mod tests {
                 .collect();
             fuzz_case(&text, &format!("random string {case}"));
         }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_refused_on_every_path() {
+        for (doc, offset) in [
+            ("\"a\u{1}b\"", 2),
+            ("{\"k\u{0}\":1}", 3),
+            ("[\"\\n\u{1f}\"]", 4),
+            ("\"0123456789abcde\u{1}\"", 16),
+        ] {
+            let e = parse(doc).unwrap_err();
+            assert_eq!(e.offset, offset, "{doc:?}");
+            assert!(e.message.starts_with("raw control character"), "{e}");
+            let mut r = JsonReader::new(doc);
+            assert_eq!(r.skip().and_then(|()| r.finish()), Err(e), "{doc:?}");
+        }
+        // The fixed-width path leaves such a string to `string`.
+        let mut r = JsonReader::new("\"0123456789abcde\u{1}\"");
+        assert_eq!(r.fixed_string::<16>(), None);
+        assert_eq!(r.string().unwrap_err().offset, 16);
+        // Both validators refuse an export with one in an event name.
+        let chrome = CHROME.replacen("steal", "ste\u{1}al", 1);
+        assert!(validate_chrome_trace(&chrome)
+            .unwrap_err()
+            .contains("control character"));
+        let jsonl = JSONL.replacen("steal", "ste\u{1}al", 1);
+        assert!(validate_jsonl(&jsonl)
+            .unwrap_err()
+            .contains("control character"));
     }
 
     #[test]

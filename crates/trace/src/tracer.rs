@@ -9,13 +9,14 @@
 //! flushes (on drop or explicitly), which happens once per worker per
 //! run, not once per event.
 //!
-//! # Zero cost when disabled
+//! # Zero cost when off
 //!
-//! A disabled tracer hands out detached [`LocalTracer`]s whose every
+//! Tracing is off when a caller passes `None` for the `Option<&Tracer>`
+//! that every runner takes, as `run_indexed` and `run_campaign` do.
+//! [`lane_of`] then hands out detached [`LocalTracer`]s whose every
 //! method is a branch on an `Option` discriminant: no clock read, no
-//! allocation, no buffer growth. [`Tracer::disabled`] is the default
-//! wired through `run_indexed` and `run_campaign`, so untraced callers
-//! pay one predictable branch per would-be event.
+//! allocation, no buffer growth. Untraced callers pay one predictable
+//! branch per would-be event.
 //!
 //! # Determinism
 //!
@@ -35,48 +36,28 @@ use crate::trace::Trace;
 /// Shared trace collector. Cheap to share by reference across threads.
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: bool,
     clock: WallClock,
     sink: Mutex<Vec<Vec<TraceEvent>>>,
 }
 
 impl Tracer {
-    /// An enabled tracer with its time origin at construction.
+    /// A tracer with its time origin at construction.
     pub fn new() -> Self {
         Self {
-            enabled: true,
             clock: WallClock::new(),
             sink: Mutex::new(Vec::new()),
         }
     }
 
-    /// A disabled tracer: every lane it hands out is a no-op.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            clock: WallClock::new(),
-            sink: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Whether this tracer records events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Nanoseconds since this tracer's origin (0 when disabled).
+    /// Nanoseconds since this tracer's origin.
     pub fn now_ns(&self) -> u64 {
-        if self.enabled {
-            self.clock.now_ns()
-        } else {
-            0
-        }
+        self.clock.now_ns()
     }
 
-    /// A recording handle for `lane`. Detached (no-op) when disabled.
+    /// A recording handle for `lane`.
     pub fn lane(&self, lane: u32) -> LocalTracer<'_> {
         LocalTracer {
-            parent: if self.enabled { Some(self) } else { None },
+            parent: Some(self),
             lane,
             seq: 0,
             buf: Vec::new(),
@@ -137,16 +118,6 @@ pub struct LocalTracer<'a> {
 }
 
 impl<'a> LocalTracer<'a> {
-    /// A permanently detached lane (records nothing).
-    pub fn noop() -> LocalTracer<'static> {
-        LocalTracer {
-            parent: None,
-            lane: 0,
-            seq: 0,
-            buf: Vec::new(),
-        }
-    }
-
     /// Whether this lane records events. Callers with expensive dynamic
     /// names (`format!`) should gate on this to stay zero-cost when
     /// tracing is off.
@@ -292,18 +263,16 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let tracer = Tracer::disabled();
-        {
-            let mut lane = tracer.lane(0);
-            assert!(!lane.is_on());
-            let start = lane.begin();
-            lane.instant(category::POOL, "mark", &[]);
-            lane.counter(category::POOL, "c", 1.0);
-            lane.end(start, category::POOL, "task", &[]);
-        }
-        assert!(tracer.drain().events.is_empty());
-        assert_eq!(tracer.now_ns(), 0);
-        assert!(!tracer.is_enabled());
+        // Tracing is off when no tracer is passed: every recording method
+        // of the detached lane is a no-op, and it reads no clock.
+        let mut lane = lane_of(None, 0);
+        let start = lane.begin();
+        lane.instant(category::POOL, "mark", &[]);
+        lane.counter(category::POOL, "c", 1.0);
+        lane.end(start, category::POOL, "task", &[]);
+        assert_eq!((start.t_ns, lane.now_ns()), (0, 0));
+        assert!(lane.buf.is_empty());
+        assert_eq!(lane.seq, 0);
     }
 
     #[test]
@@ -333,9 +302,8 @@ mod tests {
     fn lane_of_none_is_detached() {
         let mut lane = lane_of(None, 7);
         assert!(!lane.is_on());
+        assert_eq!(lane.lane(), 7);
         lane.instant(category::POOL, "mark", &[]);
-        let noop = LocalTracer::noop();
-        assert!(!noop.is_on());
     }
 
     #[test]

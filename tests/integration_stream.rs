@@ -1,36 +1,25 @@
 //! Streaming statistics end-to-end: bounded-memory million-sample
-//! campaigns with bit-identical cross-thread / cross-shard merges.
+//! campaigns that are bit-identical at any thread count.
 //!
-//! The acceptance properties under test (ISSUE):
+//! The acceptance properties under test:
 //!
 //! * a ≥ 10⁶-sample-per-point campaign runs in streaming mode with
 //!   O(sketch) resident memory, and its quantiles stay within the
 //!   sketch's rank-error bound of the exact answer, both analytic and
 //!   from the vector campaign over the same draws;
-//! * the campaign's keyed partials are **bit-identical** across thread
-//!   counts {1, 2, 8} and shard partitions {1, 2, 4} — the disjoint key
-//!   union plus canonical ascending fold removes the schedule from the
-//!   result;
-//! * sketch records (including NaN-bearing ones) round-trip through the
-//!   crash-consistent journal bit-exactly and resume without
-//!   re-measurement.
-
-use std::path::PathBuf;
+//! * every point's summary is **bit-identical** across thread counts
+//!   {1, 2, 8}: one worker builds it from the point's own stream, so the
+//!   schedule never enters the result.
 
 use proptest::prelude::*;
 
-use scibench::experiment::stream::{
-    run_campaign_stream, run_campaign_stream_journaled_subset, run_stream,
-};
+use scibench::experiment::stream::{run_campaign_stream, run_stream};
 use scibench::experiment::{
-    run_campaign, CampaignConfig, Design, Factor, JournalSpec, MeasurementPlan, RunPoint,
-    StoppingRule,
+    run_campaign, CampaignConfig, Design, Factor, MeasurementPlan, RunPoint, StoppingRule,
 };
-use scibench::parallel::shard::{collect_stream_partials, shard_assignment, shard_journal_path};
 use scibench_sim::rng::SimRng;
-use scibench_stats::error::StatsResult;
 use scibench_stats::quantile::QuantileMethod;
-use scibench_stats::sketch::{KeyedPartials, MergeableSummary, StreamConfig, StreamingSummary};
+use scibench_stats::sketch::{MergeableSummary, StreamConfig, StreamingSummary};
 use scibench_stats::sorted::SortedSamples;
 
 const SEED: u64 = 0x57EA_0001;
@@ -51,16 +40,6 @@ fn demo_measure(point: &RunPoint, rng: &mut SimRng) -> f64 {
 
 fn fixed_plan(n: usize) -> MeasurementPlan {
     MeasurementPlan::new("stream-itest").stopping(StoppingRule::FixedCount(n))
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "scibench-stream-itest-{}-{name}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// The headline acceptance test: one million samples on a single design
@@ -144,22 +123,9 @@ fn stream_campaign_quantiles_match_the_vector_campaign() {
     }
 }
 
-/// Unions shard partials in the given order: a disjoint-key union, so
-/// the order must not change a bit.
-fn merge_shards(
-    shards: &[KeyedPartials<StreamingSummary>],
-) -> StatsResult<KeyedPartials<StreamingSummary>> {
-    let mut total = KeyedPartials::new();
-    for shard in shards {
-        total.merge_from(shard)?;
-    }
-    Ok(total)
-}
-
-/// Threads {1, 2, 8} × shards {1, 2, 4}: every execution shape must
-/// produce the identical partials record, whether each shard's partials
-/// come back from its runner and are unioned in-process, or are
-/// collected from the shard journals ([`collect_stream_partials`]).
+/// Threads {1, 2, 8}: every point's summary, the campaign's partial for
+/// that point, has the identical record. A streaming campaign runs in one
+/// process, so its thread count is the only execution shape that varies.
 #[test]
 fn partials_bit_identical_across_threads_and_shards() {
     let design = demo_design();
@@ -168,172 +134,27 @@ fn partials_bit_identical_across_threads_and_shards() {
         threshold: 4096,
         ..StreamConfig::default()
     };
-    let reference = run_campaign_stream(
-        &design,
-        &plan,
-        &stream_cfg,
-        &CampaignConfig {
-            seed: SEED,
-            threads: 1,
-        },
-        demo_measure,
-    )
-    .unwrap();
-    let want = reference.partials.to_record();
-    assert_eq!(reference.runs.len(), 4);
-    for r in &reference.runs {
-        assert!(!r.outcome.summary.is_exact(), "50k samples must promote");
-    }
-
-    for threads in [1usize, 2, 8] {
+    let records = |threads| -> Vec<String> {
         let config = CampaignConfig {
             seed: SEED,
             threads,
         };
-        let whole =
+        let campaign =
             run_campaign_stream(&design, &plan, &stream_cfg, &config, demo_measure).unwrap();
-        assert_eq!(whole.partials.to_record(), want, "threads={threads}");
-
-        for shards in [1usize, 2, 4] {
-            // In-process sharding: strided partition, then union.
-            let dir = tmp_dir(&format!("threads-{threads}-shards-{shards}"));
-            let parts: Vec<KeyedPartials<StreamingSummary>> = (0..shards)
-                .map(|s| {
-                    let path = shard_journal_path(&dir, s);
-                    run_campaign_stream_journaled_subset(
-                        &design,
-                        &plan,
-                        &stream_cfg,
-                        &config,
-                        &JournalSpec {
-                            path: &path,
-                            code_version: "itest",
-                            config_fingerprint: "stream",
-                        },
-                        &shard_assignment(4, shards, s),
-                        demo_measure,
-                    )
-                    .unwrap()
-                    .partials
-                })
-                .collect();
-            let _ = std::fs::remove_dir_all(&dir);
-            let merged = merge_shards(&parts).unwrap();
-            assert_eq!(
-                merged.to_record(),
-                want,
-                "threads={threads} shards={shards}"
-            );
-            // Union order must not matter.
-            let reversed: Vec<_> = parts.into_iter().rev().collect();
-            let merged = merge_shards(&reversed).unwrap();
-            assert_eq!(merged.to_record(), want, "reversed shard merge");
-        }
+        assert_eq!(campaign.runs.len(), 4);
+        campaign
+            .runs
+            .iter()
+            .map(|r| {
+                assert!(!r.outcome.summary.is_exact(), "50k samples must promote");
+                r.outcome.summary.to_record()
+            })
+            .collect()
+    };
+    let want = records(1);
+    for threads in [2usize, 8] {
+        assert_eq!(records(threads), want, "threads={threads}");
     }
-
-    // Journal-mediated sharding: each shard writes sketches into its own
-    // journal; the supervisor-side collector unions them bit-exactly.
-    for shards in [2usize, 4] {
-        let dir = tmp_dir(&format!("journal-shards-{shards}"));
-        for s in 0..shards {
-            let path = shard_journal_path(&dir, s);
-            let spec = JournalSpec {
-                path: &path,
-                code_version: "itest",
-                config_fingerprint: "stream",
-            };
-            run_campaign_stream_journaled_subset(
-                &design,
-                &plan,
-                &stream_cfg,
-                &CampaignConfig {
-                    seed: SEED,
-                    threads: 2,
-                },
-                &spec,
-                &shard_assignment(4, shards, s),
-                demo_measure,
-            )
-            .unwrap();
-        }
-        let collected = collect_stream_partials(&dir, shards).unwrap();
-        assert_eq!(collected.to_record(), want, "journal shards={shards}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// NaN-bearing sketches survive the journal bit-exactly and resume
-/// without re-measurement.
-#[test]
-fn nan_bearing_sketches_journal_round_trip() {
-    let design = demo_design();
-    let plan = fixed_plan(2_000);
-    let stream_cfg = StreamConfig {
-        threshold: 256,
-        ..StreamConfig::default()
-    };
-    let config = CampaignConfig {
-        seed: SEED ^ 0xff,
-        threads: 2,
-    };
-    // Every 97th draw is non-finite: the quarantine counters must ride
-    // through journal serialization with the rest of the sketch.
-    let nan_measure = |point: &RunPoint, rng: &mut SimRng| {
-        let x = demo_measure(point, rng);
-        if ((x * 1e6) as u64).is_multiple_of(97) {
-            f64::NAN
-        } else {
-            x
-        }
-    };
-    let dir = tmp_dir("nan-journal");
-    let path = dir.join("shard-0.journal");
-    let spec = JournalSpec {
-        path: &path,
-        code_version: "itest",
-        config_fingerprint: "stream-nan",
-    };
-    let all = [0usize, 1, 2, 3];
-    let first = run_campaign_stream_journaled_subset(
-        &design,
-        &plan,
-        &stream_cfg,
-        &config,
-        &spec,
-        &all,
-        nan_measure,
-    )
-    .unwrap();
-    assert_eq!(first.resume.points_executed, 4);
-    let quarantined = first.partials.non_finite_count();
-    assert!(quarantined > 0, "the contamination must actually fire");
-    assert_eq!(
-        first.partials.count() + quarantined,
-        4 * 2_000,
-        "every draw is either folded or quarantined"
-    );
-
-    let second = run_campaign_stream_journaled_subset(
-        &design,
-        &plan,
-        &stream_cfg,
-        &config,
-        &spec,
-        &all,
-        |_: &RunPoint, _: &mut SimRng| panic!("resume must not re-measure"),
-    )
-    .unwrap();
-    assert_eq!(second.resume.points_resumed, 4);
-    assert_eq!(second.partials.to_record(), first.partials.to_record());
-    assert_eq!(second.partials.non_finite_count(), quarantined);
-
-    // The raw wire form itself round-trips bit-exactly.
-    for (_, summary) in second.partials.iter() {
-        let record = summary.to_record();
-        let back = StreamingSummary::from_record(&record).unwrap();
-        assert_eq!(back.to_record(), record);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -396,75 +217,5 @@ proptest! {
             sorted.quantile(0.0, QuantileMethod::Interpolated).unwrap().to_bits());
         prop_assert_eq!(summary.max().unwrap().to_bits(),
             sorted.quantile(1.0, QuantileMethod::Interpolated).unwrap().to_bits());
-    }
-
-    /// Merge algebra: keyed unions are bit-commutative and
-    /// bit-associative; direct summary merges are
-    /// commutative/associative *in effect* — any merge tree over the
-    /// same chunks yields quantiles within the rank-error bound.
-    #[test]
-    fn merges_are_order_independent(
-        seed in 1u64..10_000,
-        cut1 in 0.1f64..0.45,
-        cut2 in 0.55f64..0.9,
-    ) {
-        let n = 9_000usize;
-        let mut rng = SimRng::new(seed).fork("merge");
-        let xs: Vec<f64> = (0..n).map(|_| rng.uniform()).collect();
-        let (a, b) = ((n as f64 * cut1) as usize, (n as f64 * cut2) as usize);
-        let chunks = [&xs[..a], &xs[a..b], &xs[b..]];
-        let summaries: Vec<StreamingSummary> = chunks
-            .iter()
-            .map(|c| {
-                let mut s = StreamingSummary::new(StreamConfig {
-                    threshold: 512,
-                    ..StreamConfig::default()
-                })
-                .unwrap();
-                for &x in *c {
-                    s.push(x);
-                }
-                s
-            })
-            .collect();
-
-        // Keyed union: any insertion order gives the same bits.
-        let orders = [[0usize, 1, 2], [2, 1, 0], [1, 0, 2]];
-        let records: Vec<String> = orders
-            .iter()
-            .map(|order| {
-                let mut p: KeyedPartials<StreamingSummary> = KeyedPartials::new();
-                for &i in order {
-                    p.insert(i as u64, summaries[i].clone()).unwrap();
-                }
-                p.to_record()
-            })
-            .collect();
-        prop_assert_eq!(&records[0], &records[1]);
-        prop_assert_eq!(&records[0], &records[2]);
-
-        // Direct merges: (a ⊕ b) ⊕ c versus a ⊕ (b ⊕ c) agree on the
-        // count exactly and on quantiles within the rank bound.
-        let mut left = summaries[0].clone();
-        left.merge_from(&summaries[1]).unwrap();
-        left.merge_from(&summaries[2]).unwrap();
-        let mut right_tail = summaries[1].clone();
-        right_tail.merge_from(&summaries[2]).unwrap();
-        let mut right = summaries[0].clone();
-        right.merge_from(&right_tail).unwrap();
-        prop_assert_eq!(left.count(), n as u64);
-        prop_assert_eq!(right.count(), n as u64);
-        let sorted = SortedSamples::new(&xs).unwrap();
-        for p in [0.25f64, 0.5, 0.75] {
-            let lo = sorted.quantile(p - 0.02, QuantileMethod::Interpolated).unwrap();
-            let hi = sorted.quantile(p + 0.02, QuantileMethod::Interpolated).unwrap();
-            for (side, s) in [("left", &left), ("right", &right)] {
-                let got = s.quantile(p).unwrap();
-                prop_assert!(
-                    lo <= got && got <= hi,
-                    "{} q{} = {} outside [{}, {}]", side, p, got, lo, hi
-                );
-            }
-        }
     }
 }

@@ -8,7 +8,8 @@
 //! Progress messages are buffered per figure and printed in figure order.
 //!
 //! `SCIBENCH_SAMPLES` scales the ping-pong sample counts (default 1M,
-//! matching the paper).
+//! matching the paper); a value that is not a positive decimal count
+//! exits 2.
 //!
 //! `--trace <path>` records a low-overhead event trace of the whole run
 //! (one [`category::FIGURE`] span per figure plus the pool's task and
@@ -64,12 +65,13 @@ fn csv(name: &str, dataset: &scibench::data::DataSet) -> Result<String, String> 
 /// never be resumed (the figure code may have changed).
 const CODE_VERSION: &str = concat!("all-figures-", env!("CARGO_PKG_VERSION"));
 
-/// Parsed command line.
+/// Parsed command line, and the sample count of the 10⁶-sample figures.
 #[derive(Debug, Default)]
 struct CliArgs {
     trace: Option<PathBuf>,
     journal: Option<PathBuf>,
     resume: bool,
+    samples: usize,
 }
 
 fn main() -> ExitCode {
@@ -113,6 +115,7 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     if cli.resume && cli.journal.is_none() {
         return Err("--resume requires --journal <path>".into());
     }
+    cli.samples = samples_from_env(1_000_000)?;
     Ok(cli)
 }
 
@@ -129,7 +132,7 @@ struct FigureJournal {
 
 fn run(cli: CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let trace_path = cli.trace;
-    let big = samples_from_env(1_000_000);
+    let big = cli.samples;
     let seed = DEFAULT_SEED;
     fs::create_dir_all(output::figures_dir())?;
     // Probe the primitive timer/record costs *before* the run so the

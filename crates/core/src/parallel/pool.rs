@@ -14,8 +14,8 @@
 //! task outputs: slot `i` always holds the result of task `i`, no matter
 //! which worker executed it or in what order stealing happened. Combined
 //! with per-index RNG derivation in the callers (campaign points seed
-//! from `(seed, point_index)`, bootstrap replicates from `(seed, rep)`),
-//! every result in this crate is bit-identical at any thread count.
+//! from `(seed, point_index)`), every result in this crate is
+//! bit-identical at any thread count.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -206,16 +206,48 @@ pub fn format_point_list(indices: &[usize]) -> String {
         .join(",")
 }
 
-/// Parses a `--shard-points` list back into indices.
-pub fn parse_point_list(csv: &str) -> Result<Vec<usize>, String> {
+/// A `--shard-points` token that is not a design index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PointListError {
+    /// The token as it appears in the list, surrounding spaces included.
+    pub token: String,
+    /// The token's position among the comma-separated tokens, from 0.
+    pub position: usize,
+}
+
+impl fmt::Display for PointListError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "bad design index {:?} in point list", self.token)
+    }
+}
+
+impl std::error::Error for PointListError {}
+
+impl From<PointListError> for String {
+    fn from(err: PointListError) -> Self {
+        err.to_string()
+    }
+}
+
+/// Parses a `--shard-points` list back into indices. Each comma-separated
+/// token is a decimal `usize`: ASCII digits, optionally surrounded by
+/// whitespace. A blank list is empty.
+pub fn parse_point_list(csv: &str) -> Result<Vec<usize>, PointListError> {
     if csv.trim().is_empty() {
         return Ok(Vec::new());
     }
     csv.split(',')
-        .map(|tok| {
-            tok.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad design index {tok:?} in point list"))
+        .enumerate()
+        .map(|(position, tok)| {
+            let digits = tok.trim();
+            match digits.parse::<usize>() {
+                // `parse` also takes a leading `+`.
+                Ok(index) if digits.bytes().all(|b| b.is_ascii_digit()) => Ok(index),
+                _ => Err(PointListError {
+                    token: tok.to_string(),
+                    position,
+                }),
+            }
         })
         .collect()
 }
@@ -651,7 +683,112 @@ mod tests {
         assert_eq!(format_point_list(&indices), "0,3,11");
         assert_eq!(parse_point_list("0,3,11").unwrap(), indices);
         assert_eq!(parse_point_list("").unwrap(), Vec::<usize>::new());
-        assert!(parse_point_list("1,x").is_err());
+        let err = parse_point_list("1, x ,2").unwrap_err();
+        assert_eq!((err.token.as_str(), err.position), (" x ", 1));
+        assert_eq!(String::from(err), r#"bad design index " x " in point list"#);
+    }
+
+    /// The value of `tok` if it is a decimal `usize`, folded digit by
+    /// digit with overflow checks.
+    fn decimal_index(tok: &str) -> Option<usize> {
+        let digits = tok.trim();
+        if digits.is_empty() {
+            return None;
+        }
+        digits.bytes().try_fold(0usize, |acc, b| {
+            let digit = (b as char).to_digit(10)? as usize;
+            acc.checked_mul(10)?.checked_add(digit)
+        })
+    }
+
+    /// The indices of `csv` when every comma-separated token is a decimal
+    /// `usize`; a blank list is empty.
+    fn point_list_oracle(csv: &str) -> Option<Vec<usize>> {
+        if csv.trim().is_empty() {
+            return Some(Vec::new());
+        }
+        csv.split(',').map(decimal_index).collect()
+    }
+
+    /// Parses `csv`, which must not panic, and checks the answer against
+    /// the oracle: the indices, or the first bad token and its position.
+    /// Returns whether `csv` parsed.
+    fn point_list_case(csv: &str) -> bool {
+        let parsed = std::panic::catch_unwind(|| parse_point_list(csv))
+            .unwrap_or_else(|_| panic!("parse_point_list panicked on {csv:?}"));
+        match (parsed, point_list_oracle(csv)) {
+            (Ok(got), Some(want)) => {
+                assert_eq!(got, want, "{csv:?}");
+                true
+            }
+            (Err(e), None) => {
+                let tokens: Vec<&str> = csv.split(',').collect();
+                assert_eq!(tokens[e.position], e.token, "{csv:?}");
+                assert_eq!(decimal_index(&e.token), None, "{csv:?}: {e}");
+                let earlier = &tokens[..e.position];
+                assert!(earlier.iter().all(|t| decimal_index(t).is_some()));
+                false
+            }
+            (got, want) => panic!("{csv:?}: parsed {got:?}, oracle {want:?}"),
+        }
+    }
+
+    #[test]
+    fn fuzzed_point_lists_give_indices_or_typed_errors() {
+        // splitmix64 from a fixed seed: every run sees the same cases.
+        let mut state = 0x5eed_0025_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for edge in [
+            "18446744073709551615",
+            "18446744073709551616",
+            "0,,1",
+            "1,",
+            ",",
+            " \t ",
+            "+1",
+            "-0",
+            "1_000",
+            "\u{663}",
+        ] {
+            point_list_case(edge);
+        }
+        let alphabet: Vec<char> = "0123456789,, +-x_\t\u{e9}\u{663}".chars().collect();
+        let mut parsed = [0usize; 2];
+        for _ in 0..3_000 {
+            let len = (next() % 32) as usize;
+            let csv: String = (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect();
+            parsed[point_list_case(&csv) as usize] += 1;
+        }
+        for _ in 0..1_000 {
+            let v: Vec<usize> = (0..next() % 8)
+                .map(|_| match next() % 4 {
+                    0 => usize::MAX,
+                    1 => (next() % 1_000) as usize,
+                    _ => next() as usize,
+                })
+                .collect();
+            let csv = format_point_list(&v);
+            assert_eq!(parse_point_list(&csv), Ok(v), "{csv:?}");
+            if !csv.is_empty() {
+                let mut chars: Vec<char> = csv.chars().collect();
+                let at = (next() % chars.len() as u64) as usize;
+                chars[at] = alphabet[(next() % alphabet.len() as u64) as usize];
+                parsed[point_list_case(&chars.into_iter().collect::<String>()) as usize] += 1;
+            }
+        }
+        // Both answers are common, so each side of the oracle is tested.
+        assert!(
+            parsed.iter().all(|&n| n >= 500),
+            "refused, parsed: {parsed:?}"
+        );
     }
 
     #[test]

@@ -5,24 +5,15 @@
 //! quantiles in quantile regression, or the CI of a coefficient of
 //! variation. Resampling is fully deterministic given the seed.
 //!
-//! # Execution model
-//!
-//! Replicates are organised in **chunks**: each chunk reuses one resample
-//! buffer (no per-replicate allocation), computes its statistics, sorts
-//! them locally, and the final distribution is produced by merging the
-//! pre-sorted chunk runs instead of one giant sort. Chunks may execute on
-//! several threads.
-//!
 //! # Determinism contract
 //!
-//! The RNG stream of replicate `r` is derived *only* from `(seed, r)` via
-//! [`mix_seed`], never from thread or chunk identity, and chunk runs are
-//! merged in fixed index order. The resulting interval is therefore
-//! **bit-identical** for any thread count and any chunk size — verified by
-//! proptests in `tests/proptests.rs`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+//! Every interval here, and every difference CI of
+//! [`crate::quantreg::two_sample`], is read from one sorted distribution
+//! built by one sequential loop. Replicate `r` draws from its own RNG
+//! stream, seeded by [`mix_seed`]`(seed, r)`; one resample buffer serves
+//! every replicate; and the statistics are sorted once, equal values with
+//! different bits (`-0.0`, `+0.0`) in replicate order. An interval is
+//! therefore a function of the data, `reps` and `seed` alone.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,13 +23,12 @@ use crate::dist::normal::std_normal_inv_cdf;
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::{quantile_sorted, QuantileMethod};
 use crate::sort::sorted_finite;
-use crate::sorted::{merge_sorted_runs, SortedSamples};
+use crate::sorted::SortedSamples;
 use crate::validate_samples;
 
 /// Mixes a base seed with a replicate index into an independent RNG seed
-/// (splitmix64-style finalizer). Used for all per-replicate streams so
-/// that replicate `r` draws the same values no matter which thread or
-/// chunk executes it.
+/// (splitmix64-style finalizer). Used for all per-replicate streams, so
+/// replicate `r` draws the same values whatever else is drawn.
 pub fn mix_seed(seed: u64, index: u64) -> u64 {
     let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -46,155 +36,74 @@ pub fn mix_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Execution parameters of the chunked bootstrap engine.
-///
-/// Only `reps` and `seed` affect the *result*; `chunk_size` and `threads`
-/// are pure execution knobs (see the module-level determinism contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BootstrapConfig {
-    /// Number of bootstrap replicates (must be ≥ 10).
-    pub reps: usize,
-    /// Base seed of the per-replicate RNG streams.
-    pub seed: u64,
-    /// Replicates per chunk (buffer-reuse granularity); 0 means default.
-    pub chunk_size: usize,
-    /// Worker threads; 0 means one per available CPU.
-    pub threads: usize,
-}
-
-impl BootstrapConfig {
-    /// Default chunk size: large enough to amortise thread hand-off,
-    /// small enough to load-balance across workers.
-    pub const DEFAULT_CHUNK_SIZE: usize = 256;
-
-    /// A sequential configuration with the default chunk size.
-    pub fn new(reps: usize, seed: u64) -> Self {
-        Self {
-            reps,
-            seed,
-            chunk_size: Self::DEFAULT_CHUNK_SIZE,
-            threads: 1,
-        }
-    }
-
-    /// Sets the chunk size (0 restores the default).
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size;
-        self
-    }
-
-    /// Sets the thread count (0 = one per available CPU).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    fn effective_chunk_size(&self) -> usize {
-        if self.chunk_size == 0 {
-            Self::DEFAULT_CHUNK_SIZE
-        } else {
-            self.chunk_size
-        }
-    }
-
-    fn effective_threads(&self, n_chunks: usize) -> usize {
-        let requested = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        requested.clamp(1, n_chunks.max(1))
-    }
-
-    fn validate(&self) -> StatsResult<()> {
-        if self.reps < 10 {
-            return Err(StatsError::InvalidParameter {
-                name: "reps",
-                value: self.reps as f64,
-            });
-        }
-        Ok(())
-    }
-}
-
-fn validate_confidence(confidence: f64) -> StatsResult<()> {
+fn validate(confidence: f64, reps: usize) -> StatsResult<()> {
     if !(confidence > 0.0 && confidence < 1.0) {
         return Err(StatsError::InvalidProbability {
             name: "confidence",
             value: confidence,
         });
     }
+    if reps < 10 {
+        return Err(StatsError::InvalidParameter {
+            name: "reps",
+            value: reps as f64,
+        });
+    }
     Ok(())
 }
 
-/// Runs `job` once per chunk index, on up to `threads` workers pulling
-/// indices from a shared atomic cursor, and returns the outputs in chunk
-/// order. Output order — and therefore everything downstream — does not
-/// depend on which worker ran which chunk.
-fn run_chunked<T, F>(n_chunks: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || n_chunks <= 1 {
-        return (0..n_chunks).map(job).collect();
+fn finite(statistic: f64) -> StatsResult<f64> {
+    if statistic.is_finite() {
+        Ok(statistic)
+    } else {
+        Err(StatsError::NonFiniteSample)
     }
-    let slots: Vec<OnceLock<T>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n_chunks {
-                    break;
-                }
-                let out = job(i);
-                let ok = slots[i].set(out).is_ok();
-                debug_assert!(ok, "chunk index claimed twice");
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every chunk index was claimed"))
-        .collect()
 }
 
-/// Produces the sorted bootstrap distribution for `reps` replicates of
-/// `replicate(rng, scratch)` under the chunked execution model. `scratch`
-/// is a per-chunk resample buffer, so the per-replicate hot loop performs
-/// no allocation. Returns the first error in replicate order, if any.
-fn bootstrap_distribution(
-    config: &BootstrapConfig,
-    replicate: impl Fn(&mut StdRng, &mut Vec<f64>) -> StatsResult<f64> + Sync,
+/// Refills `buf` with `xs.len()` draws from `xs`, with replacement.
+fn resample(xs: &[f64], rng: &mut StdRng, buf: &mut Vec<f64>) {
+    buf.clear();
+    buf.extend((0..xs.len()).map(|_| xs[rng.gen_range(0..xs.len())]));
+}
+
+/// The sorted bootstrap distribution of `reps` replicates of
+/// `replicate(rng, buf)`, with replicate `r` drawing from
+/// `mix_seed(seed, r)` and every replicate reusing one resample buffer
+/// `buf`. Returns the first failing replicate's error. Callers check that
+/// `reps` is at least 10.
+pub(crate) fn distribution(
+    reps: usize,
+    seed: u64,
+    mut replicate: impl FnMut(&mut StdRng, &mut Vec<f64>) -> StatsResult<f64>,
 ) -> StatsResult<Vec<f64>> {
-    let chunk_size = config.effective_chunk_size();
-    let n_chunks = config.reps.div_ceil(chunk_size);
-    let threads = config.effective_threads(n_chunks);
-    let chunk_results = run_chunked(n_chunks, threads, |chunk| {
-        let lo = chunk * chunk_size;
-        let hi = (lo + chunk_size).min(config.reps);
-        let mut scratch = Vec::new();
-        let mut stats = Vec::with_capacity(hi - lo);
-        for rep in lo..hi {
-            let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, rep as u64));
-            stats.push(replicate(&mut rng, &mut scratch)?);
-        }
-        Ok(sorted_finite(stats))
-    });
-    // Chunks are in index order, so the first Err is the error of the
-    // lowest failing replicate range — same error the sequential loop
-    // would have surfaced.
-    let mut runs = Vec::with_capacity(n_chunks);
-    for result in chunk_results {
-        runs.push(result?);
-    }
-    merge_sorted_runs(runs)
+    let mut buf = Vec::new();
+    let stats = (0..reps)
+        .map(|r| {
+            let mut rng = StdRng::seed_from_u64(mix_seed(seed, r as u64));
+            replicate(&mut rng, &mut buf)
+        })
+        .collect::<StatsResult<Vec<f64>>>()?;
+    Ok(sorted_finite(stats))
 }
 
-fn percentile_interval(estimate: f64, sorted_stats: &[f64], confidence: f64) -> ConfidenceInterval {
+/// Draws the `p`-quantile of one bootstrap resample of `sorted` by the
+/// rank device of [`bootstrap_quantile_ci`]: the order statistic at rank
+/// `round(n·p + z·√(n·p·(1−p)))`, `z` standard normal, clamped to `[1, n]`.
+pub(crate) fn quantile_draw(sorted: &[f64], p: f64, rng: &mut StdRng) -> f64 {
+    let nf = sorted.len() as f64;
+    let sd = (nf * p * (1.0 - p)).sqrt();
+    let u: f64 = rng.gen_range(1e-12..1.0 - 1e-12);
+    let rank = (nf * p + sd * std_normal_inv_cdf(u)).round().clamp(1.0, nf) as usize;
+    sorted[rank - 1]
+}
+
+/// The `(α/2, 1−α/2)` quantiles of a sorted bootstrap distribution around
+/// `estimate`, with `α = 1 − confidence`.
+pub(crate) fn percentile_interval(
+    estimate: f64,
+    sorted_stats: &[f64],
+    confidence: f64,
+) -> ConfidenceInterval {
     let alpha = 1.0 - confidence;
     ConfidenceInterval {
         estimate,
@@ -215,45 +124,19 @@ fn percentile_interval(estimate: f64, sorted_stats: &[f64], confidence: f64) -> 
 /// resampled statistics around the point estimate on the original data.
 ///
 /// `statistic` must return a finite value for every non-empty resample.
-/// Runs sequentially; use [`bootstrap_ci_with`] to control threading and
-/// chunking.
 pub fn bootstrap_ci(
     xs: &[f64],
     confidence: f64,
     reps: usize,
     seed: u64,
-    statistic: impl Fn(&[f64]) -> f64 + Sync,
-) -> StatsResult<ConfidenceInterval> {
-    bootstrap_ci_with(xs, confidence, &BootstrapConfig::new(reps, seed), statistic)
-}
-
-/// [`bootstrap_ci`] with explicit execution parameters.
-///
-/// The interval is bit-identical for any `chunk_size`/`threads` choice
-/// (see the module-level determinism contract).
-pub fn bootstrap_ci_with(
-    xs: &[f64],
-    confidence: f64,
-    config: &BootstrapConfig,
-    statistic: impl Fn(&[f64]) -> f64 + Sync,
+    statistic: impl Fn(&[f64]) -> f64,
 ) -> StatsResult<ConfidenceInterval> {
     validate_samples(xs)?;
-    validate_confidence(confidence)?;
-    config.validate()?;
-    let estimate = statistic(xs);
-    if !estimate.is_finite() {
-        return Err(StatsError::NonFiniteSample);
-    }
-    let n = xs.len();
-    let stats = bootstrap_distribution(config, |rng, buf| {
-        buf.clear();
-        buf.extend((0..n).map(|_| xs[rng.gen_range(0..n)]));
-        let s = statistic(buf);
-        if s.is_finite() {
-            Ok(s)
-        } else {
-            Err(StatsError::NonFiniteSample)
-        }
+    validate(confidence, reps)?;
+    let estimate = finite(statistic(xs))?;
+    let stats = distribution(reps, seed, |rng, buf| {
+        resample(xs, rng, buf);
+        finite(statistic(buf))
     })?;
     Ok(percentile_interval(estimate, &stats, confidence))
 }
@@ -266,46 +149,17 @@ pub fn bootstrap_diff_ci(
     confidence: f64,
     reps: usize,
     seed: u64,
-    statistic: impl Fn(&[f64]) -> f64 + Sync,
-) -> StatsResult<ConfidenceInterval> {
-    bootstrap_diff_ci_with(
-        a,
-        b,
-        confidence,
-        &BootstrapConfig::new(reps, seed),
-        statistic,
-    )
-}
-
-/// [`bootstrap_diff_ci`] with explicit execution parameters.
-pub fn bootstrap_diff_ci_with(
-    a: &[f64],
-    b: &[f64],
-    confidence: f64,
-    config: &BootstrapConfig,
-    statistic: impl Fn(&[f64]) -> f64 + Sync,
+    statistic: impl Fn(&[f64]) -> f64,
 ) -> StatsResult<ConfidenceInterval> {
     validate_samples(a)?;
     validate_samples(b)?;
-    validate_confidence(confidence)?;
-    config.validate()?;
-    let estimate = statistic(a) - statistic(b);
-    if !estimate.is_finite() {
-        return Err(StatsError::NonFiniteSample);
-    }
-    let stats = bootstrap_distribution(config, |rng, buf| {
-        buf.clear();
-        buf.extend((0..a.len()).map(|_| a[rng.gen_range(0..a.len())]));
+    validate(confidence, reps)?;
+    let estimate = finite(statistic(a) - statistic(b))?;
+    let stats = distribution(reps, seed, |rng, buf| {
+        resample(a, rng, buf);
         let sa = statistic(buf);
-        buf.clear();
-        buf.extend((0..b.len()).map(|_| b[rng.gen_range(0..b.len())]));
-        let sb = statistic(buf);
-        let s = sa - sb;
-        if s.is_finite() {
-            Ok(s)
-        } else {
-            Err(StatsError::NonFiniteSample)
-        }
+        resample(b, rng, buf);
+        finite(sa - statistic(buf))
     })?;
     Ok(percentile_interval(estimate, &stats, confidence))
 }
@@ -331,30 +185,11 @@ pub fn bootstrap_quantile_ci(
             value: p,
         });
     }
-    validate_confidence(confidence)?;
-    let config = BootstrapConfig::new(reps, seed);
-    config.validate()?;
+    validate(confidence, reps)?;
     let xs = sorted.as_slice();
-    let nf = xs.len() as f64;
-    let sd = (nf * p * (1.0 - p)).sqrt();
     let estimate = quantile_sorted(xs, p, QuantileMethod::Interpolated);
-    let stats = bootstrap_distribution(&config, |rng, _scratch| {
-        let u: f64 = rng.gen_range(1e-12..1.0 - 1e-12);
-        let z = std_normal_inv_cdf(u);
-        let rank = (nf * p + sd * z).round().clamp(1.0, nf) as usize;
-        Ok(xs[rank - 1])
-    })?;
+    let stats = distribution(reps, seed, |rng, _| Ok(quantile_draw(xs, p, rng)))?;
     Ok(percentile_interval(estimate, &stats, confidence))
-}
-
-/// [`bootstrap_quantile_ci`] at `p = 0.5`.
-pub fn bootstrap_median_ci(
-    sorted: &SortedSamples,
-    confidence: f64,
-    reps: usize,
-    seed: u64,
-) -> StatsResult<ConfidenceInterval> {
-    bootstrap_quantile_ci(sorted, 0.5, confidence, reps, seed)
 }
 
 #[cfg(test)]
@@ -431,50 +266,13 @@ mod tests {
     }
 
     #[test]
-    fn reps_below_chunk_size_still_work() {
-        // Regression test: 10 ≤ reps < chunk_size must produce a full
-        // (single-chunk) distribution, not an empty or truncated one.
-        let xs = sample(80, 2.0);
-        let f = |s: &[f64]| arithmetic_mean(s).unwrap();
-        for reps in [10, 11, 100, BootstrapConfig::DEFAULT_CHUNK_SIZE - 1] {
-            let ci = bootstrap_ci(&xs, 0.95, reps, 5, f).unwrap();
-            assert!(ci.lower <= ci.upper, "reps={reps}: {ci:?}");
-            assert!(ci.contains(f(&xs)), "reps={reps}: {ci:?}");
-            let wide_chunk = bootstrap_ci_with(
-                &xs,
-                0.95,
-                &BootstrapConfig::new(reps, 5).chunk_size(10_000),
-                f,
-            )
-            .unwrap();
-            assert_eq!(ci, wide_chunk, "reps={reps}");
-        }
-    }
-
-    #[test]
-    fn chunk_size_and_threads_do_not_change_result() {
-        let xs = sample(120, 7.0);
-        let f = |s: &[f64]| median(s).unwrap();
-        let reference = bootstrap_ci(&xs, 0.95, 333, 21, f).unwrap();
-        for chunk_size in [1, 7, 64, 333, 1000] {
-            for threads in [1, 2, 8] {
-                let config = BootstrapConfig::new(333, 21)
-                    .chunk_size(chunk_size)
-                    .threads(threads);
-                let ci = bootstrap_ci_with(&xs, 0.95, &config, f).unwrap();
-                assert_eq!(ci, reference, "chunk_size={chunk_size} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn error_in_statistic_is_reported_not_panicked() {
         let xs = sample(40, 1.0);
-        let config = BootstrapConfig::new(100, 3).chunk_size(16).threads(4);
-        let r = bootstrap_ci_with(
+        let r = bootstrap_ci(
             &xs,
             0.95,
-            &config,
+            100,
+            3,
             |s| {
                 if s[0] > 0.0 {
                     f64::NAN
@@ -494,7 +292,7 @@ mod tests {
         // statistically, not bitwise).
         let xs = sample(500, 50.0);
         let sorted = SortedSamples::new(&xs).unwrap();
-        let fast = bootstrap_median_ci(&sorted, 0.95, 4000, 11).unwrap();
+        let fast = bootstrap_quantile_ci(&sorted, 0.5, 0.95, 4000, 11).unwrap();
         let slow = bootstrap_ci(&xs, 0.95, 4000, 11, |s| median(s).unwrap()).unwrap();
         assert!((fast.estimate - slow.estimate).abs() < 1e-12);
         assert!(
@@ -502,8 +300,111 @@ mod tests {
             "fast {fast:?} vs slow {slow:?}"
         );
         // And it is deterministic given the seed.
-        let again = bootstrap_median_ci(&sorted, 0.95, 4000, 11).unwrap();
+        let again = bootstrap_quantile_ci(&sorted, 0.5, 0.95, 4000, 11).unwrap();
         assert_eq!(fast, again);
+    }
+
+    /// `[estimate, lower, upper]` as bit patterns.
+    fn ci_bits(ci: ConfidenceInterval) -> [u64; 3] {
+        [ci.estimate, ci.lower, ci.upper].map(f64::to_bits)
+    }
+
+    /// A right-skewed sample in a fixed, unsorted order.
+    fn skewed(n: usize, shift: f64, stride: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let u = ((i * stride) % n) as f64 / n as f64 + 0.5 / n as f64;
+                shift + std_normal_inv_cdf(u).exp()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_interval_keeps_its_pinned_bits() {
+        // Bits written by the chunked engine that this loop replaced:
+        // 256 replicates per chunk, each chunk sorted, the sorted runs
+        // merged in index order. The counts cover one chunk, a chunk
+        // boundary and partial chunks.
+        let reps = [10, 255, 256, 333, 1000];
+        let xs = skewed(97, 1.0, 13);
+        let ys = skewed(61, 1.2, 7);
+        let mean = |s: &[f64]| arithmetic_mean(s).unwrap();
+        let mean_pins: [[u64; 3]; 5] = [
+            [0x400501cb571e7d5b, 0x4002a390a00e7854, 0x40090a51612f781c],
+            [0x400501cb571e7d5b, 0x40020e528d3c92f0, 0x4007ea9f2b2e4d80],
+            [0x400501cb571e7d5b, 0x40020e7845adcb8d, 0x4007ea33bb4a6dd7],
+            [0x400501cb571e7d5b, 0x40021ea20193f653, 0x4007eb760af60cd0],
+            [0x400501cb571e7d5b, 0x4002247c70244b06, 0x40084cf05809cb23],
+        ];
+        let diff_pins: [[u64; 3]; 5] = [
+            [0xbfc8532348b14520, 0xbfe1760f46d5711c, 0x3fc86ec5d59219aa],
+            [0xbfc8532348b14520, 0xbfe5fc272ed6d2be, 0x3fd01ada34616b9c],
+            [0xbfc8532348b14520, 0xbfe5f892e60f04ed, 0x3fd0155c0c69eeee],
+            [0xbfc8532348b14520, 0xbfe5d236566505b6, 0x3fd025d6845064fa],
+            [0xbfc8532348b14520, 0xbfe642ec782613b6, 0x3fd55f802bae102c],
+        ];
+        // Equal values with different bits keep replicate order in the
+        // sort, so these bounds pin which replicate lands where.
+        let signed_zero = |s: &[f64]| {
+            if s[..4].iter().any(|&x| x > s[0]) {
+                -0.0
+            } else {
+                0.0
+            }
+        };
+        let zero_pins: [[u64; 3]; 5] = [
+            [0x8000000000000000, 0x8000000000000000, 0x8000000000000000],
+            [0x8000000000000000, 0x0000000000000000, 0x0000000000000000],
+            [0x8000000000000000, 0x0000000000000000, 0x0000000000000000],
+            [0x8000000000000000, 0x8000000000000000, 0x8000000000000000],
+            [0x8000000000000000, 0x0000000000000000, 0x8000000000000000],
+        ];
+        for (i, &r) in reps.iter().enumerate() {
+            let got = ci_bits(bootstrap_ci(&xs, 0.95, r, 0x5C15, mean).unwrap());
+            assert_eq!(got, mean_pins[i], "bootstrap_ci, {r} reps: {got:#018x?}");
+            let got = ci_bits(bootstrap_diff_ci(&xs, &ys, 0.9, r, 0x5C16, mean).unwrap());
+            assert_eq!(
+                got, diff_pins[i],
+                "bootstrap_diff_ci, {r} reps: {got:#018x?}"
+            );
+            let got = ci_bits(bootstrap_ci(&xs, 0.95, r, 0x5C17, signed_zero).unwrap());
+            assert_eq!(got, zero_pins[i], "signed zeros, {r} reps: {got:#018x?}");
+        }
+
+        let taus = [0.1, 0.5, 0.9];
+        let sorted = SortedSamples::new(&xs).unwrap();
+        let quantile_pins: [[u64; 3]; 3] = [
+            [0x3ff48b9697aeb616, 0x3ff2a65e3be25eca, 0x3ff5a9b5ff34f3ae],
+            [0x4000000000000000, 0x3ffc51eee07fb18c, 0x40021dc8e8c5c567],
+            [0x4012177d24a70e54, 0x400cc3789a313835, 0x40197b3e5300a384],
+        ];
+        for (i, &p) in taus.iter().enumerate() {
+            let got = ci_bits(bootstrap_quantile_ci(&sorted, p, 0.95, 1000, 0x5C18).unwrap());
+            assert_eq!(
+                got, quantile_pins[i],
+                "bootstrap_quantile_ci, p {p}: {got:#018x?}"
+            );
+        }
+
+        let (base, other) = (skewed(400, 1.5, 37), skewed(300, 1.6, 11));
+        let (base, other) = (
+            crate::Sample::new(&base).unwrap(),
+            crate::Sample::new(&other).unwrap(),
+        );
+        let effects = crate::quantreg::two_sample(&base, &other, &taus, 0.95, 400, 0x5C19).unwrap();
+        let difference_pins: [[u64; 3]; 3] = [
+            [0x3fb9bc0e53c9d8d0, 0x3f9826ea4e8ac24f, 0x3fc6f4fcd742c8a1],
+            [0x3fb999d9a79340a0, 0xbfb72633ecca7dd6, 0x3fd1a60b3be44b28],
+            [0x3fb7e3b23d0811c0, 0xbfeabe89cbdafdc6, 0x3ff19942b25f529a],
+        ];
+        for (i, effect) in effects.iter().enumerate() {
+            let got = ci_bits(effect.difference);
+            assert_eq!(
+                got, difference_pins[i],
+                "two_sample, tau {}: {got:#018x?}",
+                effect.tau
+            );
+        }
     }
 
     #[test]

@@ -12,20 +12,16 @@
 //!   model `y = β₀ + β₁·1[group B]`, the τ-quantile regression estimate is
 //!   `β₀ = Q_τ(A)` and `β₁ = Q_τ(B) − Q_τ(A)`, because the check loss
 //!   decomposes over the two groups. CIs come from order-statistic ranks
-//!   (intercept) and a moving-blocks-free percentile bootstrap
-//!   (difference).
+//!   (intercept) and a percentile bootstrap of the difference, drawn
+//!   through the one loop of [`crate::bootstrap`].
 //! * [`fit`]: a general iteratively-reweighted least-squares solver on a
 //!   smoothed check loss for arbitrary design matrices, cross-validated
 //!   against the exact path in the tests.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::bootstrap::mix_seed;
+use crate::bootstrap::{distribution, mix_seed, percentile_interval, quantile_draw};
 use crate::ci::ConfidenceInterval;
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::{quantile_sorted, QuantileMethod};
-use crate::sort::sorted_finite;
 use crate::sorted::Sample;
 use crate::validate_samples;
 
@@ -85,65 +81,28 @@ pub fn two_sample(
     }
 
     let (base_cache, other_cache) = (base.sorted(), other.sorted());
+    let (base, other) = (base_cache.as_slice(), other_cache.as_slice());
 
-    // Bootstrap quantile differences per tau. To keep this O(reps) rather
-    // than O(reps · n log n) we exploit that the quantile of a bootstrap
-    // resample can be drawn directly: the tau-quantile of an iid resample
-    // of sorted data is the order statistic at a Binomial(n, tau)-like
-    // rank, sampled via its normal limit. The RNG stream of replicate `r`
-    // at tau index `t` is derived only from `(seed, t, r)`, so each tau's
-    // CI is independent of which other taus are requested and of any
-    // execution order.
+    // Each replicate draws both groups' tau-quantiles by the rank device,
+    // the base group first. The stream of replicate `r` at tau index `t`
+    // derives only from `(seed, t, r)`, so each tau's CI is independent
+    // of which other taus are requested.
     let mut effects = Vec::with_capacity(taus.len());
     for (tau_idx, &tau) in taus.iter().enumerate() {
         let intercept = base_cache.quantile_ci(tau, confidence)?;
-        let est_base = quantile_sorted(base_cache.as_slice(), tau, QuantileMethod::Interpolated);
-        let est_other = quantile_sorted(other_cache.as_slice(), tau, QuantileMethod::Interpolated);
-        let estimate = est_other - est_base;
-
-        let tau_seed = mix_seed(seed, tau_idx as u64);
-        let mut diffs = Vec::with_capacity(boot_reps);
-        for rep in 0..boot_reps {
-            let mut rng = StdRng::seed_from_u64(mix_seed(tau_seed, rep as u64));
-            let qb = bootstrap_quantile(base_cache.as_slice(), tau, &mut rng);
-            let qo = bootstrap_quantile(other_cache.as_slice(), tau, &mut rng);
-            diffs.push(qo - qb);
-        }
-        let diffs = sorted_finite(diffs);
-        let alpha = 1.0 - confidence;
-        let lower = quantile_sorted(&diffs, alpha / 2.0, QuantileMethod::Interpolated);
-        let upper = quantile_sorted(&diffs, 1.0 - alpha / 2.0, QuantileMethod::Interpolated);
+        let estimate = quantile_sorted(other, tau, QuantileMethod::Interpolated)
+            - quantile_sorted(base, tau, QuantileMethod::Interpolated);
+        let diffs = distribution(boot_reps, mix_seed(seed, tau_idx as u64), |rng, _| {
+            let qb = quantile_draw(base, tau, rng);
+            Ok(quantile_draw(other, tau, rng) - qb)
+        })?;
         effects.push(QuantileEffect {
             tau,
             intercept,
-            difference: ConfidenceInterval {
-                estimate,
-                lower,
-                upper,
-                confidence,
-            },
+            difference: percentile_interval(estimate, &diffs, confidence),
         });
     }
     Ok(effects)
-}
-
-/// Draws the τ-quantile of one bootstrap resample of `sorted` data.
-///
-/// Equivalent to resampling n observations with replacement and taking the
-/// τ-quantile, but in O(1): the rank of the resample quantile follows a
-/// Binomial(n, τ) distribution, which we sample via its normal
-/// approximation (n is large in benchmarking contexts; for small n the
-/// clamping keeps the rank valid).
-fn bootstrap_quantile(sorted: &[f64], tau: f64, rng: &mut StdRng) -> f64 {
-    let n = sorted.len();
-    let nf = n as f64;
-    let mean = nf * tau;
-    let sd = (nf * tau * (1.0 - tau)).sqrt();
-    // Box-Muller-free normal draw from rand's uniform: inverse CDF.
-    let u: f64 = rng.gen_range(1e-12..1.0 - 1e-12);
-    let z = crate::dist::normal::std_normal_inv_cdf(u);
-    let rank = (mean + sd * z).round().clamp(1.0, nf) as usize;
-    sorted[rank - 1]
 }
 
 /// A fitted general quantile-regression model.

@@ -232,64 +232,6 @@ impl SortedSamples {
     }
 }
 
-/// Merges pre-sorted runs into one ascending vector, deterministically:
-/// runs are merged pairwise in index order (ties taken from the
-/// lower-indexed run), so the output is a pure function of the inputs.
-///
-/// This is the reduction step of the chunked bootstrap: each chunk sorts
-/// its own resampled statistics and the merge replaces one giant
-/// `O(R log R)` sort with `O(R log k)` work for `k` chunks.
-///
-/// Every run is validated up front: a NaN in any run made the merge
-/// comparison `a[i] <= b[j]` false on both sides, so the old infallible
-/// version silently emitted an out-of-order "sorted" vector that corrupted
-/// every downstream order-statistic lookup. Non-finite input now returns
-/// [`StatsError::NonFiniteSample`] and a run that is not ascending returns
-/// [`StatsError::InvalidGroups`], before any merging happens.
-pub fn merge_sorted_runs(mut runs: Vec<Vec<f64>>) -> StatsResult<Vec<f64>> {
-    for run in &runs {
-        if run.iter().any(|x| !x.is_finite()) {
-            return Err(StatsError::NonFiniteSample);
-        }
-        if run.windows(2).any(|w| w[0] > w[1]) {
-            return Err(StatsError::InvalidGroups("run is not ascending"));
-        }
-    }
-    runs.retain(|r| !r.is_empty());
-    if runs.is_empty() {
-        return Ok(Vec::new());
-    }
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut iter = runs.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(merge_two(a, b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    Ok(runs.pop().expect("one run remains"))
-}
-
-fn merge_two(a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,62 +427,5 @@ mod tests {
         assert_eq!(incremental, full);
         assert!(incremental.merge_extend(&[f64::NAN]).is_err());
         assert_eq!(incremental.len(), xs.len());
-    }
-
-    #[test]
-    fn merge_sorted_runs_equals_global_sort() {
-        let xs = sample();
-        let mut runs = Vec::new();
-        for chunk in xs.chunks(37) {
-            let mut c = chunk.to_vec();
-            c.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            runs.push(c);
-        }
-        runs.push(Vec::new()); // empty runs are tolerated
-        let merged = merge_sorted_runs(runs).unwrap();
-        let mut expect = xs.clone();
-        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(merged, expect);
-        assert!(merge_sorted_runs(Vec::new()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn merge_takes_ties_from_the_lower_indexed_run() {
-        // Only signed zeros tell equal values apart: each keeps the
-        // position of its run, as a stable sort of the concatenation would.
-        let merged =
-            merge_sorted_runs(vec![vec![0.0, 1.0], vec![-0.0, 1.0], vec![0.0], vec![-0.0]])
-                .unwrap();
-        let bits: Vec<u64> = merged.iter().map(|x| x.to_bits()).collect();
-        let want: Vec<u64> = [0.0, -0.0, 0.0, -0.0, 1.0, 1.0]
-            .iter()
-            .map(|x: &f64| x.to_bits())
-            .collect();
-        assert_eq!(bits, want);
-    }
-
-    #[test]
-    fn merge_sorted_runs_rejects_nan_and_unsorted_runs() {
-        // Regression: a NaN run used to pass straight through `merge_two`
-        // (`a[i] <= b[j]` is false for NaN) and yield an out-of-order
-        // result. Now it is a typed error before any merging happens.
-        let with_nan = vec![vec![1.0, f64::NAN], vec![0.5, 2.0]];
-        assert!(matches!(
-            merge_sorted_runs(with_nan),
-            Err(StatsError::NonFiniteSample)
-        ));
-        let with_inf = vec![vec![1.0, f64::INFINITY]];
-        assert!(matches!(
-            merge_sorted_runs(with_inf),
-            Err(StatsError::NonFiniteSample)
-        ));
-        let unsorted = vec![vec![3.0, 1.0], vec![0.5, 2.0]];
-        assert!(matches!(
-            merge_sorted_runs(unsorted),
-            Err(StatsError::InvalidGroups(_))
-        ));
-        // Valid runs still merge; ties keep the lower-indexed run first.
-        let ok = merge_sorted_runs(vec![vec![1.0, 2.0], vec![2.0, 3.0]]).unwrap();
-        assert_eq!(ok, vec![1.0, 2.0, 2.0, 3.0]);
     }
 }

@@ -4,10 +4,7 @@
 
 use proptest::prelude::*;
 
-use scibench_stats::bootstrap::{
-    bootstrap_ci_with, bootstrap_diff_ci, bootstrap_diff_ci_with, bootstrap_quantile_ci,
-    BootstrapConfig,
-};
+use scibench_stats::bootstrap::{bootstrap_diff_ci, bootstrap_quantile_ci};
 use scibench_stats::ci::{
     mean_ci, median_ci, quantile_ci, quantile_ci_ranks, required_samples_normal, ConfidenceInterval,
 };
@@ -386,47 +383,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn bootstrap_ci_bit_identical_across_threads_and_chunks(
-        xs in prop::collection::vec(0.1f64..1e3, 10..60),
-        reps in 10usize..300,
-        chunk in 1usize..400,
-        seed in any::<u64>(),
-    ) {
-        // The determinism contract: chunk size and thread count are pure
-        // execution knobs; every replicate's stream derives from
-        // (seed, rep) alone, so the CI is bit-identical regardless.
-        let mean = |r: &[f64]| r.iter().sum::<f64>() / r.len() as f64;
-        let reference = bootstrap_ci_with(&xs, 0.95, &BootstrapConfig::new(reps, seed), mean).unwrap();
-        for threads in [1usize, 2, 8] {
-            let tuned = bootstrap_ci_with(
-                &xs,
-                0.95,
-                &BootstrapConfig::new(reps, seed).chunk_size(chunk).threads(threads),
-                mean,
-            )
-            .unwrap();
-            prop_assert_eq!(reference.lower.to_bits(), tuned.lower.to_bits());
-            prop_assert_eq!(reference.upper.to_bits(), tuned.upper.to_bits());
-            prop_assert_eq!(reference.estimate.to_bits(), tuned.estimate.to_bits());
-        }
-    }
-
-    #[test]
-    fn bootstrap_reps_below_chunk_size_work(
-        xs in prop::collection::vec(0.1f64..1e3, 10..40),
-        reps in 10usize..200,
-        seed in any::<u64>(),
-    ) {
-        // Regression guard: fewer replicates than one chunk must still
-        // produce the same CI as any other chunking.
-        let mean = |r: &[f64]| r.iter().sum::<f64>() / r.len() as f64;
-        let small = bootstrap_ci_with(&xs, 0.95, &BootstrapConfig::new(reps, seed).chunk_size(reps + 1), mean).unwrap();
-        let reference = bootstrap_ci_with(&xs, 0.95, &BootstrapConfig::new(reps, seed), mean).unwrap();
-        prop_assert_eq!(small.lower.to_bits(), reference.lower.to_bits());
-        prop_assert_eq!(small.upper.to_bits(), reference.upper.to_bits());
-    }
-
-    #[test]
     fn bootstrap_quantile_ci_is_deterministic_and_ordered(
         xs in prop::collection::vec(0.1f64..1e3, 10..80),
         p in 0.05f64..0.95,
@@ -794,21 +750,15 @@ proptest! {
     }
 
     #[test]
-    fn bootstrap_diff_ci_is_bit_identical_across_threads_and_chunks(
+    fn bootstrap_diff_ci_estimates_the_difference_within_ordered_bounds(
         xs in prop::collection::vec(0.1f64..1e3, 5..40),
         ys in prop::collection::vec(0.1f64..1e3, 5..40),
         seed in any::<u64>(),
-        chunk in 1usize..64,
-        threads in 1usize..4,
     ) {
         let mean = |r: &[f64]| r.iter().sum::<f64>() / r.len() as f64;
-        let config = BootstrapConfig::new(200, seed).chunk_size(chunk).threads(threads);
-        let reference = bootstrap_diff_ci(&xs, &ys, 0.95, 200, seed, mean).unwrap();
-        let tuned = bootstrap_diff_ci_with(&xs, &ys, 0.95, &config, mean).unwrap();
-        let bits = |ci: ConfidenceInterval| [ci.estimate, ci.lower, ci.upper].map(f64::to_bits);
-        prop_assert_eq!(bits(reference), bits(tuned));
-        prop_assert_eq!(reference.estimate, mean(&xs) - mean(&ys));
-        prop_assert!(reference.lower <= reference.upper);
+        let ci = bootstrap_diff_ci(&xs, &ys, 0.95, 200, seed, mean).unwrap();
+        prop_assert_eq!(ci.estimate, mean(&xs) - mean(&ys));
+        prop_assert!(ci.lower <= ci.upper);
     }
 
     // --- Streaming summaries ---------------------------------------

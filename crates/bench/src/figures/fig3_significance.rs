@@ -12,7 +12,7 @@ use scibench::plot::ascii::render_density;
 use scibench_sim::machine::MachineSpec;
 use scibench_sim::pingpong::{pingpong_latencies_us, PingPongConfig};
 use scibench_sim::rng::SimRng;
-use scibench_stats::ci::{mean_ci, ConfidenceInterval};
+use scibench_stats::ci::ConfidenceInterval;
 use scibench_stats::error::StatsResult;
 use scibench_stats::kde::{Bandwidth, DensityEstimate};
 use scibench_stats::Sample;
@@ -63,7 +63,7 @@ fn panel(
         name: name.to_owned(),
         min: xs.iter().cloned().fold(f64::INFINITY, f64::min),
         max: xs.iter().cloned().fold(0.0, f64::max),
-        mean_ci: mean_ci(xs, 0.99)?,
+        mean_ci: latencies.mean_ci(0.99)?,
         median_ci: latencies.sorted().median_ci(0.99)?,
         density: latencies.kde(Bandwidth::Silverman, 512)?,
         latencies_us: latencies,

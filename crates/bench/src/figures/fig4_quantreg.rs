@@ -11,7 +11,7 @@ use scibench::data::DataSet;
 use scibench_sim::machine::MachineSpec;
 use scibench_sim::pingpong::{pingpong_latencies_us, PingPongConfig};
 use scibench_sim::rng::SimRng;
-use scibench_stats::ci::{mean_ci, ConfidenceInterval};
+use scibench_stats::ci::ConfidenceInterval;
 use scibench_stats::error::StatsResult;
 use scibench_stats::quantreg::{two_sample, QuantileEffect};
 use scibench_stats::Sample;
@@ -44,8 +44,8 @@ pub fn compute(samples: usize, seed: u64) -> StatsResult<Fig4> {
 
     let taus: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     let effects = two_sample(&dora, &pilatus, &taus, 0.95, 400, seed ^ 0xF164)?;
-    let dora_mean = mean_ci(dora.values(), 0.95)?;
-    let pilatus_mean = mean_ci(pilatus.values(), 0.95)?;
+    let dora_mean = dora.mean_ci(0.95)?;
+    let pilatus_mean = pilatus.mean_ci(0.95)?;
     Ok(Fig4 {
         taus,
         effects,

@@ -6,11 +6,9 @@
 //! *which* statistic supports a claimed difference instead of eyeballing
 //! means.
 
-use scibench_stats::ci::{mean_ci, ConfidenceInterval};
+use scibench_stats::ci::ConfidenceInterval;
 use scibench_stats::error::StatsResult;
-use scibench_stats::htest::{
-    cohens_d, effect_magnitude, kruskal_wallis, welch_t_test, EffectMagnitude, TestResult,
-};
+use scibench_stats::htest::{effect_magnitude, kruskal_wallis, EffectMagnitude, TestResult};
 use scibench_stats::quantreg::{two_sample, QuantileEffect};
 use scibench_stats::Sample;
 
@@ -132,8 +130,8 @@ pub fn compare_two(
 /// `taus` selects the quantiles for quantile regression (empty = skip);
 /// `seed` drives the bootstrap CIs of the quantile differences. The median
 /// CIs, the rank test and the quantile regression read each sample's one
-/// sort; the means, the t-test and the effect size read the values in
-/// their own order.
+/// sort; the mean CIs, the t-test and the effect size read each sample's
+/// kept [`Sample::mean`] and [`Sample::variance`].
 pub fn compare_samples(
     label_a: &str,
     a: &Sample<'_>,
@@ -143,13 +141,13 @@ pub fn compare_samples(
     taus: &[f64],
     seed: u64,
 ) -> StatsResult<Comparison> {
-    let mean_ci_a = mean_ci(a.values(), confidence)?;
-    let mean_ci_b = mean_ci(b.values(), confidence)?;
+    let mean_ci_a = a.mean_ci(confidence)?;
+    let mean_ci_b = b.mean_ci(confidence)?;
     let median_ci_a = a.sorted().median_ci(confidence)?;
     let median_ci_b = b.sorted().median_ci(confidence)?;
-    let t_test = welch_t_test(a.values(), b.values())?;
+    let t_test = a.welch_t_test(b)?;
     let kw = kruskal_wallis(&[a, b])?;
-    let d = cohens_d(b.values(), a.values())?;
+    let d = b.cohens_d(a)?;
     let quantile_effects = if taus.is_empty() {
         Vec::new()
     } else {
@@ -275,8 +273,10 @@ mod tests {
 
     #[test]
     fn sample_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::reference::{cohens_d, mean_ci, welch_t_test};
         use crate::test_samples::sharing_cases;
         use scibench_stats::ci::median_ci;
+        use scibench_stats::kde::Bandwidth;
 
         let ci_bits = |ci: &ConfidenceInterval| {
             [ci.estimate, ci.lower, ci.upper, ci.confidence].map(f64::to_bits)
@@ -302,8 +302,11 @@ mod tests {
         cases.extend(shared.chunks(2).map(|p| (p[0].clone(), p[1].clone())));
         for (i, (a, b)) in cases.iter().enumerate() {
             let taus: &[f64] = if a.len() < 1000 { &[0.25, 0.5] } else { &[] };
-            // One pair of samples serves both confidence levels.
+            // One pair of samples serves both confidence levels. A's
+            // moments are first summed for a bandwidth, so even the first
+            // comparison reads them kept; B's are summed by the comparison.
             let (sample_a, sample_b) = (Sample::new(a).unwrap(), Sample::new(b).unwrap());
+            let _ = sample_a.kde(Bandwidth::Scott, 16);
             for confidence in [0.95, 0.99] {
                 let slice = compare_two("A", a, "B", b, confidence, taus, 5);
                 let shared = compare_samples("A", &sample_a, "B", &sample_b, confidence, taus, 5);
@@ -359,5 +362,25 @@ mod tests {
             compare_two("A", &short, "B", &cases[0].1, 0.95, &[], 5).unwrap_err(),
             median_ci(&short, 0.95).unwrap_err()
         );
+        // The slice functions refuse what the reference bodies refuse, in
+        // the same order. (A NaN confidence is its own error value, so the
+        // results are compared as text.)
+        let good = &cases[0].0;
+        let inputs: [&[f64]; 5] = [&[], &[1.0, f64::NAN], &[f64::INFINITY], &[1.0], &[2.0; 4]];
+        for xs in inputs.into_iter().chain([&good[..]]) {
+            for confidence in [0.95, 0.0, 1.0, f64::NAN] {
+                assert_eq!(
+                    format!("{:?}", scibench_stats::ci::mean_ci(xs, confidence)),
+                    format!("{:?}", mean_ci(xs, confidence))
+                );
+            }
+            for ys in inputs.into_iter().chain([&good[..]]) {
+                assert_eq!(
+                    scibench_stats::htest::welch_t_test(xs, ys),
+                    welch_t_test(xs, ys)
+                );
+                assert_eq!(scibench_stats::htest::cohens_d(xs, ys), cohens_d(xs, ys));
+            }
+        }
     }
 }

@@ -19,11 +19,11 @@
 
 use scibench_stats::ci::{self, ConfidenceInterval};
 use scibench_stats::error::{StatsError, StatsResult};
-use scibench_stats::normality::{shapiro_wilk_thinned, ShapiroWilk};
+use scibench_stats::normality::ShapiroWilk;
 use scibench_stats::quantile::FiveNumberSummary;
 use scibench_stats::sanitize::sanitize;
 use scibench_stats::sorted::SortedSamples;
-use scibench_stats::summary::{self, OnlineMoments};
+use scibench_stats::summary::OnlineMoments;
 use scibench_stats::Sample;
 
 /// When to stop measuring.
@@ -265,18 +265,8 @@ impl MeasurementPlan {
                 max_samples,
                 ..
             } => {
-                if !(confidence > 0.0 && confidence < 1.0) {
-                    return Err(StatsError::InvalidProbability {
-                        name: "confidence",
-                        value: confidence,
-                    });
-                }
-                if !(rel_error > 0.0 && rel_error < 1.0) {
-                    return Err(StatsError::InvalidProbability {
-                        name: "rel_error",
-                        value: rel_error,
-                    });
-                }
+                check_probability("confidence", confidence)?;
+                check_probability("rel_error", rel_error)?;
                 if max_samples == 0 {
                     return Err(StatsError::InvalidParameter {
                         name: "max_samples",
@@ -286,6 +276,16 @@ impl MeasurementPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// Refuses a `value` outside the open interval (0, 1) as an invalid
+/// probability called `name`.
+fn check_probability(name: &'static str, value: f64) -> StatsResult<()> {
+    if value > 0.0 && value < 1.0 {
+        Ok(())
+    } else {
+        Err(StatsError::InvalidProbability { name, value })
     }
 }
 
@@ -315,11 +315,26 @@ impl MeasurementOutcome {
     /// all-contaminated outcome still fails with a typed error because
     /// there is nothing left to summarize.
     ///
-    /// Summarizes the finite samples, borrowed as a [`Sample`], with
-    /// [`MeasurementSummary::from_sample`], then discloses the drops.
+    /// An all-finite outcome is borrowed as a [`Sample`] and summarized
+    /// by [`MeasurementSummary::from_sample`]; only a contaminated one is
+    /// copied, to summarize its finite samples and disclose the drops.
+    /// Errors with [`StatsError::InvalidProbability`] when `confidence`
+    /// is outside (0, 1), before anything else.
     pub fn summarize(&self, confidence: f64) -> StatsResult<MeasurementSummary> {
+        check_probability("confidence", confidence)?;
+        match Sample::new(&self.samples) {
+            Err(StatsError::NonFiniteSample) => {}
+            finite => {
+                return MeasurementSummary::from_sample(
+                    &self.name,
+                    &finite?,
+                    self.converged,
+                    confidence,
+                )
+            }
+        }
         let sanitized = sanitize(&self.samples);
-        if sanitized.clean.is_empty() && sanitized.contaminated() {
+        if sanitized.clean.is_empty() {
             return Err(StatsError::NonFiniteSample);
         }
         let sample = Sample::new(&sanitized.clean)?;
@@ -333,7 +348,7 @@ impl MeasurementOutcome {
             // Contamination degrades the summary to nonparametric-only:
             // the mean of a partially-dropped sample is biased in an
             // unknown direction, so its CI must not be blessed.
-            mean_ci_valid: summary.mean_ci_valid && !sanitized.contaminated(),
+            mean_ci_valid: false,
             ..summary
         })
     }
@@ -386,23 +401,27 @@ impl MeasurementSummary {
     /// Summarizes a sample of finite measurements per Rules 5 and 6.
     ///
     /// The five-number summary and the median CI come from the sample's
-    /// sort; the mean, the standard deviation, the Shapiro–Wilk thinning
-    /// and the mean CI read the values in recorded order. Nothing was
-    /// dropped, so the mean CI is blessed whenever the diagnostic does not
-    /// reject normality.
+    /// sort; the mean, the standard deviation and the mean CI from its
+    /// kept [`Sample::mean`] and [`Sample::variance`]; the Shapiro–Wilk
+    /// thinning reads the values in recorded order, which the sample has
+    /// already checked. Nothing was dropped, so the mean CI is blessed
+    /// whenever the diagnostic does not reject normality. Errors with
+    /// [`StatsError::InvalidProbability`] when `confidence` is outside
+    /// (0, 1), before anything else.
     pub fn from_sample(
         name: &str,
         sample: &Sample<'_>,
         converged: bool,
         confidence: f64,
     ) -> StatsResult<Self> {
+        check_probability("confidence", confidence)?;
         let xs = sample.values();
         let five = sample.sorted().five_number();
-        let mean = summary::arithmetic_mean(xs)?;
+        let mean = sample.mean();
         let deterministic = five.max == five.min;
 
         let (std_dev, cov) = if xs.len() >= 2 && !deterministic {
-            let s = summary::sample_std_dev(xs)?;
+            let s = sample.std_dev()?;
             (Some(s), if mean != 0.0 { Some(s / mean) } else { None })
         } else {
             (None, None)
@@ -412,7 +431,7 @@ impl MeasurementSummary {
         let normality = if deterministic || xs.len() < 3 {
             None
         } else {
-            shapiro_wilk_thinned(xs, 2000).ok()
+            sample.shapiro_wilk_thinned(2000).ok()
         };
         let normal_ok = normality
             .as_ref()
@@ -422,7 +441,7 @@ impl MeasurementSummary {
         let mean_ci = if deterministic {
             None
         } else {
-            ci::mean_ci(xs, confidence).ok()
+            sample.mean_ci(confidence).ok()
         };
         let median_ci = sample.sorted().median_ci(confidence).ok();
 
@@ -789,6 +808,44 @@ mod tests {
     }
 
     #[test]
+    fn a_confidence_outside_the_unit_interval_is_refused() {
+        let clean: Vec<f64> = (0..50).map(|i| 1.0 + (i % 7) as f64 * 0.01).collect();
+        let mut contaminated = clean.clone();
+        contaminated.insert(3, f64::NAN);
+        let outcome = |samples: &[f64]| MeasurementOutcome {
+            name: "confidence".to_owned(),
+            warmup_samples: Vec::new(),
+            samples: samples.to_vec(),
+            converged: true,
+        };
+        let sample = Sample::new(&clean).unwrap();
+        for bad in [95.0, 0.0, 1.0, f64::NAN] {
+            let refused = |r: StatsResult<MeasurementSummary>| {
+                matches!(
+                    r,
+                    Err(StatsError::InvalidProbability { name: "confidence", value })
+                        if value.to_bits() == bad.to_bits()
+                )
+            };
+            assert!(refused(MeasurementSummary::from_sample(
+                "x", &sample, true, bad
+            )));
+            // Before any other check: an empty or all-contaminated outcome
+            // is refused for its confidence too.
+            for samples in [&clean[..], &contaminated, &[f64::NAN, f64::INFINITY], &[]] {
+                assert!(refused(outcome(samples).summarize(bad)), "{bad}");
+            }
+        }
+        let s = MeasurementSummary::from_sample("x", &sample, true, 0.9).unwrap();
+        assert_eq!(s.confidence, 0.9);
+        assert!(s.mean_ci.is_some() && s.median_ci.is_some());
+        for samples in [clean, contaminated] {
+            let s = outcome(&samples).summarize(0.9).unwrap();
+            assert!(s.mean_ci.is_some() && s.median_ci.is_some());
+        }
+    }
+
+    #[test]
     fn clean_samples_report_zero_drops() {
         let plan = MeasurementPlan::new("clean").stopping(StoppingRule::FixedCount(30));
         let mut g = Gen::new(11);
@@ -863,8 +920,258 @@ mod tests {
     }
 
     #[test]
+    fn every_summary_keeps_its_pinned_bits() {
+        use crate::compare::compare_samples;
+        use scibench_stats::kde::Bandwidth;
+
+        // Bits written before a `Sample` kept its moments, when each
+        // statistic summed its own mean and variance through
+        // `arithmetic_mean` and `sample_variance`.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut uniform = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let heavy: Vec<f64> = (0..100_000).map(|_| (1.0 - uniform()).powf(-0.8)).collect();
+        let mut contaminated = heavy.clone();
+        contaminated.insert(0, f64::NAN);
+        contaminated.insert(50_000, f64::INFINITY);
+        contaminated.push(f64::NEG_INFINITY);
+        // Zeros of both signs tie with each other and with the repeats.
+        let ties: Vec<f64> = (0..500)
+            .map(|_| [-0.0, 0.0, 1.0, 1.0, 2.5, 4.0][(uniform() * 6.0) as usize])
+            .collect();
+        let other: Vec<f64> = (0..3_000)
+            .map(|_| 2.0 + (1.0 - uniform()).powf(-0.5))
+            .collect();
+        let inputs = [
+            heavy,
+            vec![3.5],
+            vec![2.0, -1.25],
+            vec![2.5; 40],
+            ties,
+            contaminated,
+        ];
+
+        let opt = |x: Option<f64>| x.map_or(u64::MAX, f64::to_bits);
+        let ci = |c: Option<ConfidenceInterval>| {
+            [
+                c.map(|c| c.estimate),
+                c.map(|c| c.lower),
+                c.map(|c| c.upper),
+            ]
+            .map(opt)
+        };
+        let none = u64::MAX;
+        let heavy_summary = [
+            0x40115bf7e2c13d7d,
+            0x403e3aec46f4ea42,
+            0x401bdcf49fc99f31,
+            0x3ff0001007dec70b,
+            0x3ff41dd9671ec730,
+            0x3ffbc60955ce4176,
+            0x400815fe9dda620b,
+            0x40afd5f296d6fc7e,
+            0x40115bf7e2c13d7d,
+            0x40109c1aa900ec00,
+            0x40121bd51c818efa,
+            0x3ffbc60955ce4176,
+            0x3ffba02436c332f0,
+            0x3ffbe9d36bf9a048,
+            0x3fb689ff8edea4da,
+            0x0000000000000000,
+        ];
+        let summary_pins: [[u64; 16]; 6] = [
+            heavy_summary,
+            [
+                0x400c000000000000,
+                none,
+                none,
+                0x400c000000000000,
+                0x400c000000000000,
+                0x400c000000000000,
+                0x400c000000000000,
+                0x400c000000000000,
+                none,
+                none,
+                none,
+                none,
+                none,
+                none,
+                none,
+                none,
+            ],
+            [
+                0x3fd8000000000000,
+                0x40026280b3476096,
+                0x40188356445f2b73,
+                0xbff4000000000000,
+                0xbfdc000000000000,
+                0x3fd8000000000000,
+                0x3ff3000000000000,
+                0x4000000000000000,
+                0x3fd8000000000000,
+                0xc03445c7fac5fc1f,
+                0x403505c7fac5fc1f,
+                none,
+                none,
+                none,
+                none,
+                none,
+            ],
+            [
+                0x4004000000000000,
+                none,
+                none,
+                0x4004000000000000,
+                0x4004000000000000,
+                0x4004000000000000,
+                0x4004000000000000,
+                0x4004000000000000,
+                none,
+                none,
+                none,
+                0x4004000000000000,
+                0x4004000000000000,
+                0x4004000000000000,
+                none,
+                none,
+            ],
+            [
+                0x3ff7cac083126e98,
+                0x3ff720d3085cd675,
+                0x3fef1b72f2f92a15,
+                0x0000000000000000,
+                0x8000000000000000,
+                0x3ff0000000000000,
+                0x4004000000000000,
+                0x4010000000000000,
+                0x3ff7cac083126e98,
+                0x3ff5c2843ea6ce48,
+                0x3ff9d2fcc77e0ee8,
+                0x3ff0000000000000,
+                0x3ff0000000000000,
+                0x3ff0000000000000,
+                0x3fe9ee523cf4822f,
+                0x0000000000000000,
+            ],
+            // The finite values of the contaminated outcome are the heavy
+            // tail's, in its order.
+            heavy_summary,
+        ];
+        let too_few = |required, actual| StatsError::TooFewSamples { required, actual };
+        let comparison_pins: [StatsResult<[u64; 10]>; 5] = [
+            Ok([
+                0x40115bf7e2c13d7d,
+                0x40109c1aa900ec00,
+                0x40121bd51c818efa,
+                0x400f46955fa16311,
+                0x400ecb55be76e0bd,
+                0x400fc1d500cbe565,
+                0x4011251a7d3cacd6,
+                0x3ef31349c3380000,
+                0x40f5ef5411af4e38,
+                0xbf8d965b70f277b3,
+            ]),
+            Err(too_few(2, 1)),
+            Err(too_few(6, 2)),
+            Ok([
+                0x4004000000000000,
+                0x4004000000000000,
+                0x4004000000000000,
+                0x400f46955fa16311,
+                0x400ecb55be76e0bd,
+                0x400fc1d500cbe565,
+                0xc046f61514bb4bf3,
+                0x0000000000000000,
+                0x40a76e0000000000,
+                0x3feb00e7fd1d0c61,
+            ]),
+            Ok([
+                0x3ff7cac083126e98,
+                0x3ff5c2843ea6ce48,
+                0x3ff9d2fcc77e0ee8,
+                0x400f46955fa16311,
+                0x400ecb55be76e0bd,
+                0x400fc1d500cbe565,
+                0xc040ecffcf1817d1,
+                0x0000000000000000,
+                0x4087384bf8470de4,
+                0x3ff77f461f29dd15,
+            ]),
+        ];
+        let bandwidth_pins: [[StatsResult<u64>; 2]; 5] = [
+            [Ok(0x3fbe261edccf0821), Ok(0x4009a29b4e9a70a3)],
+            [Err(too_few(2, 1)), Err(too_few(2, 1))],
+            [Ok(0x3fee67806b0bae8b), Ok(0x4000f71561d5570b)],
+            [Err(StatsError::ZeroVariance), Err(StatsError::ZeroVariance)],
+            [Ok(0x3fd8063869c1988c), Ok(0x3fdc4b97c6834d45)],
+        ];
+
+        let other = Sample::new(&other).unwrap();
+        for (i, xs) in inputs.iter().enumerate() {
+            let s = MeasurementOutcome {
+                name: "pinned".to_owned(),
+                warmup_samples: Vec::new(),
+                samples: xs.clone(),
+                converged: true,
+            }
+            .summarize(0.95)
+            .unwrap();
+            let f = &s.five_number;
+            let sw = s.normality.as_ref();
+            let got: [u64; 16] = [
+                [
+                    s.mean.to_bits(),
+                    opt(s.std_dev),
+                    opt(s.cov),
+                    f.min.to_bits(),
+                    f.q1.to_bits(),
+                    f.median.to_bits(),
+                    f.q3.to_bits(),
+                    f.max.to_bits(),
+                ]
+                .as_slice(),
+                &ci(s.mean_ci),
+                &ci(s.median_ci),
+                &[opt(sw.map(|w| w.w)), opt(sw.map(|w| w.p_value))],
+            ]
+            .concat()
+            .try_into()
+            .unwrap();
+            assert_eq!(got, summary_pins[i], "summary {i}: {got:#018x?}");
+            let Ok(sample) = Sample::new(xs) else {
+                continue;
+            };
+
+            let got = compare_samples("a", &sample, "b", &other, 0.95, &[], 1).map(|c| {
+                let t = &c.t_test;
+                [
+                    ci(Some(c.mean_ci_a)).as_slice(),
+                    &ci(Some(c.mean_ci_b)),
+                    &[t.statistic, t.p_value, t.df.0, c.effect_size].map(f64::to_bits),
+                ]
+                .concat()
+                .try_into()
+                .unwrap()
+            });
+            assert_eq!(got, comparison_pins[i], "comparison {i}: {got:#018x?}");
+
+            let got = [Bandwidth::Silverman, Bandwidth::Scott]
+                .map(|rule| sample.kde(rule, 64).map(|d| d.bandwidth.to_bits()));
+            assert_eq!(got, bandwidth_pins[i], "bandwidths {i}: {got:#018x?}");
+        }
+    }
+
+    #[test]
     fn sample_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::reference::{arithmetic_mean, mean_ci, sample_std_dev};
         use crate::test_samples::sharing_cases;
+        use scibench_stats::kde::Bandwidth;
+        use scibench_stats::normality::shapiro_wilk_thinned;
         use scibench_stats::quantile::FiveNumberSummary;
 
         for clean in sharing_cases() {
@@ -877,13 +1184,11 @@ mod tests {
             ] {
                 contaminated.insert(at, bad);
             }
-            let shared = MeasurementSummary::from_sample(
-                "shared",
-                &Sample::new(&clean).unwrap(),
-                true,
-                0.95,
-            )
-            .unwrap();
+            // The moments are first summed for a bandwidth, so the summary
+            // reads them kept; `summarize` below sums them itself.
+            let sample = Sample::new(&clean).unwrap();
+            let _ = sample.kde(Bandwidth::Scott, 16);
+            let shared = MeasurementSummary::from_sample("shared", &sample, true, 0.95).unwrap();
             for (samples, dropped) in [(clean.clone(), 0), (contaminated, 3)] {
                 let out = MeasurementOutcome {
                     name: "shared".to_owned(),
@@ -915,12 +1220,12 @@ mod tests {
                 );
                 // The order-dependent parts read the finite samples in
                 // recorded order.
-                let sd = summary::sample_std_dev(&clean).ok();
+                let sd = sample_std_dev(&clean).ok();
                 let sw = shapiro_wilk_thinned(&clean, 2000).ok();
-                let mean_ci = ci::mean_ci(&clean, 0.95).ok();
+                let mean_ci = mean_ci(&clean, 0.95).ok();
                 assert_eq!(
                     summary_bits(&MeasurementSummary {
-                        mean: summary::arithmetic_mean(&clean).unwrap(),
+                        mean: arithmetic_mean(&clean).unwrap(),
                         std_dev: slice.std_dev.and(sd),
                         cov: slice.cov.and(sd.map(|s| s / slice.mean)),
                         normality: slice.normality.as_ref().and(sw),

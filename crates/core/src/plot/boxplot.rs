@@ -72,12 +72,13 @@ impl BoxPlotStats {
     ///
     /// Notches are the 95 % nonparametric CI of the median when enough
     /// samples exist. The quartiles, the percentile whiskers and the notch
-    /// come from the sample's sort; the mean, the Tukey whisker scans and
-    /// the outlier list read the values in their own order.
+    /// come from the sample's sort and the mean is its kept
+    /// [`Sample::mean`]; the Tukey whisker scans and the outlier list read
+    /// the values in their own order.
     pub fn from_sample(label: &str, sample: &Sample<'_>, rule: WhiskerRule) -> StatsResult<Self> {
         let (xs, sorted) = (sample.values(), sample.sorted());
         let five = sorted.five_number();
-        let mean = scibench_stats::summary::arithmetic_mean(xs)?;
+        let mean = sample.mean();
         let (lo, hi) = match rule {
             WhiskerRule::MinMax => (five.min, five.max),
             WhiskerRule::TukeyIqr => {
@@ -235,10 +236,10 @@ mod tests {
 
     #[test]
     fn sample_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::reference::arithmetic_mean;
         use crate::test_samples::sharing_cases;
         use scibench_stats::ci::median_ci;
         use scibench_stats::quantile::quantile;
-        use scibench_stats::summary::arithmetic_mean;
 
         let five_bits =
             |f: &FiveNumberSummary| [f.min, f.q1, f.median, f.q3, f.max].map(f64::to_bits);

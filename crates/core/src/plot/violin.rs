@@ -5,7 +5,7 @@
 use scibench_stats::error::StatsResult;
 use scibench_stats::kde::{Bandwidth, DensityEstimate};
 use scibench_stats::quantile::FiveNumberSummary;
-use scibench_stats::summary::{arithmetic_mean, geometric_mean};
+use scibench_stats::summary::geometric_mean;
 use scibench_stats::Sample;
 
 /// The data behind one violin.
@@ -30,12 +30,14 @@ impl ViolinData {
     }
 
     /// Computes a violin on `grid_size` density points. The bandwidth's
-    /// IQR and the quartiles come from the sample's sort; the density
-    /// binning and the means read the values in their own order.
+    /// IQR and the quartiles come from the sample's sort, the bandwidth's
+    /// standard deviation and the arithmetic mean from its kept moments;
+    /// the density binning and the geometric mean read the values in
+    /// their own order.
     pub fn from_sample(label: &str, sample: &Sample<'_>, grid_size: usize) -> StatsResult<Self> {
         let density = sample.kde(Bandwidth::Silverman, grid_size)?;
         let five_number = sample.sorted().five_number();
-        let mean = arithmetic_mean(sample.values())?;
+        let mean = sample.mean();
         let geometric_mean = geometric_mean(sample.values()).ok();
         Ok(Self {
             label: label.to_owned(),
@@ -108,6 +110,7 @@ mod tests {
 
     #[test]
     fn sample_statistics_equal_the_per_call_functions() {
+        use crate::test_samples::reference::arithmetic_mean;
         use crate::test_samples::{bits, sharing_cases};
         use scibench_stats::kde::kde;
 

@@ -18,7 +18,7 @@ use crate::dist::normal::z_critical;
 use crate::dist::student_t::t_critical;
 use crate::error::{StatsError, StatsResult};
 use crate::quantile::{quantile_sorted, QuantileMethod};
-use crate::sorted::SortedSamples;
+use crate::sorted::{Sample, SortedSamples};
 use crate::summary::{arithmetic_mean, sample_std_dev, OnlineMoments};
 use crate::{sorted_copy, validate_samples};
 
@@ -72,24 +72,26 @@ impl ConfidenceInterval {
 /// check with [`crate::normality::shapiro_wilk`] first (Rule 6).
 pub fn mean_ci(xs: &[f64], confidence: f64) -> StatsResult<ConfidenceInterval> {
     validate_confidence(confidence)?;
-    validate_samples(xs)?;
-    if xs.len() < 2 {
-        return Err(StatsError::TooFewSamples {
-            required: 2,
-            actual: xs.len(),
-        });
+    Sample::new(xs)?.mean_ci(confidence)
+}
+
+impl Sample<'_> {
+    /// [`mean_ci`] of this sample, from its kept [`Sample::mean`] and
+    /// [`Sample::variance`].
+    pub fn mean_ci(&self, confidence: f64) -> StatsResult<ConfidenceInterval> {
+        validate_confidence(confidence)?;
+        let s = self.std_dev()?;
+        let n = self.values().len() as f64;
+        let mean = self.mean();
+        let t = t_critical(n - 1.0, 1.0 - confidence)?;
+        let half = t * s / n.sqrt();
+        Ok(ConfidenceInterval {
+            estimate: mean,
+            lower: mean - half,
+            upper: mean + half,
+            confidence,
+        })
     }
-    let n = xs.len() as f64;
-    let mean = arithmetic_mean(xs)?;
-    let s = sample_std_dev(xs)?;
-    let t = t_critical(n - 1.0, 1.0 - confidence)?;
-    let half = t * s / n.sqrt();
-    Ok(ConfidenceInterval {
-        estimate: mean,
-        lower: mean - half,
-        upper: mean + half,
-        confidence,
-    })
 }
 
 /// The rank bounds (1-based, inclusive) of a nonparametric CI.

@@ -35,10 +35,14 @@ impl TestResult {
 fn validate_two_groups(a: &[f64], b: &[f64]) -> StatsResult<()> {
     validate_samples(a)?;
     validate_samples(b)?;
-    if a.len() < 2 || b.len() < 2 {
+    at_least_two_each(a.len(), b.len())
+}
+
+fn at_least_two_each(na: usize, nb: usize) -> StatsResult<()> {
+    if na < 2 || nb < 2 {
         return Err(StatsError::TooFewSamples {
             required: 2,
-            actual: a.len().min(b.len()),
+            actual: na.min(nb),
         });
     }
     Ok(())
@@ -49,24 +53,49 @@ fn validate_two_groups(a: &[f64], b: &[f64]) -> StatsResult<()> {
 /// This is the safer default the paper's §3.2.1 setting calls for; it does
 /// not assume equal standard deviations. Null hypothesis: equal means.
 pub fn welch_t_test(a: &[f64], b: &[f64]) -> StatsResult<TestResult> {
-    validate_two_groups(a, b)?;
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let (ma, mb) = (arithmetic_mean(a)?, arithmetic_mean(b)?);
-    let (va, vb) = (sample_variance(a)?, sample_variance(b)?);
-    let se2 = va / na + vb / nb;
-    if se2 <= 0.0 {
-        return Err(StatsError::ZeroVariance);
+    Sample::new(a)?.welch_t_test(&Sample::new(b)?)
+}
+
+impl Sample<'_> {
+    /// [`welch_t_test`] of this sample (A) against `other` (B), from
+    /// their kept means and variances.
+    pub fn welch_t_test(&self, other: &Sample<'_>) -> StatsResult<TestResult> {
+        let (va, vb) = two_variances(self, other)?;
+        let (na, nb) = (self.values().len() as f64, other.values().len() as f64);
+        let (ma, mb) = (self.mean(), other.mean());
+        let se2 = va / na + vb / nb;
+        if se2 <= 0.0 {
+            return Err(StatsError::ZeroVariance);
+        }
+        let t = (ma - mb) / se2.sqrt();
+        // Welch–Satterthwaite degrees of freedom.
+        let df = se2 * se2 / ((va / na).powi(2) / (na - 1.0) + (vb / nb).powi(2) / (nb - 1.0));
+        let dist = StudentT::new(df)?;
+        let p = 2.0 * (1.0 - dist.cdf(t.abs()));
+        Ok(TestResult {
+            statistic: t,
+            p_value: p.clamp(0.0, 1.0),
+            df: (df, 0.0),
+        })
     }
-    let t = (ma - mb) / se2.sqrt();
-    // Welch–Satterthwaite degrees of freedom.
-    let df = se2 * se2 / ((va / na).powi(2) / (na - 1.0) + (vb / nb).powi(2) / (nb - 1.0));
-    let dist = StudentT::new(df)?;
-    let p = 2.0 * (1.0 - dist.cdf(t.abs()));
-    Ok(TestResult {
-        statistic: t,
-        p_value: p.clamp(0.0, 1.0),
-        df: (df, 0.0),
-    })
+
+    /// [`cohens_d`] of this sample (A) against `other` (B), from their
+    /// kept means and variances.
+    pub fn cohens_d(&self, other: &Sample<'_>) -> StatsResult<f64> {
+        let (va, vb) = two_variances(self, other)?;
+        let (na, nb) = (self.values().len() as f64, other.values().len() as f64);
+        let pooled = (((na - 1.0) * va + (nb - 1.0) * vb) / (na + nb - 2.0)).sqrt();
+        if pooled <= 0.0 {
+            return Err(StatsError::ZeroVariance);
+        }
+        Ok((self.mean() - other.mean()) / pooled)
+    }
+}
+
+/// The variances of two samples of at least two values each.
+fn two_variances(a: &Sample<'_>, b: &Sample<'_>) -> StatsResult<(f64, f64)> {
+    at_least_two_each(a.values().len(), b.values().len())?;
+    Ok((a.variance()?, b.variance()?))
 }
 
 /// Pooled-variance Student t-test (assumes equal variances, the textbook
@@ -320,14 +349,7 @@ pub fn pairwise_bonferroni(groups: &[&[f64]], alpha: f64) -> StatsResult<Vec<Pai
 /// means in two experiments relative to the standard deviation of the
 /// measurements"; |d| ≈ 0.2 is small, 0.5 medium, 0.8 large (Coe).
 pub fn cohens_d(a: &[f64], b: &[f64]) -> StatsResult<f64> {
-    validate_two_groups(a, b)?;
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let (va, vb) = (sample_variance(a)?, sample_variance(b)?);
-    let pooled = (((na - 1.0) * va + (nb - 1.0) * vb) / (na + nb - 2.0)).sqrt();
-    if pooled <= 0.0 {
-        return Err(StatsError::ZeroVariance);
-    }
-    Ok((arithmetic_mean(a)? - arithmetic_mean(b)?) / pooled)
+    Sample::new(a)?.cohens_d(&Sample::new(b)?)
 }
 
 /// Qualitative magnitude bucket for an effect size (after Cohen/Coe).

@@ -7,7 +7,6 @@
 
 use crate::error::{StatsError, StatsResult};
 use crate::sorted::Sample;
-use crate::summary::sample_std_dev;
 
 /// Bandwidth selection rules.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,9 +86,9 @@ pub fn resolve_bandwidth(xs: &[f64], rule: Bandwidth) -> StatsResult<f64> {
     bandwidth(&Sample::new(xs)?, rule)
 }
 
-/// [`resolve_bandwidth`] on a sample: Silverman's IQR comes from its sort.
+/// [`resolve_bandwidth`] on a sample: the standard deviation is its kept
+/// [`Sample::std_dev`], and Silverman's IQR comes from its sort.
 fn bandwidth(sample: &Sample<'_>, rule: Bandwidth) -> StatsResult<f64> {
-    let xs = sample.values();
     match rule {
         Bandwidth::Fixed(h) => {
             if !(h.is_finite() && h > 0.0) {
@@ -101,14 +100,8 @@ fn bandwidth(sample: &Sample<'_>, rule: Bandwidth) -> StatsResult<f64> {
             Ok(h)
         }
         Bandwidth::Silverman | Bandwidth::Scott => {
-            if xs.len() < 2 {
-                return Err(StatsError::TooFewSamples {
-                    required: 2,
-                    actual: xs.len(),
-                });
-            }
-            let s = sample_std_dev(xs)?;
-            let n = xs.len() as f64;
+            let s = sample.std_dev()?;
+            let n = sample.values().len() as f64;
             let h = match rule {
                 Bandwidth::Silverman => {
                     let iqr = sample.sorted().five_number().iqr();
@@ -145,8 +138,9 @@ pub fn kde(xs: &[f64], rule: Bandwidth, grid_size: usize) -> StatsResult<Density
 
 impl Sample<'_> {
     /// [`kde()`] of this sample. Silverman's IQR comes from
-    /// [`Sample::sorted`]; the grid, the binning and the standard
-    /// deviation read the values in their own order.
+    /// [`Sample::sorted`] and the standard deviation from
+    /// [`Sample::std_dev`]; the grid and the binning read the values in
+    /// their own order.
     pub fn kde(&self, rule: Bandwidth, grid_size: usize) -> StatsResult<DensityEstimate> {
         if grid_size < 2 {
             return Err(StatsError::InvalidParameter {
@@ -244,6 +238,7 @@ fn kde_binned(xs: &[f64], grid: &[f64], lo: f64, step: f64, h: f64) -> Vec<f64> 
 mod tests {
     use super::*;
     use crate::quantile::FiveNumberSummary;
+    use crate::summary::{reference, sample_std_dev};
 
     fn normal_sample(n: usize, mu: f64, sigma: f64) -> Vec<f64> {
         (0..n)
@@ -384,7 +379,7 @@ mod tests {
             // One sample serves every rule.
             let sample = Sample::new(&xs).unwrap();
             let n = xs.len() as f64;
-            let s = sample_std_dev(&xs).unwrap();
+            let s = reference::sample_variance(&xs).unwrap().sqrt();
             let iqr = FiveNumberSummary::from_samples(&xs).unwrap().iqr();
             let spread = if iqr > 0.0 { s.min(iqr / 1.34) } else { s };
             for (rule, h) in [

@@ -14,6 +14,7 @@
 
 use crate::dist::normal::{std_normal_cdf, std_normal_inv_cdf};
 use crate::error::{StatsError, StatsResult};
+use crate::sorted::Sample;
 use crate::summary::arithmetic_mean;
 use crate::{sorted_copy, validate_samples};
 
@@ -151,17 +152,25 @@ pub fn shapiro_wilk(xs: &[f64]) -> StatsResult<ShapiroWilk> {
 /// `max_n` observations (default use: large benchmark datasets where the
 /// full test is unsupported and, per the paper, misleading anyway).
 pub fn shapiro_wilk_thinned(xs: &[f64], max_n: usize) -> StatsResult<ShapiroWilk> {
-    validate_samples(xs)?;
-    let max_n = max_n.clamp(3, 5000);
-    if xs.len() <= max_n {
-        return shapiro_wilk(xs);
+    Sample::new(xs)?.shapiro_wilk_thinned(max_n)
+}
+
+impl Sample<'_> {
+    /// [`shapiro_wilk_thinned`] of this sample's values, in their own
+    /// order, without checking them again.
+    pub fn shapiro_wilk_thinned(&self, max_n: usize) -> StatsResult<ShapiroWilk> {
+        let xs = self.values();
+        let max_n = max_n.clamp(3, 5000);
+        if xs.len() <= max_n {
+            return shapiro_wilk(xs);
+        }
+        let stride = xs.len() as f64 / max_n as f64;
+        let last = xs.len() - 1;
+        let thinned: Vec<f64> = (0..max_n)
+            .map(|i| xs[(((i as f64 + 0.5) * stride) as usize).min(last)])
+            .collect();
+        shapiro_wilk(&thinned)
     }
-    let stride = xs.len() as f64 / max_n as f64;
-    let last = xs.len() - 1;
-    let thinned: Vec<f64> = (0..max_n)
-        .map(|i| xs[(((i as f64 + 0.5) * stride) as usize).min(last)])
-        .collect();
-    shapiro_wilk(&thinned)
 }
 
 /// Log-transforms strictly positive samples (Figure 2(b) of the paper):

@@ -14,7 +14,8 @@
 //! all-finite sample. Every constructor and mutator validates its input,
 //! so downstream consumers (e.g. [`crate::quantile::quantile_sorted`])
 //! can rely on the invariant without re-checking. A `Sample` holds
-//! non-empty, all-finite values, and its sort is always of those values.
+//! non-empty, all-finite values, and its sort, mean and variance are
+//! always of those values.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -24,20 +25,29 @@ use crate::error::{StatsError, StatsResult};
 use crate::outlier::TukeyFences;
 use crate::quantile::{quantile_sorted, FiveNumberSummary, QuantileMethod};
 use crate::sort::sorted_finite;
+use crate::summary::{mean_of, variance_about};
 use crate::validate_samples;
 
 /// A sample checked once (non-empty, all finite): its values in their own
-/// order, and their ascending copy, sorted by the first call to
-/// [`Sample::sorted`] and kept for every later one.
+/// order; their ascending copy, sorted by the first call to
+/// [`Sample::sorted`]; and their mean and variance, summed by the first
+/// call to [`Sample::mean`] and [`Sample::variance`]. Each is kept for
+/// every later call.
 ///
 /// A statistic that takes a `Sample` reads its order statistics
-/// (quartiles, quantile CIs, ranks) from the sort and every sum, fold and
-/// scan from the values in input order, so it gives the bits of the same
-/// statistic on the slice. The sort cannot belong to another sample.
+/// (quartiles, quantile CIs, ranks) from the sort, its mean and variance
+/// from the kept moments, and every other sum, fold and scan from the
+/// values in input order, so it gives the bits of the same statistic on
+/// the slice: the moments come from the bodies that
+/// [`crate::summary::arithmetic_mean`] and
+/// [`crate::summary::sample_variance`] call. The sort and the moments
+/// cannot belong to another sample.
 #[derive(Debug, Clone)]
 pub struct Sample<'a> {
     values: Cow<'a, [f64]>,
     sorted: OnceLock<SortedSamples>,
+    mean: OnceLock<f64>,
+    variance: OnceLock<f64>,
 }
 
 impl<'a> Sample<'a> {
@@ -56,6 +66,8 @@ impl<'a> Sample<'a> {
         Ok(Self {
             values,
             sorted: OnceLock::new(),
+            mean: OnceLock::new(),
+            variance: OnceLock::new(),
         })
     }
 
@@ -70,6 +82,34 @@ impl<'a> Sample<'a> {
         self.sorted.get_or_init(|| SortedSamples {
             xs: sorted_finite(self.values.to_vec()),
         })
+    }
+
+    /// The arithmetic mean: summed in input order on the first call, kept
+    /// for every later one.
+    pub fn mean(&self) -> f64 {
+        *self.mean.get_or_init(|| mean_of(&self.values))
+    }
+
+    /// The sample variance with Bessel's correction, about
+    /// [`Sample::mean`]: summed in input order on the first call, kept for
+    /// every later one. Errors with [`StatsError::TooFewSamples`] below two
+    /// values.
+    pub fn variance(&self) -> StatsResult<f64> {
+        let n = self.values.len();
+        if n < 2 {
+            return Err(StatsError::TooFewSamples {
+                required: 2,
+                actual: n,
+            });
+        }
+        Ok(*self
+            .variance
+            .get_or_init(|| variance_about(&self.values, self.mean())))
+    }
+
+    /// The sample standard deviation, `√`[`Sample::variance`].
+    pub fn std_dev(&self) -> StatsResult<f64> {
+        Ok(self.variance()?.sqrt())
     }
 }
 
@@ -384,6 +424,53 @@ mod tests {
         assert_ne!(s.sorted().as_slice().as_ptr(), at);
         assert_eq!(s.values().as_ptr(), at);
         assert_eq!(s.values(), sample().as_slice());
+    }
+
+    #[test]
+    fn sample_keeps_the_moments_of_the_reference_bodies() {
+        use crate::summary::{arithmetic_mean, reference, sample_variance};
+
+        let bits = |r: StatsResult<f64>| r.map(f64::to_bits);
+        let subnormals: Vec<f64> = (1..40u64)
+            .map(|i| {
+                f64::from_bits(i * 0x0000_1234_5678_9abc) * if i % 2 == 0 { -1.0 } else { 1.0 }
+            })
+            .collect();
+        let cases = [
+            sample(),
+            vec![3.0, -0.0, 1.0, 0.0, -2.5, 0.0, -0.0],
+            subnormals,
+            vec![7.25],
+            // Summed in input order the mean is 0.75; in sorted order, 1.
+            vec![1e16, 1.0, -1e16, 3.0],
+            vec![2.5; 9],
+        ];
+        for xs in &cases {
+            let (mean, variance) = (
+                reference::arithmetic_mean(xs),
+                reference::sample_variance(xs),
+            );
+            // Either moment may be asked for first; the second reads the
+            // kept one.
+            let mean_first = Sample::new(xs).unwrap();
+            let variance_first = Sample::new(xs).unwrap();
+            for _ in 0..2 {
+                assert_eq!(bits(Ok(mean_first.mean())), bits(mean.clone()));
+                assert_eq!(bits(mean_first.variance()), bits(variance.clone()));
+                assert_eq!(bits(variance_first.variance()), bits(variance.clone()));
+                assert_eq!(bits(Ok(variance_first.mean())), bits(mean.clone()));
+            }
+            assert_eq!(
+                bits(variance_first.std_dev()),
+                bits(variance.clone().map(f64::sqrt))
+            );
+            assert_eq!(bits(arithmetic_mean(xs)), bits(mean));
+            assert_eq!(bits(sample_variance(xs)), bits(variance));
+        }
+        for bad in [&[][..], &[1.0, f64::NAN], &[f64::INFINITY]] {
+            assert_eq!(arithmetic_mean(bad), reference::arithmetic_mean(bad));
+            assert_eq!(sample_variance(bad), reference::sample_variance(bad));
+        }
     }
 
     #[test]

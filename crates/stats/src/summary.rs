@@ -13,7 +13,16 @@ use crate::validate_samples;
 /// flop counts) where the total is what matters.
 pub fn arithmetic_mean(xs: &[f64]) -> StatsResult<f64> {
     validate_samples(xs)?;
-    Ok(xs.iter().sum::<f64>() / xs.len() as f64)
+    Ok(mean_of(xs))
+}
+
+/// The one body of every arithmetic mean of a sample, [`Sample::mean`]'s
+/// included: the values summed in input order, so a mean has the same
+/// bits wherever it is taken. `xs` is non-empty.
+///
+/// [`Sample::mean`]: crate::Sample::mean
+pub(crate) fn mean_of(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len() as f64
 }
 
 /// Harmonic mean `n / Σ (1/xᵢ)`. Correct for *rates* (flop/s, MB/s) whose
@@ -94,9 +103,45 @@ pub fn sample_variance(xs: &[f64]) -> StatsResult<f64> {
             actual: xs.len(),
         });
     }
-    let mean = arithmetic_mean(xs)?;
+    Ok(variance_about(xs, mean_of(xs)))
+}
+
+/// The one body of every sample variance, [`Sample::variance`]'s
+/// included: the squared deviations from `mean` summed in input order,
+/// over `n − 1`. `xs` holds at least two values and `mean` is their
+/// [`mean_of`].
+///
+/// [`Sample::variance`]: crate::Sample::variance
+pub(crate) fn variance_about(xs: &[f64], mean: f64) -> f64 {
     let ss: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum();
-    Ok(ss / (xs.len() as f64 - 1.0))
+    ss / (xs.len() as f64 - 1.0)
+}
+
+/// `arithmetic_mean` and `sample_variance` as they were before the
+/// shared bodies: the oracles that tests hold [`mean_of`] and
+/// [`variance_about`] to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::error::{StatsError, StatsResult};
+    use crate::validate_samples;
+
+    pub(crate) fn arithmetic_mean(xs: &[f64]) -> StatsResult<f64> {
+        validate_samples(xs)?;
+        Ok(xs.iter().sum::<f64>() / xs.len() as f64)
+    }
+
+    pub(crate) fn sample_variance(xs: &[f64]) -> StatsResult<f64> {
+        validate_samples(xs)?;
+        if xs.len() < 2 {
+            return Err(StatsError::TooFewSamples {
+                required: 2,
+                actual: xs.len(),
+            });
+        }
+        let mean = arithmetic_mean(xs)?;
+        let ss: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum();
+        Ok(ss / (xs.len() as f64 - 1.0))
+    }
 }
 
 /// Sample standard deviation `s = √s²` (§3.1.2 of the paper).

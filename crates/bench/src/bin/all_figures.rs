@@ -13,9 +13,8 @@
 //!
 //! `--trace <path>` records a low-overhead event trace of the whole run
 //! (one [`category::FIGURE`] span per figure plus the pool's task and
-//! scheduling events), validates it, writes it as chrome://tracing JSON
-//! (or JSONL when the path ends in `.jsonl`), and prints the
-//! self-accounting harness-overhead report (Rules 4–5).
+//! scheduling events), validates it, writes it as chrome://tracing JSON,
+//! and prints the self-accounting harness-overhead report (Rules 4–5).
 //!
 //! `--journal <path>` records each completed figure in a crash-consistent
 //! journal ([`scibench::experiment::journal`]); `--resume` replays the
@@ -37,8 +36,8 @@ use scibench::parallel::pool;
 use scibench_bench::figures::*;
 use scibench_bench::{output, samples_from_env, DEFAULT_SEED};
 use scibench_trace::{
-    category, lane_of, to_chrome_json, to_jsonl, validate_chrome_trace, validate_jsonl, ArgValue,
-    OverheadProbe, OverheadReport, Tracer,
+    category, lane_of, to_chrome_json, validate_chrome_trace, ArgValue, OverheadProbe,
+    OverheadReport, Tracer,
 };
 
 /// Figure lanes live above the pool-worker lanes (0..threads) and the
@@ -399,28 +398,14 @@ fn export_trace(
     probe: &OverheadProbe,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let trace = tracer.drain();
-    let jsonl = path.extension().is_some_and(|e| e == "jsonl");
-    let text = if jsonl {
-        to_jsonl(&trace)
-    } else {
-        to_chrome_json(&trace)
-    };
+    let text = to_chrome_json(&trace);
     // Validate before writing so a malformed export never lands on disk.
-    let validated = if jsonl {
-        validate_jsonl(&text)
-    } else {
-        validate_chrome_trace(&text)
-    }
-    .map_err(|e| format!("trace failed validation: {e}"))?;
+    let validated =
+        validate_chrome_trace(&text).map_err(|e| format!("trace failed validation: {e}"))?;
     fs::write(path, &text).map_err(|e| format!("writing trace {}: {e}", path.display()))?;
     println!(
-        "wrote {} ({validated} events, {})",
-        path.display(),
-        if jsonl {
-            "JSONL"
-        } else {
-            "chrome://tracing JSON"
-        }
+        "wrote {} ({validated} events, chrome://tracing JSON)",
+        path.display()
     );
 
     let report = OverheadReport::from_trace(&trace, probe, category::FIGURE);

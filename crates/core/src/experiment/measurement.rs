@@ -392,9 +392,6 @@ pub struct MeasurementSummary {
     pub median_ci: Option<ConfidenceInterval>,
     /// The confidence level used for both CIs.
     pub confidence: f64,
-    /// Harness self-accounting (Rules 4-5): what observing this
-    /// measurement cost. `None` when the run was not traced.
-    pub harness_overhead: Option<crate::obs::HarnessOverhead>,
 }
 
 impl MeasurementSummary {
@@ -463,16 +460,7 @@ impl MeasurementSummary {
             mean_ci,
             median_ci,
             confidence,
-            harness_overhead: None,
         })
-    }
-
-    /// Attaches the harness-overhead disclosure (builder style), so
-    /// traced campaigns can surface the Rule 4/5 self-accounting in
-    /// their reports.
-    pub fn with_harness_overhead(mut self, overhead: crate::obs::HarnessOverhead) -> Self {
-        self.harness_overhead = Some(overhead);
-        self
     }
 
     /// Renders the summary as interpretable text.
@@ -543,9 +531,6 @@ impl MeasurementSummary {
                 ci.lower,
                 ci.upper
             ));
-        }
-        if let Some(overhead) = &self.harness_overhead {
-            out.push_str(&overhead.render());
         }
         out
     }
@@ -868,32 +853,6 @@ mod tests {
         for needle in ["min=", "median=", "max=", "mean=", "99% CI(median)"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn harness_overhead_is_disclosed_only_once_attached() {
-        let plan = MeasurementPlan::new("traced").stopping(StoppingRule::FixedCount(50));
-        let mut g = Gen::new(5);
-        let summary = plan
-            .run(|| g.next_latency())
-            .unwrap()
-            .summarize(0.95)
-            .unwrap();
-        assert!(!summary.render().contains("harness overhead"));
-        let overhead = crate::obs::HarnessOverhead {
-            timer_read_ns: 20.0,
-            record_ns: 40.0,
-            tracing_ns: 3_000.0,
-            events: 50,
-            tracing_ns_per_sample: 60.0,
-            overhead_fraction: Some(0.08),
-        };
-        let text = summary.clone().with_harness_overhead(overhead).render();
-        // The disclosure follows the statistics, and a share above the
-        // 5 % budget is called out (Rules 4-5).
-        assert!(text.starts_with(&summary.render()), "{text}");
-        assert!(text.ends_with(&overhead.render()), "{text}");
-        assert!(text.contains("EXCEEDS the 5% budget"), "{text}");
     }
 
     /// Every float of a summary, as bits.

@@ -142,8 +142,16 @@ impl FaultPlan {
 
     /// A canonical mixed-fault plan scaled by a single `rate` knob in
     /// `[0, 1]`: at `rate = 0` nothing fails; at `rate = 1` every fault
-    /// class fires aggressively. Used by the fault-ablation experiment to
-    /// sweep failure intensity with one parameter.
+    /// class is drawn aggressively. Used by the fault-ablation experiment
+    /// to sweep failure intensity with one parameter.
+    ///
+    /// Only crashes, stragglers and link drops act on a transfer
+    /// ([`crate::network::NetworkModel::transfer_faulty_ns`]). The clock
+    /// jumps [`FaultSchedule::compile`] draws are read only by
+    /// [`crate::pingpong::pingpong_latencies_faulty_ns`] and
+    /// [`crate::drift::ClockEnsemble::with_fault_jumps`], which no
+    /// experiment calls, so the jump rate changes no transfer. Its draws
+    /// still keep every later node's crash and straggler draws aligned.
     pub fn with_failure_rate(rate: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&rate),

@@ -7,7 +7,6 @@
 //! documentation block, so experiment reports can embed a full setup
 //! description mechanically.
 
-use crate::fault::FaultPlan;
 use crate::noise::NoiseProfile;
 use crate::topology::Topology;
 
@@ -64,9 +63,6 @@ pub struct MachineSpec {
     pub network: NetworkSpec,
     /// Noise environment.
     pub noise: NoiseProfile,
-    /// Fault-injection plan for resilience experiments (empty by default —
-    /// presets model healthy machines).
-    pub faults: FaultPlan,
     /// Software environment descriptor (compiler, MPI, batch system) —
     /// the Table 1 software rows.
     pub software: String,
@@ -88,24 +84,11 @@ impl MachineSpec {
     /// Renders the Rule-9 setup documentation block.
     pub fn describe(&self) -> String {
         let acc = self.node.accelerator.as_deref().unwrap_or("none");
-        let faults = if self.faults.is_none() {
-            String::new()
-        } else {
-            format!(
-                "injected faults: crash p = {}, straggler p = {} (x{:.1}), \
-                 link drop p = {}, clock jump p = {}\n",
-                self.faults.node_crash_prob,
-                self.faults.straggler_prob,
-                self.faults.straggler_slowdown,
-                self.faults.link_drop_prob,
-                self.faults.clock_jump_prob,
-            )
-        };
         format!(
             "system: {} ({})\n\
              nodes: {} x [{} ({} cores), {} GiB {}, accelerator: {}]\n\
              network: {} ({:?}), injection {:.0} ns, {:.0} ns/hop, {:.1} GB/s\n\
-             {}software: {}\n\
+             software: {}\n\
              timer granularity: {} ns",
             self.name,
             self.family,
@@ -120,17 +103,9 @@ impl MachineSpec {
             self.network.injection_ns,
             self.network.per_hop_ns,
             self.network.bandwidth_bytes_per_ns,
-            faults,
             self.software,
             self.timer_granularity_ns,
         )
-    }
-
-    /// Returns this machine with the given fault plan attached (builder
-    /// style, used by resilience experiments).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Piz Daint model (Cray XC30): 8-core Xeon E5-2670 + NVIDIA K20X per
@@ -172,7 +147,6 @@ impl MachineSpec {
                 slow_path_prob: 0.0,
                 slow_path_extra_ns: 0.0,
             },
-            faults: FaultPlan::none(),
             software: "CLE, Cray PE 5.1.29, slurm 14.03.7, gcc 4.8.2 -O3".into(),
             timer_granularity_ns: 10,
         }
@@ -217,7 +191,6 @@ impl MachineSpec {
                 slow_path_prob: 0.0,
                 slow_path_extra_ns: 0.0,
             },
-            faults: FaultPlan::none(),
             software: "CLE, Cray PE 5.2.40, slurm 14.03.7, gcc 4.8.2 -O3".into(),
             timer_granularity_ns: 10,
         }
@@ -261,7 +234,6 @@ impl MachineSpec {
                 slow_path_prob: 0.35,
                 slow_path_extra_ns: 700.0,
             },
-            faults: FaultPlan::none(),
             software: "CentOS, MVAPICH2 1.9, slurm, gcc 4.8.2 -O3".into(),
             timer_granularity_ns: 20,
         }
@@ -291,7 +263,6 @@ impl MachineSpec {
                 rendezvous_ns: 1000.0,
             },
             noise: NoiseProfile::quiet(),
-            faults: FaultPlan::none(),
             software: "test".into(),
             timer_granularity_ns: 1,
         }
@@ -367,17 +338,5 @@ mod tests {
     #[test]
     fn test_machine_is_quiet() {
         assert!(MachineSpec::test_machine(4).noise.is_quiet());
-    }
-
-    #[test]
-    fn with_faults_replaces_only_the_fault_plan() {
-        let plan = FaultPlan::with_failure_rate(0.5);
-        let faulty = MachineSpec::piz_daint().with_faults(plan.clone());
-        assert_eq!(faulty.faults, plan);
-        let restored = MachineSpec {
-            faults: FaultPlan::none(),
-            ..faulty
-        };
-        assert_eq!(restored, MachineSpec::piz_daint());
     }
 }

@@ -1,15 +1,13 @@
-//! Trace exporters: JSONL and chrome://tracing JSON.
+//! Trace exporter: chrome://tracing JSON.
 //!
-//! Both formats are hand-rolled (workspace convention: no JSON
-//! dependency). The chrome format targets the Trace Event Format's JSON
-//! array flavour — complete events (`ph: "X"`), instant events
-//! (`ph: "i"`) and counter events (`ph: "C"`) — loadable directly in
-//! `chrome://tracing` or Perfetto. Timestamps are microseconds with
-//! nanosecond fractions; lanes map to `tid`, everything shares `pid` 0.
+//! The format is hand-rolled (workspace convention: no JSON dependency).
+//! It targets the Trace Event Format's JSON array flavour — complete
+//! events (`ph: "X"`), instant events (`ph: "i"`) and counter events
+//! (`ph: "C"`) — loadable directly in `chrome://tracing` or Perfetto.
+//! Timestamps are microseconds with nanosecond fractions; lanes map to
+//! `tid`, everything shares `pid` 0.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use crate::event::{ArgValue, EventKind, TraceEvent};
 use crate::trace::Trace;
@@ -114,45 +112,6 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     out
 }
 
-fn jsonl_event(e: &TraceEvent) -> String {
-    let kind = match &e.kind {
-        EventKind::Span { dur_ns } => format!("\"kind\":\"span\",\"dur_ns\":{dur_ns}"),
-        EventKind::Instant => "\"kind\":\"instant\"".to_string(),
-        EventKind::Counter { value } => {
-            format!("\"kind\":\"counter\",\"value\":{}", json_f64(*value))
-        }
-    };
-    format!(
-        "{{\"cat\":\"{}\",\"name\":\"{}\",\"t_ns\":{},\"lane\":{},\"seq\":{},{kind},\"args\":{}}}",
-        json_escape(e.cat),
-        json_escape(&e.name),
-        e.t_ns,
-        e.lane,
-        e.seq,
-        json_args(&e.args, None)
-    )
-}
-
-/// Renders the trace as JSONL: one JSON object per event per line.
-pub fn to_jsonl(trace: &Trace) -> String {
-    let mut out = String::new();
-    for e in &trace.events {
-        out.push_str(&jsonl_event(e));
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes the chrome://tracing JSON rendering of `trace` to `path`.
-pub fn write_chrome_json(trace: &Trace, path: &Path) -> io::Result<()> {
-    std::fs::write(path, to_chrome_json(trace))
-}
-
-/// Writes the JSONL rendering of `trace` to `path`.
-pub fn write_jsonl(trace: &Trace, path: &Path) -> io::Result<()> {
-    std::fs::write(path, to_jsonl(trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,21 +166,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_schema_valid() {
-        let text = to_jsonl(&sample_trace());
-        let n = crate::json::validate_jsonl(&text).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("\"dur_ns\":4005"));
-        assert!(text.contains("\"kind\":\"counter\""));
-    }
-
-    #[test]
     fn escaping_round_trips_through_parser() {
-        let text = to_jsonl(&sample_trace());
-        for line in text.lines() {
-            let v = crate::json::parse(line).unwrap();
-            assert!(v.get("name").and_then(|n| n.as_str()).is_some());
+        let trace = sample_trace();
+        let doc = crate::json::parse(&to_chrome_json(&trace)).unwrap();
+        let events = doc.as_array().unwrap();
+        assert_eq!(events.len(), trace.len());
+        for (parsed, e) in events.iter().zip(&trace.events) {
+            assert_eq!(parsed.get("name").and_then(|n| n.as_str()), Some(&*e.name));
         }
         assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
@@ -238,30 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn writers_store_exactly_the_renderings() {
-        let dir = std::env::temp_dir().join(format!("scibench-export-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace = sample_trace();
-        let (chrome, jsonl) = (dir.join("trace.json"), dir.join("trace.jsonl"));
-        write_chrome_json(&trace, &chrome).unwrap();
-        write_jsonl(&trace, &jsonl).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&chrome).unwrap(),
-            to_chrome_json(&trace)
-        );
-        assert_eq!(std::fs::read_to_string(&jsonl).unwrap(), to_jsonl(&trace));
-        // A path that cannot be created is an I/O error, not a panic.
-        assert!(write_jsonl(&trace, &dir.join("missing").join("trace.jsonl")).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn empty_trace_exports_cleanly() {
         let t = Trace::default();
         assert_eq!(
             crate::json::validate_chrome_trace(&to_chrome_json(&t)).unwrap(),
             0
         );
-        assert_eq!(crate::json::validate_jsonl(&to_jsonl(&t)).unwrap(), 0);
     }
 }

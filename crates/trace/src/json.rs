@@ -1,20 +1,20 @@
-//! Minimal JSON reader, parser and trace schema validators.
+//! Minimal JSON reader, parser and trace schema validator.
 //!
 //! The workspace vendors no JSON library, so the schema check CI runs
 //! against emitted traces is implemented here: a small recursive-descent
 //! grammar (objects, arrays, strings with escapes, numbers, literals)
-//! plus validators that enforce the chrome://tracing and JSONL event
-//! shapes this crate exports. As RFC 8259 requires, a string may hold a
-//! control character only escaped. Reading is linear in the input
-//! length, and nesting is capped at [`MAX_DEPTH`] so hostile input cannot
-//! exhaust the stack.
+//! plus a validator that enforces the chrome://tracing event shape this
+//! crate exports. As RFC 8259 requires, a string may hold a control
+//! character only escaped. Reading is linear in the input length, and
+//! nesting is capped at [`MAX_DEPTH`] so hostile input cannot exhaust
+//! the stack.
 //!
 //! The grammar lives in one place, [`JsonReader`], a pull reader. It
 //! hands out a document's values one at a time: an object's fields and an
 //! array's elements through callbacks, strings borrowed from the input
 //! unless they hold an escape, and small values as [`JsonValue`]s.
 //! [`JsonReader::skip`] checks a value without building it. [`parse`] is
-//! the reader's `value` followed by `finish`, and the validators run on
+//! the reader's `value` followed by `finish`, and the validator runs on
 //! its tree. The campaign journal decodes its frames through the reader,
 //! so sample arrays go straight into numbers without a tree.
 
@@ -486,48 +486,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
     Ok(events.len())
 }
 
-/// Validates a JSONL trace: each non-empty line is an object carrying
-/// `cat`, `name`, non-negative `t_ns`, `lane`, `seq`, a `kind` of
-/// `span` (with `dur_ns`), `instant`, or `counter` (with `value`), and
-/// an `args` object. Returns the event count.
-pub fn validate_jsonl(text: &str) -> Result<usize, String> {
-    let mut count = 0;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = format!("line {}", lineno + 1);
-        let e = parse(line).map_err(|err| format!("{at}: {err}"))?;
-        require_string(&e, "cat", &at)?;
-        require_string(&e, "name", &at)?;
-        if require_number(&e, "t_ns", &at)? < 0.0 {
-            return Err(format!("{at}: negative t_ns"));
-        }
-        require_number(&e, "lane", &at)?;
-        require_number(&e, "seq", &at)?;
-        if !matches!(e.get("args"), Some(JsonValue::Object(_))) {
-            return Err(format!("{at}: missing args object"));
-        }
-        match require_string(&e, "kind", &at)?.as_str() {
-            "span" => {
-                if require_number(&e, "dur_ns", &at)? < 0.0 {
-                    return Err(format!("{at}: negative dur_ns"));
-                }
-            }
-            "instant" => {}
-            "counter" => {
-                // `value` may be a quoted string for non-finite samples.
-                if e.get("value").is_none() {
-                    return Err(format!("{at}: missing \"value\""));
-                }
-            }
-            other => return Err(format!("{at}: unknown kind \"{other}\"")),
-        }
-        count += 1;
-    }
-    Ok(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,27 +573,27 @@ mod tests {
         }
     }
 
-    /// A chrome trace and a JSONL trace in the shapes the exporters
-    /// write, with escapes and multi-byte characters in their strings.
+    /// A chrome trace in the shape the exporter writes, and its events
+    /// one object per line, with escapes and multi-byte characters in
+    /// their strings.
     const CHROME: &str = r#"[
 {"name":"task","cat":"pool","ts":1234.567,"pid":0,"tid":2,"ph":"X","dur":4.005,"args":{"index":7,"stolen":true}},
 {"name":"steal \"x\"\n","cat":"sched","ts":0.008,"pid":0,"tid":0,"ph":"i","s":"t","args":{"err":"a\\b \u00e9 é😀"}},
 {"name":"samples","cat":"campaign","ts":0.009,"pid":0,"tid":1,"ph":"C","args":{"value":12.5,"bad":"NaN","n":-3}}
 ]
 "#;
-    const JSONL: &str = r#"{"cat":"pool","name":"task","t_ns":1234567,"lane":2,"seq":0,"kind":"span","dur_ns":4005,"args":{"index":7,"stolen":true}}
+    const LINES: &str = r#"{"cat":"pool","name":"task","t_ns":1234567,"lane":2,"seq":0,"kind":"span","dur_ns":4005,"args":{"index":7,"stolen":true}}
 {"cat":"sched","name":"steal \"x\"\n","t_ns":8,"lane":0,"seq":1,"kind":"instant","args":{"err":"a\\b \u00e9 é😀"}}
 {"cat":"campaign","name":"samples","t_ns":9,"lane":1,"seq":2,"kind":"counter","value":"NaN","args":{"n":-3e0}}
 "#;
 
-    /// Feeds `input` to the parser and both validators. None may panic,
+    /// Feeds `input` to the parser and the validator. Neither may panic,
     /// and a parse error must point inside the input. Skipping the
     /// document must succeed exactly when parsing does, with the same
     /// error.
     fn fuzz_case(input: &str, case: &str) {
         let (parsed, skipped) = std::panic::catch_unwind(|| {
             let _ = validate_chrome_trace(input);
-            let _ = validate_jsonl(input);
             let mut reader = JsonReader::new(input);
             let skipped = reader.skip().and_then(|()| reader.finish());
             (parse(input), skipped)
@@ -659,8 +617,8 @@ mod tests {
             ((z ^ (z >> 31)) % bound as u64) as usize
         };
         assert_eq!(validate_chrome_trace(CHROME), Ok(3));
-        assert_eq!(validate_jsonl(JSONL), Ok(3));
-        for (name, base) in [("chrome", CHROME), ("jsonl", JSONL)] {
+        assert!(LINES.lines().all(|line| parse(line).is_ok()));
+        for (name, base) in [("chrome", CHROME), ("lines", LINES)] {
             for cut in (0..=base.len()).filter(|&i| base.is_char_boundary(i)) {
                 fuzz_case(&base[..cut], &format!("{name} cut at byte {cut}"));
             }
@@ -705,13 +663,9 @@ mod tests {
         let mut r = JsonReader::new("\"0123456789abcde\u{1}\"");
         assert_eq!(r.fixed_string::<16>(), None);
         assert_eq!(r.string().unwrap_err().offset, 16);
-        // Both validators refuse an export with one in an event name.
+        // The validator refuses an export with one in an event name.
         let chrome = CHROME.replacen("steal", "ste\u{1}al", 1);
         assert!(validate_chrome_trace(&chrome)
-            .unwrap_err()
-            .contains("control character"));
-        let jsonl = JSONL.replacen("steal", "ste\u{1}al", 1);
-        assert!(validate_jsonl(&jsonl)
             .unwrap_err()
             .contains("control character"));
     }
@@ -845,14 +799,5 @@ mod tests {
         let bad_ph = r#"[{"name":"t","cat":"p","ph":"Z","ts":1,"pid":0,"tid":1,"args":{}}]"#;
         assert!(validate_chrome_trace(bad_ph).is_err());
         assert!(validate_chrome_trace("{}").is_err());
-    }
-
-    #[test]
-    fn jsonl_validator_enforces_shape() {
-        let good = "{\"cat\":\"pool\",\"name\":\"t\",\"t_ns\":1,\"lane\":0,\"seq\":0,\"kind\":\"span\",\"dur_ns\":5,\"args\":{}}\n";
-        assert_eq!(validate_jsonl(good).unwrap(), 1);
-        let bad_kind = "{\"cat\":\"pool\",\"name\":\"t\",\"t_ns\":1,\"lane\":0,\"seq\":0,\"kind\":\"x\",\"args\":{}}\n";
-        assert!(validate_jsonl(bad_kind).is_err());
-        assert_eq!(validate_jsonl("\n\n").unwrap(), 0);
     }
 }

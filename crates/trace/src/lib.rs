@@ -8,10 +8,10 @@
 //!   append-only event buffers (spans, instants, counters), merged
 //!   post-run into a [`trace::Trace`]. Zero-cost when disabled — every
 //!   recording call is one branch.
-//! - [`export`]: JSONL and chrome://tracing JSON exporters (hand-rolled,
-//!   no JSON dependency, workspace convention).
+//! - [`export`]: the chrome://tracing JSON exporter (hand-rolled, no
+//!   JSON dependency, workspace convention).
 //! - [`json`]: a minimal JSON pull reader, the parser built on it and
-//!   trace schema validators, so CI can check emitted traces without
+//!   the trace schema validator, so CI can check emitted traces without
 //!   external tooling and the campaign journal can decode its frames
 //!   without a tree.
 //! - [`overhead`]: self-accounting — measures the tracer's own timer and
@@ -35,8 +35,8 @@ pub mod trace;
 pub mod tracer;
 
 pub use event::{category, is_schedule_dependent, ArgValue, EventKind, EventName, TraceEvent};
-pub use export::{to_chrome_json, to_jsonl, write_chrome_json, write_jsonl};
-pub use json::{parse as parse_json, validate_chrome_trace, validate_jsonl, JsonValue};
+pub use export::to_chrome_json;
+pub use json::{parse as parse_json, validate_chrome_trace, JsonValue};
 pub use overhead::{OverheadProbe, OverheadReport};
 pub use trace::Trace;
 pub use tracer::{lane_of, LocalTracer, SpanStart, Tracer};

@@ -28,7 +28,7 @@ fn median_cost_ns(reps: usize, batch: usize, mut f: impl FnMut()) -> f64 {
             (clock.now_ns() - t0) as f64 / batch as f64
         })
         .collect();
-    costs.sort_by(|a, b| a.partial_cmp(b).expect("costs are finite"));
+    costs.sort_by(f64::total_cmp);
     costs[costs.len() / 2]
 }
 
@@ -231,23 +231,29 @@ mod tests {
 
     #[test]
     fn over_budget_is_flagged() {
-        let trace = Trace {
+        let one_span = |dur_ns| Trace {
             events: vec![TraceEvent {
                 cat: category::CAMPAIGN,
                 name: EventName::from("point"),
                 t_ns: 0,
                 lane: 0,
                 seq: 0,
-                kind: EventKind::Span { dur_ns: 100 },
+                kind: EventKind::Span { dur_ns },
                 args: vec![],
             }],
         };
         let probe = OverheadProbe {
-            timer_read_ns: 100.0,
-            record_ns: 100.0,
+            timer_read_ns: 10.0,
+            record_ns: 40.0,
         };
-        let report = OverheadReport::from_trace(&trace, &probe, category::CAMPAIGN);
-        assert!(report.overhead_fraction().unwrap() > 0.05);
-        assert!(report.render().contains("EXCEEDS"));
+        // One record plus the span's extra clock read: 50 ns.
+        let within = OverheadReport::from_trace(&one_span(10_000), &probe, category::CAMPAIGN);
+        assert_eq!(within.events, 1);
+        assert_eq!(within.tracing_ns, 50.0);
+        assert_eq!(within.overhead_fraction(), Some(0.005));
+        assert!(!within.render().contains("EXCEEDS"));
+        let over = OverheadReport::from_trace(&one_span(100), &probe, category::CAMPAIGN);
+        assert_eq!(over.overhead_fraction(), Some(0.5));
+        assert!(over.render().contains("EXCEEDS"));
     }
 }

@@ -27,15 +27,6 @@ impl Trace {
         self.events.iter().filter(|e| e.cat == cat).count()
     }
 
-    /// Event count per category.
-    pub fn category_counts(&self) -> BTreeMap<&'static str, usize> {
-        let mut out = BTreeMap::new();
-        for e in &self.events {
-            *out.entry(e.cat).or_insert(0) += 1;
-        }
-        out
-    }
-
     /// Event count per category, excluding schedule-dependent categories.
     ///
     /// For a fixed seed and design this map is identical at any thread
@@ -73,12 +64,6 @@ impl Trace {
             .filter_map(TraceEvent::dur_ns)
             .sum()
     }
-
-    /// Appends another trace's events and re-sorts into stable order.
-    pub fn merge(&mut self, other: Trace) {
-        self.events.extend(other.events);
-        self.events.sort_by_key(|e| (e.t_ns, e.lane, e.seq));
-    }
 }
 
 #[cfg(test)]
@@ -113,24 +98,11 @@ mod tests {
         assert_eq!(trace.count(category::POOL), 2);
         assert_eq!(trace.total_span_ns(category::POOL), 30);
         assert_eq!(trace.kind_counts(), (2, 1, 1));
-        assert_eq!(trace.category_counts().len(), 3);
         let det = trace.deterministic_counts();
         assert!(!det.contains_key(category::SCHED));
+        assert_eq!(det.len(), 2);
         assert_eq!(det[category::POOL], 2);
         assert_eq!(trace.events[0].arg("k"), Some(&ArgValue::U64(1)));
         assert_eq!(trace.events[0].arg("missing"), None);
-    }
-
-    #[test]
-    fn merge_restores_order() {
-        let mut a = Trace {
-            events: vec![ev(category::POOL, 10, EventKind::Instant)],
-        };
-        let b = Trace {
-            events: vec![ev(category::POOL, 2, EventKind::Instant)],
-        };
-        a.merge(b);
-        assert_eq!(a.events[0].t_ns, 2);
-        assert_eq!(a.events[1].t_ns, 10);
     }
 }

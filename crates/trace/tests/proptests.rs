@@ -1,14 +1,14 @@
-//! Property-based tests of the trace model and its two export formats:
-//! a merge keeps every event in stable order, the tallies agree with each
-//! other, and both exports validate and carry every event back, whatever
-//! the names, arguments and values hold.
+//! Property-based tests of the trace model and its export: the tallies
+//! agree with each other, and the chrome://tracing export validates and
+//! carries every event back, whatever the names, arguments and values
+//! hold.
 
 use proptest::prelude::*;
 
 use scibench_trace::export::json_escape;
 use scibench_trace::{
-    category, is_schedule_dependent, parse_json, to_chrome_json, to_jsonl, validate_chrome_trace,
-    validate_jsonl, ArgValue, EventKind, EventName, JsonValue, Trace, TraceEvent, Tracer,
+    category, is_schedule_dependent, parse_json, to_chrome_json, validate_chrome_trace, ArgValue,
+    EventKind, EventName, JsonValue, Trace, TraceEvent, Tracer,
 };
 
 const CATEGORIES: [&str; 7] = [
@@ -71,51 +71,24 @@ fn any_trace() -> impl Strategy<Value = Trace> {
     prop::collection::vec(any_event(), 0..40).prop_map(|events| Trace { events })
 }
 
-fn sort_key(e: &TraceEvent) -> (u64, u32, u64) {
-    (e.t_ns, e.lane, e.seq)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn merged_traces_are_sorted_and_lose_no_event(a in any_trace(), b in any_trace()) {
-        let mut merged = a.clone();
-        merged.merge(b.clone());
-        prop_assert_eq!(merged.len(), a.len() + b.len());
-        prop_assert!(merged.events.windows(2).all(|w| sort_key(&w[0]) <= sort_key(&w[1])));
-        for cat in CATEGORIES {
-            prop_assert_eq!(merged.count(cat), a.count(cat) + b.count(cat));
-        }
-    }
-
-    #[test]
-    fn merge_order_does_not_matter_when_keys_are_distinct(a in any_trace(), b in any_trace()) {
-        let mut keys: Vec<_> = a.events.iter().chain(&b.events).map(sort_key).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        prop_assume!(keys.len() == a.len() + b.len());
-        let (mut ab, mut ba) = (a.clone(), b.clone());
-        ab.merge(b);
-        ba.merge(a);
-        prop_assert_eq!(ab, ba);
-    }
 
     #[test]
     fn tallies_agree_with_each_other(trace in any_trace()) {
         let (spans, instants, counters) = trace.kind_counts();
         prop_assert_eq!(spans + instants + counters, trace.len());
-        let all = trace.category_counts();
-        prop_assert_eq!(all.values().sum::<usize>(), trace.len());
         let det = trace.deterministic_counts();
-        for (cat, n) in &all {
-            prop_assert_eq!(trace.count(cat), *n);
-            prop_assert_eq!(det.get(cat).copied(), (!is_schedule_dependent(cat)).then_some(*n));
-        }
+        let mut total = 0;
         for cat in CATEGORIES {
+            let n = trace.count(cat);
+            total += n;
+            prop_assert_eq!(det.get(cat).copied(), (n > 0 && !is_schedule_dependent(cat)).then_some(n));
             let durations: u64 = trace.events.iter().filter(|e| e.cat == cat).filter_map(|e| e.dur_ns()).sum();
             prop_assert_eq!(trace.total_span_ns(cat), durations);
         }
+        prop_assert_eq!(total, trace.len());
+        prop_assert_eq!(det.values().sum::<usize>(), total - trace.count(category::SCHED));
     }
 
     #[test]
@@ -134,30 +107,23 @@ proptest! {
         prop_assert_eq!(validate_chrome_trace(&text), Ok(trace.len()));
         let doc = parse_json(&text).unwrap();
         let events = doc.as_array().unwrap();
-        for (parsed, e) in events.iter().zip(&trace.events) {
+        // One event per line after the opening bracket.
+        for ((parsed, line), e) in events.iter().zip(text.lines().skip(1)).zip(&trace.events) {
             prop_assert_eq!(parsed.get("name").and_then(JsonValue::as_str), Some(&*e.name));
             prop_assert_eq!(parsed.get("cat").and_then(JsonValue::as_str), Some(e.cat));
+            // Microseconds with the nanoseconds as three decimals.
+            let ts = format!("\"ts\":{}.{:03},", e.t_ns / 1_000, e.t_ns % 1_000);
+            prop_assert!(line.contains(&ts), "{} lacks {}", line, ts);
+            prop_assert_eq!(parsed.get("ts").and_then(JsonValue::as_f64), Some(e.t_ns as f64 / 1e3));
+            if let EventKind::Counter { value } = e.kind {
+                let arg = parsed.get("args").and_then(|a| a.get("value")).and_then(JsonValue::as_f64);
+                prop_assert_eq!(arg, Some(value));
+            }
             let note = parsed.get("args").and_then(|a| a.get("note")).and_then(JsonValue::as_str);
             prop_assert_eq!(note.map(str::to_owned), e.arg("note").map(|v| match v {
                 ArgValue::Str(s) => s.clone(),
                 other => format!("{other:?}"),
             }));
-        }
-    }
-
-    #[test]
-    fn jsonl_export_validates_and_keeps_every_event(trace in any_trace()) {
-        let text = to_jsonl(&trace);
-        prop_assert_eq!(validate_jsonl(&text), Ok(trace.len()));
-        prop_assert_eq!(text.lines().count(), trace.len());
-        for (line, e) in text.lines().zip(&trace.events) {
-            let parsed = parse_json(line).unwrap();
-            prop_assert_eq!(parsed.get("name").and_then(JsonValue::as_str), Some(&*e.name));
-            prop_assert_eq!(parsed.get("t_ns").and_then(JsonValue::as_f64), Some(e.t_ns as f64));
-            prop_assert_eq!(parsed.get("seq").and_then(JsonValue::as_f64), Some(e.seq as f64));
-            if let EventKind::Counter { value } = e.kind {
-                prop_assert_eq!(parsed.get("value").and_then(JsonValue::as_f64), Some(value));
-            }
         }
     }
 

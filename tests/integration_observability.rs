@@ -32,7 +32,9 @@ fn measure(point: &RunPoint, rng: &mut SimRng) -> f64 {
 }
 
 fn plan(samples: usize) -> MeasurementPlan {
-    MeasurementPlan::new("latency").stopping(StoppingRule::FixedCount(samples))
+    MeasurementPlan::new("latency")
+        .warmup(3)
+        .stopping(StoppingRule::FixedCount(samples))
 }
 
 /// Runs the traced campaign, returning the result and drained trace.
@@ -83,14 +85,17 @@ proptest! {
         samples in 5usize..40,
     ) {
         let (_, at_one) = traced(seed, 2, samples, 1);
-        let (_, at_four) = traced(seed, 2, samples, 4);
-        prop_assert_eq!(
-            at_one.deterministic_counts(),
-            at_four.deterministic_counts()
-        );
-        // The full export stays schema-valid for every seed.
-        let json = to_chrome_json(&at_four);
-        prop_assert_eq!(validate_chrome_trace(&json), Ok(at_four.len()));
+        for threads in [2usize, 4, 8] {
+            let (_, trace) = traced(seed, 2, samples, threads);
+            prop_assert_eq!(
+                trace.deterministic_counts(),
+                at_one.deterministic_counts(),
+                "event counts at {} threads differ from 1 thread", threads
+            );
+            // The full export stays schema-valid for every seed.
+            let json = to_chrome_json(&trace);
+            prop_assert_eq!(validate_chrome_trace(&json), Ok(trace.len()));
+        }
     }
 
     #[test]
